@@ -2,26 +2,21 @@
 //!
 //! The driver works on pre-hashed `(u64, V)` records (the paper's setting).
 //! This module adds the layer a downstream user actually wants:
-//! [`semisort_by_key`] for arbitrary `Hash + Eq` keys (with explicit
+//! [`try_semisort_by_key`] for arbitrary `Hash + Eq` keys (with explicit
 //! collision repair, making the result exact rather than
-//! with-high-probability), [`group_by`] returning the groups as slices, and
-//! [`reduce_by_key`] / [`count_by_key`] — the groupBy/shuffle operations the
-//! paper's introduction motivates.
+//! with-high-probability), [`try_group_by`] returning the groups as slices,
+//! and [`try_reduce_by_key`] / [`try_count_by_key`] — the groupBy/shuffle
+//! operations the paper's introduction motivates.
 //!
-//! The v1 surface is Result-first: every entry point is a `try_*`
-//! function returning `Result<_, `[`SemisortError`]`>`. Since the
-//! [`Semisorter`] engine became the primary surface, every `try_*`
-//! function here is a thin one-shot wrapper: it builds a transient engine
-//! for the call and drops it (and its scratch) on return, so one-shot and
-//! engine calls are behaviorally identical.
-//!
-//! The panicking twins (the plain names) are **hard-deprecated**: each is
-//! a `#[deprecated]` shim that delegates to its `try_*` twin and panics on
-//! `Err` — which, under the default
+//! The surface is Result-first: every entry point is a `try_*`
+//! function returning `Result<_, `[`SemisortError`]`>` — which, under the
+//! default
 //! [`OverflowPolicy::Fallback`](crate::config::OverflowPolicy::Fallback),
-//! cannot happen on valid input (overflow degrades to the comparison
-//! sort). The shims last one release; see the deprecation policy in the
-//! [crate docs](crate).
+//! is never `Err` on valid input (overflow degrades to the comparison
+//! sort). Since the [`Semisorter`] engine became the primary surface,
+//! every `try_*` function here is a thin one-shot wrapper: it builds a
+//! transient engine for the call and drops it (and its scratch) on
+//! return, so one-shot and engine calls are behaviorally identical.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -29,23 +24,8 @@ use crate::config::SemisortConfig;
 use crate::engine::Semisorter;
 use crate::error::SemisortError;
 
-/// Unwrap a `try_*` result for the panicking entry points.
-fn expect_ok<T>(r: Result<T, SemisortError>) -> T {
-    r.unwrap_or_else(|e| panic!("semisort: {e}"))
-}
-
 /// Semisort pre-hashed `(key, payload)` pairs — the exact record shape of
-/// the paper's evaluation. Panicking [`try_semisort_pairs`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_pairs` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_pairs(records: &[(u64, u64)], cfg: &SemisortConfig) -> Vec<(u64, u64)> {
-    expect_ok(try_semisort_pairs(records, cfg))
-}
-
-/// Fallible [`semisort_pairs`].
+/// the paper's evaluation.
 pub fn try_semisort_pairs(
     records: &[(u64, u64)],
     cfg: &SemisortConfig,
@@ -62,21 +42,6 @@ pub fn hash_key<K: Hash>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     parlay::hash64(h.finish())
-}
-
-/// Panicking [`try_semisort_by_key`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_by_key` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_by_key<T, K, F>(items: &[T], key: F, cfg: &SemisortConfig) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    K: Hash + Eq,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_semisort_by_key(items, key, cfg))
 }
 
 /// Semisort `items` by an arbitrary `Hash + Eq` key.
@@ -148,21 +113,6 @@ where
     }
 }
 
-/// Panicking [`try_semisort_stable_by_key`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_stable_by_key` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_stable_by_key<T, K, F>(items: &[T], key: F, cfg: &SemisortConfig) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    K: Hash + Eq,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_semisort_stable_by_key(items, key, cfg))
-}
-
 /// Stable semisort: like [`try_semisort_by_key`], but records within each
 /// group keep their input order.
 ///
@@ -192,21 +142,6 @@ where
     F: Fn(&T) -> K + Send + Sync,
 {
     Semisorter::new(*cfg)?.stable_by_key(items, key)
-}
-
-/// Panicking [`try_semisort_permutation`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_permutation` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_permutation<T, K, F>(items: &[T], key: F, cfg: &SemisortConfig) -> Vec<usize>
-where
-    T: Sync,
-    K: Hash + Eq,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_semisort_permutation(items, key, cfg))
 }
 
 /// The permutation a semisort would apply: `perm[j] = i` means output
@@ -272,21 +207,6 @@ pub(crate) fn repair_collisions_on_perm<T, K, F>(
         }
         start = end;
     }
-}
-
-/// Panicking [`try_semisort_in_place`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_in_place` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_in_place<T, K, F>(items: &mut [T], key: F, cfg: &SemisortConfig)
-where
-    T: Sync,
-    K: Hash + Eq,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_semisort_in_place(items, key, cfg))
 }
 
 /// Semisort `items` in place, without cloning: computes the permutation,
@@ -409,21 +329,6 @@ impl<T> Groups<T> {
     }
 }
 
-/// Panicking [`try_group_by`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_group_by` (or a pooled `Semisorter`)"
-)]
-pub fn group_by<T, K, F>(items: &[T], key: F, cfg: &SemisortConfig) -> Groups<T>
-where
-    T: Clone + Send + Sync,
-    K: Hash + Eq,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_group_by(items, key, cfg))
-}
-
 /// Group `items` by key: semisort, then cut at every key change.
 ///
 /// This is the `groupBy` / MapReduce-shuffle operation of the paper's
@@ -451,29 +356,6 @@ where
     Semisorter::new(*cfg)?.group_by(items, key)
 }
 
-/// Panicking [`try_reduce_by_key`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_reduce_by_key` (or a pooled `Semisorter`)"
-)]
-pub fn reduce_by_key<T, K, A, F, G>(
-    items: &[T],
-    key: F,
-    init: A,
-    fold: G,
-    cfg: &SemisortConfig,
-) -> Vec<(K, A)>
-where
-    T: Clone + Send + Sync,
-    K: Hash + Eq + Send + Sync,
-    A: Clone + Send + Sync,
-    F: Fn(&T) -> K + Send + Sync,
-    G: Fn(A, &T) -> A + Send + Sync,
-{
-    expect_ok(try_reduce_by_key(items, key, init, fold, cfg))
-}
-
 /// Fold every group: returns one `(key, accumulator)` per distinct key,
 /// with `fold` applied left-to-right over the group's items starting from
 /// `init`. Groups are processed in parallel.
@@ -492,21 +374,6 @@ where
     G: Fn(A, &T) -> A + Send + Sync,
 {
     Semisorter::new(*cfg)?.reduce_by_key(items, key, init, fold)
-}
-
-/// Panicking [`try_count_by_key`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_count_by_key` (or a pooled `Semisorter`)"
-)]
-pub fn count_by_key<T, K, F>(items: &[T], key: F, cfg: &SemisortConfig) -> Vec<(K, usize)>
-where
-    T: Clone + Send + Sync,
-    K: Hash + Eq + Send + Sync,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    expect_ok(try_count_by_key(items, key, cfg))
 }
 
 /// Histogram: the number of items per distinct key.
@@ -734,22 +601,5 @@ mod tests {
         }
         assert_eq!(g.sizes().iter().sum::<usize>(), items.len());
         assert_eq!(g.max_group_size(), 300);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_panicking_shims_delegate() {
-        // The one-release `#[deprecated]` shims must keep behaving exactly
-        // like their `try_*` twins until removal.
-        let items: Vec<u32> = (0..5_000).map(|i| i % 37).collect();
-        let out = semisort_by_key(&items, |&x| x, &cfg());
-        assert!(is_semisorted_by(&out, |&x| x));
-        assert_eq!(group_by(&items, |&x| x, &cfg()).len(), 37);
-        let counts = count_by_key(&items, |&x| x, &cfg());
-        assert_eq!(counts.iter().map(|c| c.1).sum::<usize>(), items.len());
-        let pairs: Vec<(u64, u64)> = (0..5_000u64).map(|i| (parlay::hash64(i % 7), i)).collect();
-        let out = semisort_pairs(&pairs, &cfg());
-        assert!(is_semisorted_by(&out, |r| r.0));
-        assert!(is_permutation_of(&out, &pairs));
     }
 }

@@ -33,19 +33,6 @@ pub fn semisort_bounded<V: Copy + Send + Sync>(records: &[(u64, V)], m: usize) -
     out
 }
 
-/// Panicking [`try_semisort_auto`].
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_auto`"
-)]
-pub fn semisort_auto<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-) -> Vec<(u64, V)> {
-    try_semisort_auto(records, cfg).unwrap_or_else(|e| panic!("semisort: {e}"))
-}
-
 /// Dispatching semisort: uses the counting-sort path when the observed key
 /// range is small (`max_key < n / log₂n`), the general top-down algorithm
 /// otherwise.

@@ -11,10 +11,11 @@ pub use crate::obs::TelemetryLevel;
 
 use crate::error::SemisortError;
 
-/// What the driver does once the Las Vegas machinery gives up — the retry
-/// budget is exhausted, the arena memory budget is exceeded, or the arena
-/// allocation fails. Retries always happen first; the policy governs only
-/// the terminal step.
+/// What the driver does once the Las Vegas machinery of the arena
+/// strategies gives up — the retry budget is exhausted, the arena memory
+/// budget is exceeded, or the arena allocation fails. Retries always happen
+/// first; the policy governs only the terminal step. The in-place scatter
+/// has no terminal step, so the policy never applies to it.
 ///
 /// `#[non_exhaustive]`: future versions may add policies; match with a
 /// wildcard arm.
@@ -27,20 +28,17 @@ pub enum OverflowPolicy {
     #[default]
     Fallback,
     /// Retry, then return a [`crate::SemisortError`] from the `try_*`
-    /// entry points (the panicking wrappers turn it into a panic).
+    /// entry points. A caller that prefers to die loudly over degrading
+    /// silently picks this and `expect`s the result.
     Error,
-    /// Retry, then panic — the pre-policy behavior, for callers that
-    /// prefer to die loudly over degrading silently.
-    Panic,
 }
 
 impl OverflowPolicy {
-    /// Parse a CLI spelling (`fallback`, `error`, `panic`).
+    /// Parse a CLI spelling (`fallback`, `error`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "fallback" => Some(OverflowPolicy::Fallback),
             "error" => Some(OverflowPolicy::Error),
-            "panic" => Some(OverflowPolicy::Panic),
             _ => None,
         }
     }
@@ -50,7 +48,6 @@ impl OverflowPolicy {
         match self {
             OverflowPolicy::Fallback => "fallback",
             OverflowPolicy::Error => "error",
-            OverflowPolicy::Panic => "panic",
         }
     }
 }
@@ -84,7 +81,8 @@ pub enum ScatterStrategy {
     /// from per-bucket region cursors (`fetch_add`) and move records
     /// through small per-bucket swap buffers until every region holds only
     /// its own records. No slot array, no probing, no Las Vegas overflow —
-    /// scratch is O(buckets + workers·swap_buffer) instead of O(n·α).
+    /// scratch is O(n/swap_buffer + workers·buckets·swap_buffer) instead
+    /// of O(n·α).
     /// See `inplace_scatter`.
     InPlace,
 }
@@ -184,10 +182,6 @@ pub struct SemisortConfig {
     /// Phase 3 backend and its tuning knobs — strategy, block width,
     /// CAS-tail exponent, prefetch distance, in-place swap-buffer size —
     /// grouped in one validated sub-struct (see [`ScatterConfig`]).
-    ///
-    /// This replaces the former flat `scatter_strategy` / `scatter_block` /
-    /// `blocked_tail_log2` fields; the builder keeps `#[deprecated]`
-    /// setters under the old names for one release.
     pub scatter: ScatterConfig,
     /// Light-bucket sorting algorithm; default `StdUnstable`.
     pub local_sort_algo: LocalSortAlgo,
@@ -201,16 +195,19 @@ pub struct SemisortConfig {
     /// before growing α; default 3, must be < 32 (α growth is `2^attempt`).
     /// Each retry re-randomizes scatter positions and doubles the
     /// overflowing run's slack. What happens when the budget runs out is
-    /// governed by `overflow_policy`.
+    /// governed by `overflow_policy`. Arena strategies only: the in-place
+    /// scatter cannot overflow and never retries.
     pub max_retries: u32,
     /// What to do when retries are exhausted, the arena budget is
     /// exceeded, or the arena allocation fails; default
     /// [`OverflowPolicy::Fallback`] (degrade, never crash).
     pub overflow_policy: OverflowPolicy,
-    /// Upper bound in bytes on the scatter arena (slot array). α-doubling
-    /// across retries grows the arena; a plan whose arena would exceed this
-    /// budget triggers early degradation per `overflow_policy` instead of
-    /// an oversized allocation. Default `usize::MAX` (unlimited).
+    /// Upper bound in bytes on the scatter arena (slot array) of the arena
+    /// strategies. α-doubling across retries grows the arena; a plan whose
+    /// arena would exceed this budget triggers early degradation per
+    /// `overflow_policy` instead of an oversized allocation. The in-place
+    /// scatter holds no arena and ignores it. Default `usize::MAX`
+    /// (unlimited).
     pub max_arena_bytes: usize,
     /// Upper bound in bytes on the scratch memory a
     /// [`Semisorter`](crate::engine::Semisorter) *retains between calls*
@@ -388,15 +385,6 @@ impl SemisortConfig {
             "max_scratch_bytes must be nonzero (usize::MAX = unlimited)",
         )
     }
-
-    /// Validate parameter sanity, panicking on the first violation (the
-    /// pre-builder behavior; [`Self::try_validate`] is the non-panicking
-    /// form).
-    pub fn validate(&self) {
-        if let Err(SemisortError::InvalidConfig { reason }) = self.try_validate() {
-            panic!("{reason}");
-        }
-    }
 }
 
 /// Validating builder for [`SemisortConfig`].
@@ -477,42 +465,6 @@ impl SemisortConfigBuilder {
         capture_scheduler: bool,
     }
 
-    /// Set the Phase 3 scatter implementation.
-    #[deprecated(
-        since = "0.9.0",
-        note = "scatter knobs moved into the `ScatterConfig` sub-struct; \
-                use `.scatter(ScatterConfig { strategy, ..Default::default() })`"
-    )]
-    #[must_use]
-    pub fn scatter_strategy(mut self, strategy: ScatterStrategy) -> Self {
-        self.cfg.scatter.strategy = strategy;
-        self
-    }
-
-    /// Set the blocked-scatter write-buffer block size (power of two).
-    #[deprecated(
-        since = "0.9.0",
-        note = "scatter knobs moved into the `ScatterConfig` sub-struct; \
-                use `.scatter(ScatterConfig { block, ..Default::default() })`"
-    )]
-    #[must_use]
-    pub fn scatter_block(mut self, block: usize) -> Self {
-        self.cfg.scatter.block = block;
-        self
-    }
-
-    /// Set the blocked-scatter CAS-fallback tail exponent.
-    #[deprecated(
-        since = "0.9.0",
-        note = "scatter knobs moved into the `ScatterConfig` sub-struct; \
-                use `.scatter(ScatterConfig { tail_log2, ..Default::default() })`"
-    )]
-    #[must_use]
-    pub fn blocked_tail_log2(mut self, tail_log2: u32) -> Self {
-        self.cfg.scatter.tail_log2 = tail_log2;
-        self
-    }
-
     /// Validate and return the finished configuration.
     #[must_use = "the Err carries the validation failure"]
     pub fn build(self) -> Result<SemisortConfig, SemisortError> {
@@ -524,6 +476,14 @@ impl SemisortConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The validation message `cfg` is rejected with.
+    fn rejection(cfg: SemisortConfig) -> &'static str {
+        match cfg.try_validate() {
+            Err(SemisortError::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
 
     #[test]
     fn defaults_match_paper() {
@@ -542,11 +502,10 @@ mod tests {
         assert_eq!(c.scatter.prefetch_distance, 8);
         assert_eq!(c.scatter.swap_buffer, 32);
         assert_eq!(c.telemetry, TelemetryLevel::Off);
-        c.validate();
+        assert!(c.try_validate().is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "scatter.block must be a power of two")]
     fn non_power_of_two_block_rejected() {
         let cfg = SemisortConfig {
             scatter: ScatterConfig {
@@ -555,7 +514,7 @@ mod tests {
             },
             ..Default::default()
         };
-        cfg.validate();
+        assert!(rejection(cfg).contains("scatter.block must be a power of two"));
     }
 
     #[test]
@@ -609,13 +568,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "α must exceed 1")]
     fn alpha_one_rejected() {
         let cfg = SemisortConfig {
             alpha: 1.0,
             ..Default::default()
         };
-        cfg.validate();
+        assert!(rejection(cfg).contains("α must exceed 1"));
     }
 
     #[test]
@@ -628,34 +586,29 @@ mod tests {
 
     #[test]
     fn overflow_policy_parses_both_ways() {
-        for p in [
-            OverflowPolicy::Fallback,
-            OverflowPolicy::Error,
-            OverflowPolicy::Panic,
-        ] {
+        for p in [OverflowPolicy::Fallback, OverflowPolicy::Error] {
             assert_eq!(OverflowPolicy::parse(p.as_str()), Some(p));
         }
         assert_eq!(OverflowPolicy::parse("abort"), None);
+        assert_eq!(OverflowPolicy::parse("panic"), None);
     }
 
     #[test]
-    #[should_panic(expected = "max_retries must be < 32")]
     fn huge_retry_budget_rejected() {
         let cfg = SemisortConfig {
             max_retries: 32,
             ..Default::default()
         };
-        cfg.validate();
+        assert!(rejection(cfg).contains("max_retries must be < 32"));
     }
 
     #[test]
-    #[should_panic(expected = "max_arena_bytes must be nonzero")]
     fn zero_arena_budget_rejected() {
         let cfg = SemisortConfig {
             max_arena_bytes: 0,
             ..Default::default()
         };
-        cfg.validate();
+        assert!(rejection(cfg).contains("max_arena_bytes must be nonzero"));
     }
 
     #[test]
@@ -708,32 +661,5 @@ mod tests {
             .max_scratch_bytes(0)
             .build()
             .is_err());
-    }
-
-    /// The deprecated flat builder setters must keep delegating into the
-    /// `scatter` sub-struct for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_delegate() {
-        let cfg = SemisortConfig::builder()
-            .scatter_strategy(ScatterStrategy::InPlace)
-            .scatter_block(64)
-            .blocked_tail_log2(4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.scatter.strategy, ScatterStrategy::InPlace);
-        assert_eq!(cfg.scatter.block, 64);
-        assert_eq!(cfg.scatter.tail_log2, 4);
-        assert!(SemisortConfig::builder().scatter_block(12).build().is_err());
-    }
-
-    #[test]
-    fn try_validate_agrees_with_validate() {
-        assert!(SemisortConfig::default().try_validate().is_ok());
-        let bad = SemisortConfig {
-            max_arena_bytes: 0,
-            ..Default::default()
-        };
-        assert!(bad.try_validate().is_err());
     }
 }

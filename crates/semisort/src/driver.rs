@@ -1,18 +1,26 @@
 //! The five-phase driver (Algorithm 1 end to end), with per-phase timing,
 //! the Las Vegas retry loop, and the escalation policy that decides what
 //! happens when the retry (or memory) budget runs out.
+//!
+//! After a shared prefix (validation, sequential cutoff, sentinel screen,
+//! scheduler snapshot) a run takes one of two paths. The **arena path**
+//! (`RandomCas`, `Blocked`) scatters into an `α`-sized slot array that can
+//! overflow (Corollary 3.4), so it runs inside the retry loop with α
+//! doubling, the `max_arena_bytes` gate and [`OverflowPolicy`] escalation.
+//! The **in-place path** (`InPlace`) counts exactly and cannot overflow,
+//! so it runs sample → plan → permute → sort once, straight through.
 
 use parlay::random::Rng;
 use rayon::prelude::*;
 use rayon::trace::SchedulerStats;
 
 use crate::blocked_scatter::blocked_scatter;
-use crate::buckets::build_plan;
+use crate::buckets::{build_plan, BucketPlan};
 use crate::cancel::CancelToken;
 use crate::config::{OverflowPolicy, ScatterStrategy, SemisortConfig};
 use crate::error::SemisortError;
 use crate::fault::FaultPlan;
-use crate::inplace_scatter::{inplace_bytes, inplace_scatter, sort_light_regions};
+use crate::inplace_scatter::{inplace_scatter, sort_light_regions};
 use crate::local_sort::local_sort_light_buckets;
 use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, RetryCause, ScratchCounters};
 use crate::pack_phase::pack_output_into;
@@ -21,47 +29,13 @@ use crate::sample::strided_sample_by_into;
 use crate::scatter::{arena_bytes, scatter, Slot, EMPTY};
 use crate::stats::SemisortStats;
 
-/// Semisort pre-hashed records. See [`try_semisort_core`] for details.
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_core` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_core<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-) -> Vec<(u64, V)> {
-    try_semisort_core(records, cfg).unwrap_or_else(|e| panic!("semisort: {e}"))
-}
-
-/// Fallible [`semisort_core`]: returns the output alone, surfacing terminal
-/// failures per the configured policy (see [`try_semisort_with_stats`]).
+/// Semisort pre-hashed records, returning the output alone (see
+/// [`try_semisort_with_stats`]).
 pub fn try_semisort_core<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
 ) -> Result<Vec<(u64, V)>, SemisortError> {
     try_semisort_with_stats(records, cfg).map(|(out, _)| out)
-}
-
-/// Semisort pre-hashed `(key, value)` records, returning the output and the
-/// per-phase telemetry of [`SemisortStats`].
-///
-/// Panicking wrapper around [`try_semisort_with_stats`]: with the default
-/// [`OverflowPolicy::Fallback`] it never fails on valid input (terminal
-/// overflow degrades to the comparison sort); it panics only when the
-/// config is invalid, or when the config selects
-/// [`OverflowPolicy::Error`] or [`OverflowPolicy::Panic`] and the
-/// escalation ladder bottoms out.
-#[deprecated(
-    since = "0.9.0",
-    note = "panicking one-shot wrappers are superseded by the `try_*` twins; \
-            use `try_semisort_with_stats` (or a pooled `Semisorter`)"
-)]
-pub fn semisort_with_stats<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-) -> (Vec<(u64, V)>, SemisortStats) {
-    try_semisort_with_stats(records, cfg).unwrap_or_else(|e| panic!("semisort: {e}"))
 }
 
 /// Semisort pre-hashed `(u64, value)` records, returning the output and the
@@ -77,7 +51,7 @@ pub fn semisort_with_stats<V: Copy + Send + Sync>(
 /// in no particular order. The input must be *hashed* keys (uniformly
 /// distributed bits) — the light-bucket partition divides the hash range
 /// evenly and relies on uniformity for its `O(log² n)` bucket-size bound
-/// (§3). For raw keys use [`crate::api::semisort_by_key`], which hashes
+/// (§3). For raw keys use [`crate::api::try_semisort_by_key`], which hashes
 /// for you.
 ///
 /// Inputs at or below `cfg.seq_threshold`, and inputs containing the
@@ -88,15 +62,15 @@ pub fn semisort_with_stats<V: Copy + Send + Sync>(
 /// # Errors
 ///
 /// An invalid configuration returns
-/// [`SemisortError::InvalidConfig`] under every policy. Beyond that, three
-/// terminal runtime conditions exist: the Las Vegas retry budget runs out,
-/// an attempt's arena would exceed [`SemisortConfig::max_arena_bytes`], or
-/// the arena allocation itself fails. Under the default
-/// [`OverflowPolicy::Fallback`] all three degrade to the comparison sort
-/// (`Ok` with [`SemisortStats::degraded`] set); under
-/// [`OverflowPolicy::Error`] they return `Err`; under
-/// [`OverflowPolicy::Panic`] they panic. So on valid input this function
-/// can only return `Err` (and can only panic) when the caller opted in.
+/// [`SemisortError::InvalidConfig`] under every policy. Beyond that, the
+/// arena strategies have three terminal runtime conditions: the Las Vegas
+/// retry budget runs out, an attempt's arena would exceed
+/// [`SemisortConfig::max_arena_bytes`], or the arena allocation itself
+/// fails. Under the default [`OverflowPolicy::Fallback`] all three degrade
+/// to the comparison sort (`Ok` with [`SemisortStats::degraded`] set);
+/// under [`OverflowPolicy::Error`] they return `Err`. So on valid input
+/// this function can only return `Err` when the caller opted in.
+/// [`ScatterStrategy::InPlace`] has no arena and none of these conditions.
 #[must_use = "the Err carries the failure that the config asked to surface"]
 pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
     records: &[(u64, V)],
@@ -118,9 +92,7 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
 ///
 /// [`ScatterStrategy::InPlace`] permutes *inside* the output buffer, so
 /// once its scatter begins the run commits: no further polls happen and
-/// cancellation latency extends to the end of the run. Exits that leave
-/// the loop after an in-place scatter started (fault-injected retries)
-/// clear the output first, preserving the all-or-nothing contract.
+/// cancellation latency extends to the end of the run.
 #[must_use = "the Err carries the failure that the config asked to surface"]
 pub fn try_semisort_with_stats_cancellable<V: Copy + Send + Sync>(
     records: &[(u64, V)],
@@ -168,8 +140,8 @@ pub(crate) fn try_semisort_into_pooled<V: Copy + Send + Sync>(
     Ok(stats)
 }
 
-/// The five-phase loop proper, writing into `out` and leasing all scratch
-/// from `pool`. Assumes `cfg` is already validated.
+/// The shared prefix of every run, then the path split: writes into `out`
+/// and leases all scratch from `pool`. Assumes `cfg` is already validated.
 fn run_pooled<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
@@ -185,18 +157,6 @@ fn run_pooled<V: Copy + Send + Sync>(
         config: *cfg,
         ..Default::default()
     };
-    // Split the pool into independently-borrowed parts once: the sample
-    // buffer, the slot arena, and the blocked-scatter worker state are used
-    // in different phases of the same iteration.
-    let ScratchPool {
-        arena,
-        sample,
-        blocked,
-        inplace,
-        ..
-    } = pool;
-    let in_place = cfg.scatter.strategy == ScatterStrategy::InPlace;
-
     if n <= cfg.seq_threshold {
         stats.light_records = n;
         fallback_sort_into(records, out);
@@ -225,296 +185,412 @@ fn run_pooled<V: Copy + Send + Sync>(
         return Ok(stats);
     }
 
-    let mut attempt = 0u32;
-    let mut retry_causes: Vec<RetryCause> = Vec::new();
-    let mut faults_injected = 0u32;
-    loop {
-        // Retry boundary: a deadline that expired while the previous attempt
-        // was scattering fires here, before any of this attempt's work.
-        // (In-place retries cleared `out` on the way here, so this early
-        // return still honors the all-or-nothing output contract.)
-        cancel.check()?;
-        // Each retry re-randomizes every random choice and doubles the
-        // slack α (Corollary 3.4 failures are overwhelmingly due to an
-        // unlucky sample underestimating a bucket). The per-attempt seed is
-        // mixed through a splitmix64 finalizer so consecutive attempts are
-        // decorrelated — `seed + attempt` would hand attempt k the same
-        // random stream attempt k-1 ran with seed+1, re-rolling correlated
-        // dice against a correlated failure.
+    let run = Run {
+        records,
+        cfg,
+        cancel,
+        sched_before,
+    };
+    if cfg.scatter.strategy == ScatterStrategy::InPlace {
+        run.in_place(pool, out, counters, stats)
+    } else {
+        run.arena(pool, out, counters, stats)
+    }
+}
+
+/// The inputs both paths share once the prefix has run.
+struct Run<'a, V> {
+    records: &'a [(u64, V)],
+    cfg: &'a SemisortConfig,
+    cancel: &'a CancelToken,
+    /// Scheduler snapshot taken before the run, when capture is on.
+    sched_before: Option<SchedulerStats>,
+}
+
+impl<V: Copy + Send + Sync> Run<'_, V> {
+    /// The in-place path: sample → plan → permute → sort, once. The exact
+    /// counting pass cannot overflow, so there is no attempt counter, no
+    /// arena budget and no escalation; of the fault plan only `panic`
+    /// applies.
+    fn in_place(
+        &self,
+        pool: &mut ScratchPool,
+        out: &mut Vec<(u64, V)>,
+        counters: &mut ScratchCounters,
+        mut stats: SemisortStats,
+    ) -> Result<SemisortStats, SemisortError> {
+        let ScratchPool {
+            sample, inplace, ..
+        } = pool;
+        let n = self.records.len();
         let run_cfg = SemisortConfig {
-            alpha: cfg.alpha * 2f64.powi(attempt as i32),
-            seed: mix_seed(cfg.seed, attempt),
-            ..*cfg
+            seed: mix_seed(self.cfg.seed, 0),
+            ..*self.cfg
         };
         let rng = Rng::new(run_cfg.seed);
-        // Fresh sink per attempt: the final stats describe the successful
-        // pass; failed attempts leave their trace as `retry_causes`.
         let sink = ObsSink::new(run_cfg.telemetry);
 
-        // Arm this attempt's faults (all no-ops in production: the default
-        // plan is inert and every check is a branch on a Copy struct).
-        let forced_overflow = cfg.fault.forced_overflow(attempt);
-        let fail_alloc = cfg.fault.alloc_fails(attempt);
-        let corrupt_sample = cfg.fault.sample_corrupted(attempt);
-        let forced_panic = cfg.fault.panics(attempt);
-        for (armed, kind) in [
-            (forced_overflow.is_some(), "force-overflow"),
-            (fail_alloc, "fail-alloc"),
-            (corrupt_sample, "corrupt-sample"),
-            (forced_panic, "panic"),
-        ] {
-            if armed {
-                faults_injected += 1;
-                log_event_kv("fault", &[("kind", kind)], &[("attempt", attempt as u64)]);
-            }
-        }
+        self.sample_phase(&run_cfg, &rng, false, sample, &mut stats);
+        self.cancel.check()?;
 
-        // Phase 1: sampling and sorting.
+        let span = PhaseSpan::start("construct_buckets");
+        let plan = build_plan(sample, n, &run_cfg);
+        stats.t_construct_buckets = span.finish_into(&mut stats.spans);
+        record_plan(&mut stats, &plan);
+        self.cancel.check()?;
+
+        // Phase 3: permute inside `out`. From here the run has committed
+        // to the output buffer: no cancellation polls past this point (see
+        // `try_semisort_with_stats_cancellable`).
+        let span = PhaseSpan::start("scatter");
+        if self.cfg.fault.panics(0) {
+            self.injected_panic(0);
+        }
+        let o = inplace_scatter(
+            self.records,
+            &plan,
+            out,
+            run_cfg.scatter.swap_buffer,
+            &sink,
+            inplace,
+        );
+        stats.t_scatter = span.finish_into(&mut stats.spans);
+        stats.inplace_cycles = o.cycles;
+        stats.swap_buffer_flushes = o.flushes;
+        // The in-place path never touches the arena, so fold its scratch
+        // fate into the pool counters here.
+        if o.grew {
+            counters.grows += 1;
+        } else {
+            counters.reuse_hits += 1;
+        }
+        stats.heavy_records = o.heavy_records;
+        stats.light_records = n - o.heavy_records;
+
+        // Phase 4: the records already sit in their exact bucket regions;
+        // sorting the light regions is all that remains (heavy regions hold
+        // one key each) and there is no pack.
+        let span = PhaseSpan::start("local_sort");
+        sort_light_regions(out, &plan, &inplace.starts, run_cfg.local_sort_algo);
+        stats.t_local_sort = span.finish_into(&mut stats.spans);
+        debug_assert_eq!(out.len(), n, "in-place permute preserves length");
+
+        self.finish(&mut stats, &sink, Vec::new(), 0);
+        Ok(stats)
+    }
+
+    /// The arena path: the paper's Las Vegas loop. Each attempt samples,
+    /// plans, leases an `α`-sized slot arena and scatters into it; an
+    /// overflow retries with doubled α, and a terminal failure escalates
+    /// per [`OverflowPolicy`].
+    fn arena(
+        &self,
+        pool: &mut ScratchPool,
+        out: &mut Vec<(u64, V)>,
+        counters: &mut ScratchCounters,
+        mut stats: SemisortStats,
+    ) -> Result<SemisortStats, SemisortError> {
+        // Split the pool into independently-borrowed parts once: the sample
+        // buffer, the slot arena, and the blocked-scatter worker state are
+        // used in different phases of the same iteration.
+        let ScratchPool {
+            arena,
+            sample,
+            blocked,
+            ..
+        } = pool;
+        let (records, cfg, cancel) = (self.records, self.cfg, self.cancel);
+        let n = records.len();
+        let mut attempt = 0u32;
+        let mut retry_causes: Vec<RetryCause> = Vec::new();
+        let mut faults_injected = 0u32;
+        loop {
+            // Retry boundary: a deadline that expired while the previous
+            // attempt was scattering fires here, before any of this
+            // attempt's work.
+            cancel.check()?;
+            // Each retry re-randomizes every random choice and doubles the
+            // slack α (Corollary 3.4 failures are overwhelmingly due to an
+            // unlucky sample underestimating a bucket). The per-attempt
+            // seed is mixed through a splitmix64 finalizer so consecutive
+            // attempts are decorrelated — `seed + attempt` would hand
+            // attempt k the same random stream attempt k-1 ran with
+            // seed+1, re-rolling correlated dice against a correlated
+            // failure.
+            let run_cfg = SemisortConfig {
+                alpha: cfg.alpha * 2f64.powi(attempt as i32),
+                seed: mix_seed(cfg.seed, attempt),
+                ..*cfg
+            };
+            let rng = Rng::new(run_cfg.seed);
+            // Fresh sink per attempt: the final stats describe the
+            // successful pass; failed attempts leave their trace as
+            // `retry_causes`.
+            let sink = ObsSink::new(run_cfg.telemetry);
+
+            // Arm this attempt's faults (all no-ops in production: the
+            // default plan is inert and every check is a branch on a Copy
+            // struct).
+            let forced_overflow = cfg.fault.forced_overflow(attempt);
+            let fail_alloc = cfg.fault.alloc_fails(attempt);
+            let corrupt_sample = cfg.fault.sample_corrupted(attempt);
+            for (armed, kind) in [
+                (forced_overflow.is_some(), "force-overflow"),
+                (fail_alloc, "fail-alloc"),
+                (corrupt_sample, "corrupt-sample"),
+            ] {
+                if armed {
+                    faults_injected += 1;
+                    log_event_kv("fault", &[("kind", kind)], &[("attempt", attempt as u64)]);
+                }
+            }
+
+            self.sample_phase(&run_cfg, &rng, corrupt_sample, sample, &mut stats);
+            cancel.check()?;
+
+            // Phase 2: bucket construction (classification, table,
+            // allocation).
+            let span = PhaseSpan::start("construct_buckets");
+            let plan = build_plan(sample, n, &run_cfg);
+            // Memory budget: α doubles every retry, so the arena grows
+            // geometrically — check the plan *before* allocating and
+            // escalate early instead of letting a doomed retry sequence
+            // eat the heap.
+            let required = arena_bytes::<V>(&plan);
+            let leased = if required > cfg.max_arena_bytes {
+                Err(SemisortError::ArenaBudgetExceeded {
+                    required_bytes: required,
+                    budget_bytes: cfg.max_arena_bytes,
+                    attempt,
+                })
+            } else {
+                arena
+                    .lease_slots::<V>(plan.total_slots, fail_alloc, counters)
+                    .map_err(|bytes| SemisortError::ArenaAllocFailed { bytes, attempt })
+            };
+            let slots: &[Slot<V>] = match leased {
+                Ok(slots) => slots,
+                Err(err) => {
+                    self.finish(&mut stats, &sink, retry_causes, faults_injected);
+                    self.escalate(err, &mut stats, out)?;
+                    return Ok(stats);
+                }
+            };
+            stats.t_construct_buckets = span.finish_into(&mut stats.spans);
+            record_plan(&mut stats, &plan);
+            cancel.check()?;
+
+            // Phase 3: scatter (the paper's CAS loop or the block-buffered
+            // variant; both fill the same arena under the same contract).
+            let span = PhaseSpan::start("scatter");
+            if cfg.fault.panics(attempt) {
+                self.injected_panic(attempt);
+            }
+            let (heavy_records, overflowed, overflow) = match run_cfg.scatter.strategy {
+                ScatterStrategy::Blocked => {
+                    let o = blocked_scatter(
+                        records,
+                        &plan,
+                        slots,
+                        run_cfg.scatter.block,
+                        run_cfg.scatter.tail_log2,
+                        run_cfg.scatter.prefetch_distance,
+                        &sink,
+                        forced_overflow,
+                        blocked,
+                    );
+                    stats.blocks_flushed = o.blocks_flushed;
+                    stats.slab_overflows = o.slab_overflows;
+                    stats.fallback_records = o.fallback_records;
+                    (o.heavy_records, o.overflowed, o.overflow)
+                }
+                _ => {
+                    let o = scatter(
+                        records,
+                        &plan,
+                        slots,
+                        run_cfg.probe_strategy,
+                        run_cfg.scatter.prefetch_distance,
+                        rng.fork(2),
+                        &sink,
+                        forced_overflow,
+                    );
+                    (o.heavy_records, o.overflowed, o.overflow)
+                }
+            };
+            stats.t_scatter = span.finish_into(&mut stats.spans);
+            if overflowed {
+                attempt += 1;
+                stats.retries = attempt;
+                // Record *why* (cold path — every telemetry level keeps
+                // this: a run that retried is exactly the run worth
+                // diagnosing).
+                if let Some((bucket, allocated, observed)) = overflow {
+                    retry_causes.push(RetryCause {
+                        attempt,
+                        bucket,
+                        heavy: (bucket as usize) < plan.num_heavy,
+                        allocated,
+                        observed,
+                    });
+                    log_event(
+                        "retry",
+                        &[
+                            ("attempt", attempt as u64),
+                            ("bucket", bucket as u64),
+                            ("allocated", allocated as u64),
+                            ("observed", observed as u64),
+                        ],
+                    );
+                }
+                if attempt > cfg.max_retries {
+                    let err = SemisortError::RetriesExhausted {
+                        attempts: attempt,
+                        alpha: run_cfg.alpha,
+                        n,
+                    };
+                    self.finish(&mut stats, &sink, retry_causes, faults_injected);
+                    self.escalate(err, &mut stats, out)?;
+                    return Ok(stats);
+                }
+                continue;
+            }
+            stats.heavy_records = heavy_records;
+            stats.light_records = n - heavy_records;
+            cancel.check()?;
+
+            // Phase 4: local sort of the light buckets.
+            let span = PhaseSpan::start("local_sort");
+            let light_counts =
+                local_sort_light_buckets(&plan, slots, run_cfg.local_sort_algo, &sink);
+            stats.t_local_sort = span.finish_into(&mut stats.spans);
+            // Last cancellation point: past here the run commits to
+            // writing `out`, and finishing is cheaper than throwing the
+            // work away.
+            cancel.check()?;
+
+            // Phase 5: pack.
+            let span = PhaseSpan::start("pack");
+            pack_output_into(&plan, slots, &light_counts, out);
+            stats.t_pack = span.finish_into(&mut stats.spans);
+            debug_assert_eq!(out.len(), n, "pack must emit every record");
+
+            self.finish(&mut stats, &sink, retry_causes, faults_injected);
+            return Ok(stats);
+        }
+    }
+
+    /// Phase 1: draw the strided sample into the pooled buffer (decimated
+    /// when `corrupt` injects that fault) and sort it.
+    fn sample_phase(
+        &self,
+        run_cfg: &SemisortConfig,
+        rng: &Rng,
+        corrupt: bool,
+        sample: &mut Vec<u64>,
+        stats: &mut SemisortStats,
+    ) {
+        let records = self.records;
         let span = PhaseSpan::start("sample_sort");
         strided_sample_by_into(
-            n,
+            records.len(),
             run_cfg.sample_shift,
             rng.fork(1),
             |i| records[i].0,
             sample,
         );
-        if corrupt_sample {
+        if corrupt {
             FaultPlan::corrupt_sample(sample);
         }
         parlay::radix_sort::radix_sort_u64(sample);
         stats.t_sample_sort = span.finish_into(&mut stats.spans);
         stats.sample_size = sample.len();
-        cancel.check()?;
-
-        // Phase 2: bucket construction (classification, table, allocation).
-        let span = PhaseSpan::start("construct_buckets");
-        let plan = build_plan(sample, n, &run_cfg);
-        // Memory budget: α doubles every retry, so the arena grows
-        // geometrically — check the plan *before* allocating and escalate
-        // early instead of letting a doomed retry sequence eat the heap.
-        // The in-place path holds no arena; its (much smaller) scratch
-        // estimate goes through the same gate so the budget policy and its
-        // fault tests behave uniformly across strategies.
-        let required = if in_place {
-            inplace_bytes::<V>(
-                &plan,
-                rayon::current_num_threads().max(1),
-                run_cfg.scatter.swap_buffer,
-            )
-        } else {
-            arena_bytes::<V>(&plan)
-        };
-        if required > cfg.max_arena_bytes {
-            let err = SemisortError::ArenaBudgetExceeded {
-                required_bytes: required,
-                budget_bytes: cfg.max_arena_bytes,
-                attempt,
-            };
-            finish_stats(
-                &mut stats,
-                &sink,
-                &mut retry_causes,
-                faults_injected,
-                sched_before.as_ref(),
-            );
-            escalate(records, cfg, err, &mut stats, out, cancel)?;
-            return Ok(stats);
-        }
-        // The in-place path leases no slots; an injected alloc failure
-        // escalates with its scratch estimate so the chaos ladder still
-        // exercises the same error path.
-        let slot_lease = if in_place {
-            if fail_alloc {
-                Err(required)
-            } else {
-                Ok(&[][..])
-            }
-        } else {
-            arena.lease_slots::<V>(plan.total_slots, fail_alloc, counters)
-        };
-        let slots: &[Slot<V>] = match slot_lease {
-            Ok(slots) => slots,
-            Err(bytes) => {
-                let err = SemisortError::ArenaAllocFailed { bytes, attempt };
-                finish_stats(
-                    &mut stats,
-                    &sink,
-                    &mut retry_causes,
-                    faults_injected,
-                    sched_before.as_ref(),
-                );
-                escalate(records, cfg, err, &mut stats, out, cancel)?;
-                return Ok(stats);
-            }
-        };
-        stats.t_construct_buckets = span.finish_into(&mut stats.spans);
-        stats.heavy_keys = plan.num_heavy;
-        stats.light_buckets = plan.num_light;
-        stats.total_slots = plan.total_slots;
-        cancel.check()?;
-
-        // Phase 3: scatter (the paper's CAS loop or the block-buffered
-        // variant; both fill the same arena under the same contract).
-        let span = PhaseSpan::start("scatter");
-        if forced_panic {
-            // Chaos injection: a real unwind from the middle of the hot
-            // phase, for the service layer's `catch_unwind` containment to
-            // absorb. All scratch is leased from `pool` via borrows, so the
-            // unwind cannot leave a lease dangling (tests/poison_recovery.rs).
-            panic!(
-                "semisort: injected panic (fault plan `{}`)",
-                cfg.fault.spec()
-            );
-        }
-        let (heavy_records, overflowed, overflow) = match run_cfg.scatter.strategy {
-            ScatterStrategy::RandomCas => {
-                let o = scatter(
-                    records,
-                    &plan,
-                    slots,
-                    run_cfg.probe_strategy,
-                    run_cfg.scatter.prefetch_distance,
-                    rng.fork(2),
-                    &sink,
-                    forced_overflow,
-                );
-                (o.heavy_records, o.overflowed, o.overflow)
-            }
-            ScatterStrategy::Blocked => {
-                let o = blocked_scatter(
-                    records,
-                    &plan,
-                    slots,
-                    run_cfg.scatter.block,
-                    run_cfg.scatter.tail_log2,
-                    run_cfg.scatter.prefetch_distance,
-                    &sink,
-                    forced_overflow,
-                    blocked,
-                );
-                stats.blocks_flushed = o.blocks_flushed;
-                stats.slab_overflows = o.slab_overflows;
-                stats.fallback_records = o.fallback_records;
-                (o.heavy_records, o.overflowed, o.overflow)
-            }
-            ScatterStrategy::InPlace => {
-                let o = inplace_scatter(
-                    records,
-                    &plan,
-                    out,
-                    run_cfg.scatter.swap_buffer,
-                    &sink,
-                    forced_overflow,
-                    inplace,
-                );
-                stats.inplace_cycles = o.cycles;
-                stats.swap_buffer_flushes = o.flushes;
-                // The in-place path never touches the arena, so fold its
-                // scratch fate into the pool counters here.
-                if o.grew {
-                    counters.grows += 1;
-                } else {
-                    counters.reuse_hits += 1;
-                }
-                (o.heavy_records, o.overflowed, o.overflow)
-            }
-        };
-        stats.t_scatter = span.finish_into(&mut stats.spans);
-        if overflowed {
-            // The in-place scatter wrote (a copy) into `out` before the
-            // injected overflow bailed; clear it so every later exit path
-            // (cancellation, escalation) keeps the all-or-nothing output
-            // contract.
-            if in_place {
-                out.clear();
-            }
-            attempt += 1;
-            stats.retries = attempt;
-            // Record *why* (cold path — every telemetry level keeps this:
-            // a run that retried is exactly the run worth diagnosing).
-            if let Some((bucket, allocated, observed)) = overflow {
-                retry_causes.push(RetryCause {
-                    attempt,
-                    bucket,
-                    heavy: (bucket as usize) < plan.num_heavy,
-                    allocated,
-                    observed,
-                });
-                log_event(
-                    "retry",
-                    &[
-                        ("attempt", attempt as u64),
-                        ("bucket", bucket as u64),
-                        ("allocated", allocated as u64),
-                        ("observed", observed as u64),
-                    ],
-                );
-            }
-            if attempt > cfg.max_retries {
-                let err = SemisortError::RetriesExhausted {
-                    attempts: attempt,
-                    alpha: run_cfg.alpha,
-                    n,
-                };
-                finish_stats(
-                    &mut stats,
-                    &sink,
-                    &mut retry_causes,
-                    faults_injected,
-                    sched_before.as_ref(),
-                );
-                escalate(records, cfg, err, &mut stats, out, cancel)?;
-                return Ok(stats);
-            }
-            continue;
-        }
-        stats.heavy_records = heavy_records;
-        stats.light_records = n - heavy_records;
-
-        if in_place {
-            // The records already sit in their exact bucket regions inside
-            // `out`; sorting the light regions is all that remains (heavy
-            // regions hold one key each) and there is no pack. No
-            // cancellation polls past this point: the run has committed to
-            // the output buffer (see `try_semisort_with_stats_cancellable`).
-            let span = PhaseSpan::start("local_sort");
-            sort_light_regions(out, &plan, &inplace.starts, run_cfg.local_sort_algo);
-            stats.t_local_sort = span.finish_into(&mut stats.spans);
-            debug_assert_eq!(out.len(), n, "in-place permute preserves length");
-            finish_stats(
-                &mut stats,
-                &sink,
-                &mut retry_causes,
-                faults_injected,
-                sched_before.as_ref(),
-            );
-            return Ok(stats);
-        }
-        cancel.check()?;
-
-        // Phase 4: local sort of the light buckets.
-        let span = PhaseSpan::start("local_sort");
-        let light_counts = local_sort_light_buckets(&plan, slots, run_cfg.local_sort_algo, &sink);
-        stats.t_local_sort = span.finish_into(&mut stats.spans);
-        // Last cancellation point: past here the run commits to writing
-        // `out`, and finishing is cheaper than throwing the work away.
-        cancel.check()?;
-
-        // Phase 5: pack.
-        let span = PhaseSpan::start("pack");
-        pack_output_into(&plan, slots, &light_counts, out);
-        stats.t_pack = span.finish_into(&mut stats.spans);
-        debug_assert_eq!(out.len(), n, "pack must emit every record");
-
-        finish_stats(
-            &mut stats,
-            &sink,
-            &mut retry_causes,
-            faults_injected,
-            sched_before.as_ref(),
-        );
-        return Ok(stats);
     }
+
+    /// Chaos injection: a real unwind from the middle of the hot phase, for
+    /// the service layer's `catch_unwind` containment to absorb. All
+    /// scratch is leased from the pool via borrows, so the unwind cannot
+    /// leave a lease dangling (tests/poison_recovery.rs).
+    fn injected_panic(&self, attempt: u32) -> ! {
+        log_event_kv(
+            "fault",
+            &[("kind", "panic")],
+            &[("attempt", attempt as u64)],
+        );
+        panic!(
+            "semisort: injected panic (fault plan `{}`)",
+            self.cfg.fault.spec()
+        );
+    }
+
+    /// Fold the attempt's telemetry and the run-level failure bookkeeping
+    /// into the stats (shared by the success returns and every escalation
+    /// site). When a baseline scheduler snapshot was taken, the closing
+    /// snapshot is taken here — after the run's parallel phases joined, so
+    /// the pool is quiescent with respect to this run's jobs — and the
+    /// delta attached.
+    fn finish(
+        &self,
+        stats: &mut SemisortStats,
+        sink: &ObsSink,
+        retry_causes: Vec<RetryCause>,
+        faults_injected: u32,
+    ) {
+        stats.telemetry = sink.snapshot();
+        stats.telemetry.retry_causes = retry_causes;
+        stats.faults_injected = faults_injected;
+        if let Some(before) = &self.sched_before {
+            stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
+        }
+    }
+
+    /// Apply the configured [`OverflowPolicy`] to a terminal failure:
+    /// degrade to the comparison sort written into `out` (marking the
+    /// stats) or surface the error.
+    ///
+    /// A tripped [`CancelToken`] overrides the policy: a caller whose
+    /// deadline has already passed must not be handed to the comparison-sort
+    /// fallback, which is the *slowest* path in the crate.
+    fn escalate(
+        &self,
+        err: SemisortError,
+        stats: &mut SemisortStats,
+        out: &mut Vec<(u64, V)>,
+    ) -> Result<(), SemisortError> {
+        self.cancel.check()?;
+        let policy = self.cfg.overflow_policy;
+        let n = self.records.len() as u64;
+        match (policy, err.degrade_reason()) {
+            (OverflowPolicy::Fallback, Some(reason)) => {
+                log_event_kv(
+                    "degraded",
+                    &[("policy", policy.as_str()), ("reason", reason.as_str())],
+                    &[("n", n)],
+                );
+                stats.degraded = true;
+                stats.degrade_reason = Some(reason);
+                stats.heavy_records = 0;
+                stats.light_records = self.records.len();
+                fallback_sort_into(self.records, out);
+                Ok(())
+            }
+            _ => {
+                log_event_kv(
+                    "error",
+                    &[("policy", policy.as_str()), ("kind", err.kind())],
+                    &[("n", n)],
+                );
+                Err(err)
+            }
+        }
+    }
+}
+
+/// Copy the plan's bucket geometry into the stats.
+fn record_plan(stats: &mut SemisortStats, plan: &BucketPlan) {
+    stats.heavy_keys = plan.num_heavy;
+    stats.light_buckets = plan.num_light;
+    stats.total_slots = plan.total_slots;
 }
 
 /// Mix `(seed, attempt)` into a per-attempt seed with the splitmix64
@@ -526,79 +602,6 @@ fn mix_seed(seed: u64, attempt: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Fold the attempt's telemetry and the run-level failure bookkeeping into
-/// the stats (shared by the success return and every escalation site).
-/// When a baseline scheduler snapshot was taken, the closing snapshot is
-/// taken here — after the run's parallel phases joined, so the pool is
-/// quiescent with respect to this run's jobs — and the delta attached.
-fn finish_stats(
-    stats: &mut SemisortStats,
-    sink: &ObsSink,
-    retry_causes: &mut Vec<RetryCause>,
-    faults_injected: u32,
-    sched_before: Option<&SchedulerStats>,
-) {
-    stats.telemetry = sink.snapshot();
-    stats.telemetry.retry_causes = std::mem::take(retry_causes);
-    stats.faults_injected = faults_injected;
-    if let Some(before) = sched_before {
-        stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
-    }
-}
-
-/// Apply the configured [`OverflowPolicy`] to a terminal failure: degrade
-/// to the comparison sort written into `out` (marking the stats), surface
-/// the error, or panic. Errors with no
-/// [`DegradeReason`](crate::error::DegradeReason) (invalid config) are
-/// surfaced under every policy — there is nothing to fall back *to*.
-///
-/// A tripped [`CancelToken`] overrides the policy: a caller whose deadline
-/// has already passed must not be handed to the comparison-sort fallback,
-/// which is the *slowest* path in the crate.
-fn escalate<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-    err: SemisortError,
-    stats: &mut SemisortStats,
-    out: &mut Vec<(u64, V)>,
-    cancel: &CancelToken,
-) -> Result<(), SemisortError> {
-    cancel.check()?;
-    match cfg.overflow_policy {
-        OverflowPolicy::Fallback => {
-            let Some(reason) = err.degrade_reason() else {
-                return Err(err);
-            };
-            log_event_kv(
-                "degraded",
-                &[
-                    ("policy", cfg.overflow_policy.as_str()),
-                    ("reason", reason.as_str()),
-                ],
-                &[("n", records.len() as u64)],
-            );
-            stats.degraded = true;
-            stats.degrade_reason = Some(reason);
-            stats.heavy_records = 0;
-            stats.light_records = records.len();
-            fallback_sort_into(records, out);
-            Ok(())
-        }
-        OverflowPolicy::Error => {
-            log_event_kv(
-                "error",
-                &[
-                    ("policy", cfg.overflow_policy.as_str()),
-                    ("kind", err.kind()),
-                ],
-                &[("n", records.len() as u64)],
-            );
-            Err(err)
-        }
-        OverflowPolicy::Panic => panic!("semisort: {err}"),
-    }
 }
 
 /// Sort-based fallback: a full sort by key is trivially a semisort. Writes

@@ -1,9 +1,9 @@
 //! Failure handling: the error type of the `try_*` entry points and the
 //! degradation vocabulary shared by the driver, stats, and CLI.
 //!
-//! The algorithm is Las Vegas: Corollary 3.4 bounds the probability that a
-//! bucket overflows to `O(1/n^c)`, but *bounded* is not *zero*, and an
-//! adversarial (hash-flooded) input can push the tail probability up.
+//! The arena scatters are Las Vegas: Corollary 3.4 bounds the probability
+//! that a bucket overflows to `O(1/n^c)`, but *bounded* is not *zero*, and
+//! an adversarial (hash-flooded) input can push the tail probability up.
 //! The library therefore never treats overflow as fatal. Every terminal
 //! failure — retry budget exhausted, arena memory budget exceeded, arena
 //! allocation failed — is routed through the configured
@@ -13,8 +13,6 @@
 //!   comparison path. Still a correct semisort — `O(n log n)` work instead
 //!   of `O(n)`, never a crash.
 //! - **Error**: return a [`SemisortError`] from the `try_*` entry points.
-//! - **Panic**: the pre-policy behavior, for callers that prefer to die
-//!   loudly.
 //!
 //! [`DegradeReason`] records *why* a run degraded; it rides on
 //! [`SemisortStats`](crate::stats::SemisortStats) and the stats JSON so a
@@ -26,8 +24,7 @@ use std::fmt;
 ///
 /// Returned by the `try_*` entry points when
 /// [`OverflowPolicy::Error`](crate::config::OverflowPolicy::Error) is
-/// selected; stringified into the panic message under
-/// [`OverflowPolicy::Panic`](crate::config::OverflowPolicy::Panic).
+/// selected.
 ///
 /// `#[non_exhaustive]`: future versions may add failure kinds (as this one
 /// added [`SemisortError::InvalidConfig`]); match with a wildcard arm.

@@ -2,7 +2,7 @@
 //!
 //! Corollary 3.4 makes bucket overflow an `O(1/n^c)` event, which means the
 //! escalation ladder in the driver — retry, degrade to the comparison
-//! fallback, error, panic — is essentially unreachable by feeding the
+//! fallback, error — is essentially unreachable by feeding the
 //! library ordinary inputs. Code that only runs when the adversary shows up
 //! is code that has never run at all, so this module makes every failure
 //! path a first-class, deterministically testable input:
@@ -23,6 +23,10 @@
 //!   `catch_unwind` poison/rebuild containment in the `semisortd` service
 //!   layer (DESIGN.md §14) and the no-dangling-leases guarantee of
 //!   [`crate::pool::ScratchPool`].
+//!
+//! The first three faults target the arena path (`RandomCas`, `Blocked`)
+//! and are inert under `InPlace`, which has no arena, no overflow and no
+//! retry ladder; the forced panic fires on both paths.
 //!
 //! Faults are armed per attempt: each knob fires on the first *k* attempts
 //! of a run (attempts are 0-based internally; `k = 1` faults only the

@@ -8,7 +8,7 @@
 //! permutes the records *within the output buffer itself*, in the style of
 //! in-place parallel shuffling / IPS⁴o-like block permutation (see
 //! PAPERS.md, arXiv 2302.03317): scratch drops to
-//! O(buckets + workers · swap_buffer).
+//! O(n / swap_buffer + workers · buckets · swap_buffer).
 //!
 //! # The cursor-claim protocol
 //!
@@ -28,14 +28,14 @@
 //! Each worker runs a prime/flush/strand loop:
 //!
 //! - **prime**: claim up to `swap_buffer` positions from some unexhausted
-//!   bucket `b`. Displaced records that already belong to `b` are left in
-//!   place (fixed points are free — an all-equal-keys input permutes with
-//!   zero writes); the rest are read in-hand and their positions become
-//!   the worker's **private holes** in `b`, tracked as per-bucket linked
-//!   lists of ranges.
+//!   bucket `b`. Displaced records that already belong to `b` are compacted
+//!   to the front of the claim (fixed points in place are free — an
+//!   all-equal-keys input permutes with zero writes); the rest are read
+//!   in-hand and the claim's tail becomes one **private hole range** in
+//!   `b`, threaded onto the worker's per-bucket hole list.
 //! - **classify**: in-hand records are pushed into per-destination-bucket
-//!   swap buffers (the same sparse-slab `WorkerScratch` structure the
-//!   blocked scatter uses, so memory scales with *touched* buckets).
+//!   swap buffers (the same slab `WorkerScratch` structure the blocked
+//!   scatter uses).
 //! - **flush**: a full buffer for bucket `d` first repays the worker's
 //!   private `d`-holes (write-only), then claims fresh `d` positions
 //!   (swap: read the displaced record in-hand, write the buffered one).
@@ -52,9 +52,23 @@
 //! claimed exactly once, read exactly once, written exactly once; every
 //! record is read exactly once and written exactly once).
 //!
+//! # Scratch sized from the plan
+//!
+//! Every buffer the permutation touches is sized before it starts, from
+//! the input size, the bucket count, the worker count and `swap_buffer`
+//! alone — never from the work a worker happened to steal — so an
+//! identical second call reuses the pool without growing it:
+//!
+//! - Hole ranges live in one shared table with a fixed slot per prime
+//!   claim. Within a region every prime claim but the last spans a full
+//!   `swap_buffer`, so `pos / swap_buffer + b` is distinct across all
+//!   prime claims and below `⌈n / swap_buffer⌉ + buckets`. Slots are
+//!   ordered by bucket, which lets reconciliation scan the table in order.
+//! - Each worker's swap slabs are reserved for every bucket up front.
+//!
 //! Unlike the arena scatters this phase cannot overflow — the counting
-//! pass is exact — so the Las Vegas retry machinery only ever triggers
-//! here under fault injection.
+//! pass is exact — so the driver runs it once, outside the Las Vegas retry
+//! loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -62,10 +76,9 @@ use rayon::prelude::*;
 
 use crate::buckets::BucketPlan;
 use crate::config::LocalSortAlgo;
-use crate::fault::FaultClass;
 use crate::local_sort::sort_records;
-use crate::obs::{ObsSink, OverflowCapture, WorkerCell};
-use crate::pool::{HoleRange, InPlaceScratch, InPlaceWorker, HOLES_EMPTY, HOLES_NONE};
+use crate::obs::{ObsSink, WorkerCell};
+use crate::pool::{HoleRange, InPlaceScratch, InPlaceWorker, HOLES_NONE};
 
 /// Below this many records the counting pass runs as a single chunk.
 const MIN_CHUNK: usize = 8192;
@@ -83,11 +96,6 @@ type WorkerYield<V> = (Vec<(u64, V)>, usize, usize);
 pub struct InPlaceOutcome {
     /// Records that landed in heavy buckets (bucket id < `num_heavy`).
     pub heavy_records: usize,
-    /// True only under fault injection: the counting pass is exact, so a
-    /// genuine overflow is impossible.
-    pub overflowed: bool,
-    /// `(bucket, allocated, observed)` for the injected overflow.
-    pub overflow: Option<(u32, usize, usize)>,
     /// Prime claims issued — each starts one displacement chain (the
     /// in-place analogue of following a permutation cycle).
     pub cycles: usize,
@@ -99,56 +107,65 @@ pub struct InPlaceOutcome {
     pub grew: bool,
 }
 
-/// A raw view of the output buffer that workers write through.
+/// A raw view of a buffer that workers access at disjoint indices: the
+/// output records, and the shared hole-range table.
 ///
 /// Plain `Copy` wrapper so the parallel closures can capture it by value;
-/// all dereferences go through the unsafe [`SharedOut::read`] /
-/// [`SharedOut::write`], whose safety rests on the cursor-claim protocol
+/// all dereferences go through the unsafe [`Shared::read`] /
+/// [`Shared::write`], whose safety rests on the cursor-claim protocol
 /// (each index is owned by exactly one worker at a time).
-struct SharedOut<V> {
-    ptr: *mut (u64, V),
+struct Shared<T> {
+    ptr: *mut T,
     #[cfg(debug_assertions)]
     len: usize,
 }
 
-impl<V> Clone for SharedOut<V> {
+impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<V> Copy for SharedOut<V> {}
+impl<T> Copy for Shared<T> {}
 // SAFETY: the wrapper itself is just a pointer; cross-thread use is
 // governed by the claim protocol documented on the methods.
-unsafe impl<V: Send> Send for SharedOut<V> {}
-// SAFETY: as above — &SharedOut only exposes the unsafe accessors.
-unsafe impl<V: Send> Sync for SharedOut<V> {}
+unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: as above — &Shared only exposes the unsafe accessors.
+unsafe impl<T: Send> Sync for Shared<T> {}
 
-impl<V: Copy> SharedOut<V> {
-    /// Read the record at `i`.
+impl<T: Copy> Shared<T> {
+    fn new(buf: &mut [T]) -> Self {
+        Shared {
+            ptr: buf.as_mut_ptr(),
+            #[cfg(debug_assertions)]
+            len: buf.len(),
+        }
+    }
+
+    /// Read the element at `i`.
     ///
     /// # Safety
     ///
     /// `i` is in bounds and currently claimed by the calling worker (no
     /// other thread may access index `i` concurrently).
     #[inline]
-    unsafe fn read(self, i: usize) -> (u64, V) {
+    unsafe fn read(self, i: usize) -> T {
         #[cfg(debug_assertions)]
         debug_assert!(i < self.len);
         // SAFETY: caller contract — exclusive claim over index i.
         unsafe { *self.ptr.add(i) }
     }
 
-    /// Write the record at `i`.
+    /// Write the element at `i`.
     ///
     /// # Safety
     ///
-    /// As [`SharedOut::read`]: `i` is in bounds and exclusively claimed.
+    /// As [`Shared::read`]: `i` is in bounds and exclusively claimed.
     #[inline]
-    unsafe fn write(self, i: usize, r: (u64, V)) {
+    unsafe fn write(self, i: usize, v: T) {
         #[cfg(debug_assertions)]
         debug_assert!(i < self.len);
         // SAFETY: caller contract — exclusive claim over index i.
-        unsafe { self.ptr.add(i).write(r) };
+        unsafe { self.ptr.add(i).write(v) };
     }
 }
 
@@ -179,20 +196,15 @@ fn claim(head: &AtomicUsize, end: usize, want: usize) -> Option<(usize, usize)> 
     Some((pos, want.min(end - pos)))
 }
 
-/// Scratch-free estimate of the bytes the in-place scatter will hold for
-/// this plan — the budget analogue of
-/// [`arena_bytes`](crate::scatter::arena_bytes) for the arena strategies.
-/// Counting matrix + bounds + cursors + per-worker bucket maps; the swap
-/// slabs themselves scale with touched buckets and are excluded (they are
-/// bounded by this term anyway).
-pub fn inplace_bytes<V>(plan: &BucketPlan, workers: usize, swap_buffer: usize) -> usize {
-    let b = plan.num_buckets();
-    let usize_b = std::mem::size_of::<usize>();
-    // counts (≤ 2·workers rows) + starts + heads + per-worker maps + one
-    // slab per worker as a floor.
-    b * usize_b * (2 * workers + 2)
-        + workers * b * std::mem::size_of::<u32>() * 2
-        + workers * swap_buffer * std::mem::size_of::<(u64, V)>()
+/// The cross-worker state of one permutation: the output buffer, the
+/// hole-range table, the region bounds and the claim cursors.
+#[derive(Clone, Copy)]
+struct Regions<'a, V> {
+    out: Shared<(u64, V)>,
+    holes: Shared<HoleRange>,
+    starts: &'a [usize],
+    heads: &'a [AtomicUsize],
+    swap_buffer: usize,
 }
 
 /// Permute `records` into `out` so every record sits inside its bucket's
@@ -201,17 +213,13 @@ pub fn inplace_bytes<V>(plan: &BucketPlan, workers: usize, swap_buffer: usize) -
 /// scheduling-dependent; [`sort_light_regions`] restores a deterministic
 /// key sequence afterwards.
 ///
-/// `swap_buffer` is [`ScatterConfig::swap_buffer`](crate::config::ScatterConfig::swap_buffer);
-/// `forced_overflow` injects the Las Vegas failure that this strategy
-/// cannot produce organically, keeping the chaos-test ladder uniform
-/// across strategies.
+/// `swap_buffer` is [`ScatterConfig::swap_buffer`](crate::config::ScatterConfig::swap_buffer).
 pub fn inplace_scatter<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     plan: &BucketPlan,
     out: &mut Vec<(u64, V)>,
     swap_buffer: usize,
     sink: &ObsSink,
-    forced_overflow: Option<FaultClass>,
     scratch: &mut InPlaceScratch,
 ) -> InPlaceOutcome {
     let n = records.len();
@@ -225,7 +233,7 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
     let workers = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(workers * 2).max(MIN_CHUNK);
     let num_chunks = n.div_ceil(chunk);
-    let grew = scratch.prepare(num_buckets, num_chunks, workers);
+    let grew = scratch.prepare::<V>(n, num_buckets, num_chunks, workers, swap_buffer);
 
     // Counting pass: one private row of the matrix per chunk, no sharing.
     {
@@ -261,27 +269,6 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
     }
     debug_assert_eq!(acc, n, "regions must partition the input");
 
-    // Fault injection: the first nonempty bucket of the matching class
-    // "overflows", exercising the driver's retry machinery exactly as the
-    // arena strategies do.
-    if let Some(class) = forced_overflow {
-        let capture = OverflowCapture::new();
-        for b in 0..num_buckets {
-            let size = scratch.starts[b + 1] - scratch.starts[b];
-            if size == 0 || !class.matches(b < plan.num_heavy) {
-                continue;
-            }
-            capture.report(b as u32, size, size + 1);
-            return InPlaceOutcome {
-                heavy_records,
-                overflowed: true,
-                overflow: capture.take(),
-                grew,
-                ..Default::default()
-            };
-        }
-    }
-
     for b in 0..num_buckets {
         // ORDERING: Relaxed reset before the parallel phase spawns the
         // workers that contend on these heads.
@@ -289,29 +276,27 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
         scratch.heads[b].store(scratch.starts[b], Ordering::Relaxed);
     }
 
-    let shared = SharedOut {
-        ptr: out.as_mut_ptr(),
-        #[cfg(debug_assertions)]
-        len: n,
+    let regions = Regions {
+        out: Shared::new(out),
+        holes: Shared::new(&mut scratch.holes),
+        starts: &scratch.starts,
+        heads: &scratch.heads[..num_buckets],
+        swap_buffer,
     };
-    let starts: &[usize] = &scratch.starts;
-    let heads: &[AtomicUsize] = &scratch.heads[..num_buckets];
 
     // The parallel permutation. Each worker owns its InPlaceWorker state
-    // (`par_iter_mut` hands out disjoint &mut); `shared`, `starts` and
-    // `heads` are the only cross-worker state, and only `heads` is ever
-    // written concurrently.
+    // (`par_iter_mut` hands out disjoint &mut); `regions` is the only
+    // cross-worker state, and only its `heads` are contended.
     let results: Vec<WorkerYield<V>> = scratch.workers[..workers]
         .par_iter_mut()
         .enumerate()
-        .map(|(w, worker)| {
-            worker_loop(w, workers, worker, shared, starts, heads, plan, swap_buffer)
-        })
+        .map(|(w, worker)| worker_loop(w, workers, worker, regions, plan))
         .collect();
 
-    // Sequential reconciliation: fill each worker's surviving holes from
-    // the stranded records. Conservation (see module docs) guarantees the
-    // per-bucket counts match exactly.
+    // Sequential reconciliation: fill the surviving holes from the
+    // stranded records. The hole table is in bucket order, and
+    // conservation (see module docs) makes the per-bucket counts match, so
+    // a zip against the bucket-sorted leftovers places every record.
     let mut cycles = 0usize;
     let mut flushes = 0usize;
     let mut leftovers: Vec<(u64, V)> = Vec::new();
@@ -320,39 +305,22 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
         flushes += f;
         leftovers.extend_from_slice(&stranded);
     }
-    let mut holes: Vec<(u32, usize, usize)> = Vec::new();
-    for worker in scratch.workers[..workers].iter_mut() {
-        for &b in &worker.touched_holes {
-            let mut h = worker.hole_of[b as usize];
-            // Both sentinels (HOLES_EMPTY entry, HOLES_NONE terminator)
-            // sit above every valid arena index, so one bound ends the walk.
-            while h < HOLES_EMPTY {
-                let hr = worker.holes[h as usize];
-                if hr.len > 0 {
-                    holes.push((b, hr.start, hr.len));
-                }
-                h = hr.next;
-            }
+    leftovers.sort_unstable_by_key(|r| plan.bucket_of(r.0));
+    let mut fill = leftovers.iter();
+    for hr in &scratch.holes {
+        for slot in &mut out[hr.start..hr.start + hr.len] {
+            let r = *fill
+                .next()
+                .expect("conservation: a stranded record per hole");
+            let b = plan.bucket_of(r.0) as usize;
+            debug_assert!(
+                (scratch.starts[b]..scratch.starts[b + 1]).contains(&hr.start),
+                "conservation: stranded records must match holes per bucket"
+            );
+            *slot = r;
         }
-        worker.reset_holes();
     }
-    if !leftovers.is_empty() || !holes.is_empty() {
-        holes.sort_unstable_by_key(|&(b, start, _)| (b, start));
-        leftovers.sort_unstable_by_key(|r| plan.bucket_of(r.0));
-        let mut li = 0usize;
-        for &(b, start, len) in &holes {
-            for j in 0..len {
-                debug_assert_eq!(
-                    plan.bucket_of(leftovers[li].0),
-                    b,
-                    "conservation: stranded records must match holes per bucket"
-                );
-                out[start + j] = leftovers[li];
-                li += 1;
-            }
-        }
-        debug_assert_eq!(li, leftovers.len(), "every stranded record placed");
-    }
+    debug_assert!(fill.next().is_none(), "every stranded record placed");
 
     // Every record was placed exactly once (fixed points, hole repayments,
     // claim-swaps, and the reconciliation zip-fill partition the input), so
@@ -366,8 +334,6 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
 
     InPlaceOutcome {
         heavy_records,
-        overflowed: false,
-        overflow: None,
         cycles,
         flushes,
         grew,
@@ -376,20 +342,23 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
 
 /// One worker's prime/flush/strand loop (see module docs). Returns the
 /// stranded records plus the worker's `(cycles, flushes)` counters; the
-/// worker's unfilled holes stay behind in `worker` for reconciliation.
-#[allow(clippy::too_many_arguments)]
+/// worker's unfilled holes stay behind in the hole table for
+/// reconciliation.
 fn worker_loop<V: Copy + Send + Sync>(
     w: usize,
     workers: usize,
     worker: &mut InPlaceWorker,
-    out: SharedOut<V>,
-    starts: &[usize],
-    heads: &[AtomicUsize],
+    regions: Regions<'_, V>,
     plan: &BucketPlan,
-    swap_buffer: usize,
-) -> (Vec<(u64, V)>, usize, usize) {
+) -> WorkerYield<V> {
+    let Regions {
+        out,
+        starts,
+        heads,
+        swap_buffer,
+        ..
+    } = regions;
     let num_buckets = starts.len() - 1;
-    worker.begin(num_buckets);
     let mut pending: Vec<(u64, V)> = Vec::new();
     let mut flush_buf: Vec<(u64, V)> = Vec::with_capacity(swap_buffer);
     let mut stranded: Vec<(u64, V)> = Vec::new();
@@ -407,16 +376,7 @@ fn worker_loop<V: Copy + Send + Sync>(
                 flush_buf.clear();
                 flush_buf.extend_from_slice(full);
                 flushes += 1;
-                flush_records(
-                    worker,
-                    d,
-                    &flush_buf,
-                    out,
-                    starts,
-                    heads,
-                    &mut pending,
-                    &mut stranded,
-                );
+                flush_records(worker, d, &flush_buf, regions, &mut pending, &mut stranded);
             }
         }
 
@@ -425,28 +385,41 @@ fn worker_loop<V: Copy + Send + Sync>(
         let mut primed = false;
         for _ in 0..num_buckets {
             let b = scan;
-            let end = starts[b + 1];
-            if let Some((pos, k)) = claim(&heads[b], end, swap_buffer) {
+            if let Some((pos, k)) = claim(&heads[b], starts[b + 1], swap_buffer) {
                 cycles += 1;
-                // Read the displaced records; fixed points (records
-                // already in bucket b) stay put and never become holes.
-                let mut run_start = pos;
+                // Read the displaced records, compacting fixed points
+                // (records already in bucket b) to the front of the claim
+                // so the rest forms a single hole range. `kept` trails
+                // `i`, and every position in `kept..i` was already read
+                // out, so the compaction write never loses a record.
+                let mut kept = pos;
                 for i in pos..pos + k {
                     // SAFETY: [pos, pos+k) was claimed above — this worker
                     // exclusively owns these indices, which lie inside
                     // bucket b's region (claim clamps to `end` ≤ n).
                     let r = unsafe { out.read(i) };
                     if plan.bucket_of(r.0) as usize == b {
-                        if i > run_start {
-                            push_hole(worker, b, run_start, i - run_start);
+                        if kept != i {
+                            // SAFETY: kept < i, inside the same claim.
+                            unsafe { out.write(kept, r) };
                         }
-                        run_start = i + 1;
+                        kept += 1;
                     } else {
                         pending.push(r);
                     }
                 }
-                if pos + k > run_start {
-                    push_hole(worker, b, run_start, pos + k - run_start);
+                if kept < pos + k {
+                    let slot = pos / swap_buffer + b;
+                    let hole = HoleRange {
+                        start: kept,
+                        len: pos + k - kept,
+                        next: worker.hole_of[b],
+                    };
+                    // SAFETY: `slot` is unique to this prime claim (module
+                    // docs), which this worker made, so no other worker
+                    // ever touches it.
+                    unsafe { regions.holes.write(slot, hole) };
+                    worker.hole_of[b] = slot;
                 }
                 primed = true;
                 break;
@@ -468,16 +441,7 @@ fn worker_loop<V: Copy + Send + Sync>(
             flush_buf.clear();
             flush_buf.extend_from_slice(part);
             flushes += 1;
-            flush_records(
-                worker,
-                d,
-                &flush_buf,
-                out,
-                starts,
-                heads,
-                &mut pending,
-                &mut stranded,
-            );
+            flush_records(worker, d, &flush_buf, regions, &mut pending, &mut stranded);
         }
         debug_assert!(pending.is_empty(), "exhausted cursors cannot displace");
         worker.buf.reset();
@@ -489,26 +453,23 @@ fn worker_loop<V: Copy + Send + Sync>(
 /// holes first (write-only), then freshly claimed positions (swap —
 /// displaced records go to `pending`), stranding whatever is left once
 /// `d`'s region is exhausted.
-#[allow(clippy::too_many_arguments)]
 fn flush_records<V: Copy + Send + Sync>(
     worker: &mut InPlaceWorker,
     d: usize,
     records: &[(u64, V)],
-    out: SharedOut<V>,
-    starts: &[usize],
-    heads: &[AtomicUsize],
+    regions: Regions<'_, V>,
     pending: &mut Vec<(u64, V)>,
     stranded: &mut Vec<(u64, V)>,
 ) {
+    let out = regions.out;
     let mut i = 0usize;
     // Repay private holes: positions this worker claimed from d earlier
     // and still owes records to.
-    while i < records.len() {
+    while i < records.len() && worker.hole_of[d] != HOLES_NONE {
         let h = worker.hole_of[d];
-        if h >= HOLES_EMPTY {
-            break;
-        }
-        let hr = &mut worker.holes[h as usize];
+        // SAFETY: `h` is on this worker's own d-list; only the worker
+        // that made a prime claim ever touches its hole slot.
+        let mut hr = unsafe { regions.holes.read(h) };
         let take = hr.len.min(records.len() - i);
         for j in 0..take {
             // SAFETY: the hole range was claimed by this worker at prime
@@ -519,20 +480,16 @@ fn flush_records<V: Copy + Send + Sync>(
         hr.start += take;
         hr.len -= take;
         i += take;
-        if worker.holes[h as usize].len == 0 {
-            // A fully repaid list parks at HOLES_EMPTY (not HOLES_NONE):
-            // the bucket stays registered in `touched_holes` exactly once.
-            let next = worker.holes[h as usize].next;
-            worker.hole_of[d] = if next == HOLES_NONE {
-                HOLES_EMPTY
-            } else {
-                next
-            };
+        if hr.len == 0 {
+            worker.hole_of[d] = hr.next;
         }
+        // SAFETY: as the read above.
+        unsafe { regions.holes.write(h, hr) };
     }
     // Claim fresh positions: read the displaced record, write ours.
     while i < records.len() {
-        let Some((pos, k)) = claim(&heads[d], starts[d + 1], records.len() - i) else {
+        let Some((pos, k)) = claim(&regions.heads[d], regions.starts[d + 1], records.len() - i)
+        else {
             break;
         };
         for j in 0..k {
@@ -547,31 +504,6 @@ fn flush_records<V: Copy + Send + Sync>(
     if i < records.len() {
         stranded.extend_from_slice(&records[i..]);
     }
-}
-
-/// Record positions `[start, start + len)` as private holes of `worker` in
-/// bucket `b` (prepended to `b`'s range list).
-///
-/// `b` enters `touched_holes` only on the transition away from
-/// [`HOLES_NONE`] — a drained list parks at [`HOLES_EMPTY`], so re-priming
-/// the same bucket later cannot register it twice (a duplicate would make
-/// reconciliation refill the bucket's surviving holes twice).
-fn push_hole(worker: &mut InPlaceWorker, b: usize, start: usize, len: usize) {
-    let prev = worker.hole_of[b];
-    if prev == HOLES_NONE {
-        worker.touched_holes.push(b as u32);
-    }
-    let idx = worker.holes.len() as u32;
-    worker.holes.push(HoleRange {
-        start,
-        len,
-        next: if prev >= HOLES_EMPTY {
-            HOLES_NONE
-        } else {
-            prev
-        },
-    });
-    worker.hole_of[b] = idx;
 }
 
 /// Sort every light-bucket region of `out` by key (heavy regions hold a
@@ -614,28 +546,23 @@ mod tests {
     use parlay::hash64;
     use parlay::random::Rng;
 
-    fn run(
-        records: &[(u64, u64)],
-        swap_buffer: usize,
-        forced: Option<FaultClass>,
-    ) -> (BucketPlan, Vec<(u64, u64)>, InPlaceOutcome, InPlaceScratch) {
+    fn plan_for(records: &[(u64, u64)]) -> BucketPlan {
         let cfg = SemisortConfig::default();
         let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
         let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
         sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
+        build_plan(&sample, records.len(), &cfg)
+    }
+
+    fn run(
+        records: &[(u64, u64)],
+        swap_buffer: usize,
+    ) -> (BucketPlan, Vec<(u64, u64)>, InPlaceOutcome, InPlaceScratch) {
+        let plan = plan_for(records);
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out = Vec::new();
-        let outcome = inplace_scatter(
-            records,
-            &plan,
-            &mut out,
-            swap_buffer,
-            &sink,
-            forced,
-            &mut scratch,
-        );
+        let outcome = inplace_scatter(records, &plan, &mut out, swap_buffer, &sink, &mut scratch);
         (plan, out, outcome, scratch)
     }
 
@@ -654,8 +581,7 @@ mod tests {
     #[test]
     fn permutes_into_exact_regions() {
         let records: Vec<(u64, u64)> = (0..40_000u64).map(|i| (hash64(i % 3000), i)).collect();
-        let (plan, out, outcome, scratch) = run(&records, 32, None);
-        assert!(!outcome.overflowed);
+        let (plan, out, outcome, scratch) = run(&records, 32);
         assert!(is_permutation_of(&out, &records));
         assert_regioned(&plan, &scratch.starts, &out);
         assert!(outcome.cycles > 0, "40k records must prime at least once");
@@ -664,7 +590,7 @@ mod tests {
     #[test]
     fn all_equal_keys_need_no_movement() {
         let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(7), i)).collect();
-        let (plan, out, outcome, _) = run(&records, 32, None);
+        let (plan, out, outcome, _) = run(&records, 32);
         assert_eq!(outcome.heavy_records, records.len());
         assert_eq!(plan.num_heavy, 1);
         assert_eq!(out, records, "fixed points stay in place untouched");
@@ -675,8 +601,7 @@ mod tests {
     fn tiny_swap_buffer_still_correct() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 777), i)).collect();
         for s in [1usize, 2, 4] {
-            let (plan, out, outcome, scratch) = run(&records, s, None);
-            assert!(!outcome.overflowed, "swap_buffer={s}");
+            let (plan, out, _, scratch) = run(&records, s);
             assert!(is_permutation_of(&out, &records), "swap_buffer={s}");
             assert_regioned(&plan, &scratch.starts, &out);
         }
@@ -690,7 +615,7 @@ mod tests {
                 (hash64(k), i)
             })
             .collect();
-        let (plan, mut out, outcome, scratch) = run(&records, 32, None);
+        let (plan, mut out, outcome, scratch) = run(&records, 32);
         assert!(outcome.heavy_records > 0);
         sort_light_regions(&mut out, &plan, &scratch.starts, LocalSortAlgo::StdUnstable);
         assert!(is_semisorted_by(&out, |r| r.0));
@@ -698,57 +623,38 @@ mod tests {
     }
 
     #[test]
-    fn forced_overflow_reports_and_bails() {
-        let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(i), i)).collect();
-        let (_, _, outcome, _) = run(&records, 32, Some(FaultClass::Any));
-        assert!(outcome.overflowed);
-        let (b, allocated, observed) = outcome.overflow.expect("capture set");
-        assert!(observed > allocated, "bucket {b} must over-report");
-    }
-
-    #[test]
-    fn forced_heavy_overflow_inert_without_heavy_keys() {
-        // All-distinct keys produce no heavy buckets; a Heavy-class fault
-        // must be inert, exactly like the arena strategies.
-        let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(i), i)).collect();
-        let (_, out, outcome, _) = run(&records, 32, Some(FaultClass::Heavy));
-        assert!(!outcome.overflowed);
-        assert!(is_permutation_of(&out, &records));
-    }
-
-    #[test]
     fn scratch_is_reused_across_runs() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 500), i)).collect();
-        let cfg = SemisortConfig::default();
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
+        let plan = plan_for(&records);
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out = Vec::new();
-        inplace_scatter(&records, &plan, &mut out, 32, &sink, None, &mut scratch);
+        let first = inplace_scatter(&records, &plan, &mut out, 32, &sink, &mut scratch);
+        assert!(first.grew, "a cold scratch must allocate");
         let held = scratch.bytes();
         assert!(held > 0);
         let out1 = out.clone();
-        inplace_scatter(&records, &plan, &mut out, 32, &sink, None, &mut scratch);
+        let second = inplace_scatter(&records, &plan, &mut out, 32, &sink, &mut scratch);
+        assert!(!second.grew, "steady state: a reuse hit");
         assert_eq!(scratch.bytes(), held, "steady state: no regrowth");
         assert!(is_permutation_of(&out, &out1));
     }
 
     #[test]
-    fn inplace_bytes_is_far_below_arena() {
+    fn scratch_is_far_below_arena() {
         let records: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
-        let cfg = SemisortConfig::default();
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
+        let plan = plan_for(&records);
+        let sink = ObsSink::disabled();
+        let mut scratch = InPlaceScratch::new();
+        let mut out = Vec::new();
+        parlay::with_threads(2, || {
+            inplace_scatter(&records, &plan, &mut out, 32, &sink, &mut scratch)
+        });
         let arena = crate::scatter::arena_bytes::<u64>(&plan);
-        let inplace = inplace_bytes::<u64>(&plan, 8, 32);
+        let held = scratch.bytes();
         assert!(
-            inplace * 4 <= arena,
-            "in-place estimate {inplace} not ≥4× below arena {arena}"
+            held * 4 <= arena,
+            "in-place scratch {held} not ≥4× below arena {arena}"
         );
     }
 
@@ -759,8 +665,8 @@ mod tests {
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out: Vec<(u64, u64)> = vec![(1, 1)];
-        let outcome = inplace_scatter(&[], &plan, &mut out, 32, &sink, None, &mut scratch);
+        let outcome = inplace_scatter(&[], &plan, &mut out, 32, &sink, &mut scratch);
         assert!(out.is_empty());
-        assert!(!outcome.overflowed);
+        assert_eq!(outcome.cycles, 0);
     }
 }

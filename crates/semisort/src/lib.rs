@@ -51,29 +51,21 @@
 //!
 //! # Failure handling
 //!
-//! The scatter phase is Las Vegas: a bucket can overflow its allocated
-//! slots, in which case the run retries with doubled slack α. What happens
-//! when the retry budget (or the optional [`SemisortConfig::max_arena_bytes`]
-//! memory budget) is exhausted is governed by [`OverflowPolicy`]: degrade to
-//! the deterministic comparison-sort fallback (default), return a
-//! [`SemisortError`] from the `try_*` entry points, or panic. The
-//! [`fault`] module injects deterministic failures into each phase so the
-//! whole escalation ladder is testable.
+//! The arena scatters (the paper's CAS scatter and the blocked variant)
+//! are Las Vegas: a bucket can overflow its allocated slots, in which case
+//! the run retries with doubled slack α. What happens when the retry
+//! budget (or the optional [`SemisortConfig::max_arena_bytes`] memory
+//! budget) is exhausted is governed by [`OverflowPolicy`]: degrade to the
+//! deterministic comparison-sort fallback (default) or return a
+//! [`SemisortError`] from the `try_*` entry points. The in-place scatter
+//! counts exactly, cannot overflow, and runs once with no retry ladder.
+//! The [`fault`] module injects deterministic failures into each phase so
+//! the whole escalation ladder is testable.
 //!
-//! # Deprecation policy
-//!
-//! The v1 surface is the [`prelude`]: the [`Semisorter`] engine, the
-//! `try_*` free functions, and the config/error/stats vocabulary — a
-//! Result-first surface everywhere. The panicking twins
-//! (`semisort_pairs`, `semisort_by_key`, `semisort_with_stats`, …) that
-//! the `try_*` forms superseded are now **hard-deprecated**: each remains
-//! as a thin `#[deprecated]` shim delegating to its `try_*` twin (so
-//! existing callers keep compiling, with a warning) for one release, after
-//! which the shims are removed. The same applies to the flat
-//! `scatter_strategy` / `scatter_block` / `blocked_tail_log2` builder
-//! setters, replaced by the [`config::ScatterConfig`] sub-struct. Error
-//! enums ([`SemisortError`]), [`OverflowPolicy`] and [`TelemetryLevel`]
-//! are `#[non_exhaustive]`; downstream matches need a wildcard arm.
+//! The surface is Result-first everywhere; the [`prelude`] holds it.
+//! Error enums ([`SemisortError`]), [`OverflowPolicy`] and
+//! [`TelemetryLevel`] are `#[non_exhaustive]`; downstream matches need a
+//! wildcard arm.
 
 #![warn(missing_docs)]
 // The unsafe-code discipline (DESIGN.md §11): interior unsafe operations
@@ -107,25 +99,16 @@ pub mod stats;
 pub mod trace;
 pub mod verify;
 
-#[allow(deprecated)]
-pub use api::{
-    count_by_key, group_by, reduce_by_key, semisort_by_key, semisort_in_place, semisort_pairs,
-    semisort_permutation, semisort_stable_by_key,
-};
 pub use api::{
     try_count_by_key, try_group_by, try_reduce_by_key, try_semisort_by_key, try_semisort_in_place,
     try_semisort_pairs, try_semisort_permutation, try_semisort_stable_by_key,
 };
-#[allow(deprecated)]
-pub use bounded::semisort_auto;
 pub use bounded::{semisort_bounded, try_semisort_auto};
 pub use cancel::CancelToken;
 pub use config::{
     LocalSortAlgo, OverflowPolicy, ProbeStrategy, ScatterConfig, ScatterStrategy, SemisortConfig,
     SemisortConfigBuilder,
 };
-#[allow(deprecated)]
-pub use driver::{semisort_core, semisort_with_stats};
 pub use driver::{try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable};
 pub use engine::Semisorter;
 pub use error::{DegradeReason, SemisortError};
@@ -143,8 +126,7 @@ pub use trace::{chrome_trace, TRACE_SCHEMA};
 ///
 /// `use semisort::prelude::*` brings in the [`Semisorter`] engine, the
 /// builder-based configuration, the `try_*` one-shot functions, and the
-/// error/stats vocabulary — everything a new caller needs, none of the
-/// soft-deprecated panicking twins.
+/// error/stats vocabulary — everything a new caller needs.
 pub mod prelude {
     pub use crate::api::{
         hash_key, try_count_by_key, try_group_by, try_reduce_by_key, try_semisort_by_key,

@@ -297,6 +297,22 @@ impl WorkerScratch {
             + self.touched.capacity() * std::mem::size_of::<u32>()
     }
 
+    /// Reserve room for a slab per bucket, so no later
+    /// [`WorkerScratch::push`] of this run can grow the store, however many
+    /// buckets the worker ends up touching.
+    fn reserve<V>(&mut self, num_buckets: usize, block: usize) {
+        if self.slot_of.len() < num_buckets {
+            self.slot_of.resize(num_buckets, u32::MAX);
+        }
+        self.fill
+            .reserve(num_buckets.saturating_sub(self.fill.len()));
+        self.touched.reserve(num_buckets);
+        self.store.grow_preserve(
+            num_buckets * block * std::mem::size_of::<(u64, V)>(),
+            std::mem::align_of::<(u64, V)>(),
+        );
+    }
+
     /// Make the bucket map large enough for this run. New entries start at
     /// `u32::MAX`; existing entries already hold it (the reset invariant).
     pub(crate) fn begin(&mut self, num_buckets: usize) {
@@ -433,47 +449,40 @@ impl BlockScratch {
     }
 }
 
-/// `hole_of` sentinel: this bucket has no hole list *and* was never given
-/// one this run (it is absent from `touched_holes`). Also terminates the
-/// `next` chain inside [`HoleRange`].
-pub(crate) const HOLES_NONE: u32 = u32::MAX;
-
-/// `hole_of` sentinel: this bucket's hole list existed this run but every
-/// range was repaid. Distinct from [`HOLES_NONE`] so a later `push_hole`
-/// on the same bucket does not enter it into `touched_holes` a second
-/// time — a duplicate would make reconciliation walk (and refill) the
-/// bucket's surviving holes twice.
-pub(crate) const HOLES_EMPTY: u32 = u32::MAX - 1;
+/// `hole_of` sentinel and list terminator: no (further) hole range.
+pub(crate) const HOLES_NONE: usize = usize::MAX;
 
 /// One open hole range in the in-place scatter: positions
 /// `[start, start + len)` of the output buffer were claimed (their records
-/// read out) by one worker and not yet refilled. Ranges for the same
-/// bucket form a singly-linked list threaded through `next` (index into
-/// the worker's `holes` arena; [`HOLES_NONE`] terminates).
+/// read out) by one worker and not yet refilled. Ranges of one worker in
+/// the same bucket form a singly-linked list threaded through `next` (an
+/// index into the shared hole table; [`HOLES_NONE`] terminates).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HoleRange {
     pub(crate) start: usize,
     pub(crate) len: usize,
-    pub(crate) next: u32,
+    pub(crate) next: usize,
+}
+
+impl HoleRange {
+    /// An unused table slot: no positions, so reconciliation skips it.
+    const UNUSED: HoleRange = HoleRange {
+        start: 0,
+        len: 0,
+        next: HOLES_NONE,
+    };
 }
 
 /// One worker's reusable state for the in-place scatter: the per-bucket
-/// swap buffers (same sparse-slab layout as the blocked scatter's
-/// [`WorkerScratch`]) plus the private-hole bookkeeping.
+/// swap buffers (same slab layout as the blocked scatter's
+/// [`WorkerScratch`]) plus the heads of its per-bucket hole lists.
 #[derive(Debug)]
 pub(crate) struct InPlaceWorker {
     /// Per-destination-bucket swap buffers (slabs of `swap_buffer` records).
     pub(crate) buf: WorkerScratch,
-    /// bucket → head index into `holes`, [`HOLES_EMPTY`] (list drained
-    /// this run), or [`HOLES_NONE`] (never listed). Same all-[`HOLES_NONE`]
-    /// reset invariant as [`WorkerScratch::slot_of`], restored via
-    /// `touched_holes` on every exit path.
-    pub(crate) hole_of: Vec<u32>,
-    /// Buckets with a non-[`HOLES_NONE`] `hole_of` entry this run, each
-    /// exactly once (reconciliation iterates this as a set).
-    pub(crate) touched_holes: Vec<u32>,
-    /// Hole-range arena, cleared per run.
-    pub(crate) holes: Vec<HoleRange>,
+    /// bucket → head of this worker's hole list in that bucket, or
+    /// [`HOLES_NONE`]; reset for every run by `InPlaceScratch::prepare`.
+    pub(crate) hole_of: Vec<usize>,
 }
 
 impl InPlaceWorker {
@@ -481,44 +490,26 @@ impl InPlaceWorker {
         InPlaceWorker {
             buf: WorkerScratch::new(),
             hole_of: Vec::new(),
-            touched_holes: Vec::new(),
-            holes: Vec::new(),
         }
     }
 
     fn bytes(&self) -> usize {
-        self.buf.bytes()
-            + self.hole_of.capacity() * std::mem::size_of::<u32>()
-            + self.touched_holes.capacity() * std::mem::size_of::<u32>()
-            + self.holes.capacity() * std::mem::size_of::<HoleRange>()
+        self.buf.bytes() + vec_bytes(&self.hole_of)
     }
 
-    /// Size the hole map for this run. New entries start at the sentinel;
-    /// existing ones already hold it (the reset invariant).
-    pub(crate) fn begin(&mut self, num_buckets: usize) {
-        debug_assert!(self.touched_holes.is_empty(), "reset_holes() must have run");
-        debug_assert!(self.holes.is_empty(), "reset_holes() must have run");
-        if self.hole_of.len() < num_buckets {
-            self.hole_of.resize(num_buckets, HOLES_NONE);
-        }
-        self.buf.begin(num_buckets);
-    }
-
-    /// Restore the all-sentinel invariant of `hole_of` and clear the arena.
-    pub(crate) fn reset_holes(&mut self) {
-        for &b in &self.touched_holes {
-            let b = b as usize;
-            self.hole_of[b] = HOLES_NONE;
-        }
-        self.touched_holes.clear();
-        self.holes.clear();
+    /// Empty the hole lists and size the swap slabs for a run over
+    /// `num_buckets` buckets with `swap_buffer`-record slabs.
+    fn prepare<V>(&mut self, num_buckets: usize, swap_buffer: usize) {
+        self.hole_of.clear();
+        self.hole_of.resize(num_buckets, HOLES_NONE);
+        self.buf.reserve::<V>(num_buckets, swap_buffer);
     }
 }
 
 /// Pooled state for [`crate::inplace_scatter::inplace_scatter`]: the
-/// counting matrix, the per-bucket region bounds and claim cursors, and
-/// one `InPlaceWorker` per concurrent worker. All O(buckets + workers)
-/// — the point of the in-place path is that there is no O(n·α) arena.
+/// counting matrix, the per-bucket region bounds and claim cursors, the
+/// shared hole table, and one `InPlaceWorker` per concurrent worker — no
+/// O(n·α) arena.
 #[derive(Debug, Default)]
 pub struct InPlaceScratch {
     /// Exclusive prefix sums of the bucket counts: bucket `b`'s region is
@@ -528,6 +519,9 @@ pub struct InPlaceScratch {
     pub(crate) heads: Vec<AtomicUsize>,
     /// Counting-pass matrix: `num_chunks × num_buckets`, row-major.
     pub(crate) counts: Vec<usize>,
+    /// Hole table: one slot per possible prime claim (see the
+    /// `inplace_scatter` module docs for the slot formula).
+    pub(crate) holes: Vec<HoleRange>,
     /// Per-worker swap/hole state.
     pub(crate) workers: Vec<InPlaceWorker>,
 }
@@ -540,46 +534,50 @@ impl InPlaceScratch {
 
     /// Bytes held across all buffers.
     pub fn bytes(&self) -> usize {
-        self.starts.capacity() * std::mem::size_of::<usize>()
-            + self.heads.capacity() * std::mem::size_of::<AtomicUsize>()
-            + self.counts.capacity() * std::mem::size_of::<usize>()
+        vec_bytes(&self.starts)
+            + vec_bytes(&self.heads)
+            + vec_bytes(&self.counts)
+            + vec_bytes(&self.holes)
             + self.workers.iter().map(InPlaceWorker::bytes).sum::<usize>()
     }
 
-    /// Size for `num_buckets` buckets, `num_chunks` counting chunks and
-    /// `num_workers` permutation workers, zeroing the counting matrix.
-    /// Returns true when any top-level buffer had to allocate (a pool
-    /// "grow"); false when the pooled capacity was reused as-is.
-    pub(crate) fn prepare(
+    /// Size every buffer of an `n`-record run over `num_buckets` buckets,
+    /// `num_chunks` counting chunks and `num_workers` permutation workers
+    /// from those numbers alone, so the run itself never allocates scratch.
+    /// Zeroes the counting matrix and empties the hole table. Returns true
+    /// when anything had to allocate (a pool "grow"); false when the pooled
+    /// capacity was reused as-is.
+    pub(crate) fn prepare<V>(
         &mut self,
+        n: usize,
         num_buckets: usize,
         num_chunks: usize,
         num_workers: usize,
+        swap_buffer: usize,
     ) -> bool {
-        let cells = num_chunks * num_buckets;
-        let grew = self.starts.capacity() < num_buckets + 1
-            || self.heads.len() < num_buckets
-            || self.counts.capacity() < cells
-            || self.workers.len() < num_workers;
+        let before = self.bytes();
         self.starts.clear();
         self.starts.reserve(num_buckets + 1);
         if self.heads.len() < num_buckets {
             self.heads.resize_with(num_buckets, || AtomicUsize::new(0));
         }
         self.counts.clear();
-        self.counts.resize(cells, 0);
+        self.counts.resize(num_chunks * num_buckets, 0);
+        self.holes.clear();
+        self.holes
+            .resize(n.div_ceil(swap_buffer) + num_buckets, HoleRange::UNUSED);
         if self.workers.len() < num_workers {
             self.workers.resize_with(num_workers, InPlaceWorker::new);
         }
-        grew
+        for worker in &mut self.workers[..num_workers] {
+            worker.prepare::<V>(num_buckets, swap_buffer);
+        }
+        self.bytes() != before
     }
 
     /// Release all held memory.
     pub fn free(&mut self) {
-        self.starts = Vec::new();
-        self.heads = Vec::new();
-        self.counts = Vec::new();
-        self.workers = Vec::new();
+        *self = InPlaceScratch::default();
     }
 }
 

@@ -201,15 +201,12 @@ fn reuse_holds_for_both_scatter_strategies() {
 
 /// A fault-forced degraded run (retry budget exhausted ⇒ comparison-sort
 /// fallback) must return its leases: the pool stays warm and the next
-/// clean engine keeps reusing. Exercised for both strategies and for the
+/// clean engine keeps reusing. Exercised for both arena strategies (the
+/// in-place scatter has no fallback to force) and for the
 /// injected-allocation-failure path.
 #[test]
 fn reuse_survives_fault_injected_fallback() {
-    for &strategy in &[
-        ScatterStrategy::RandomCas,
-        ScatterStrategy::Blocked,
-        ScatterStrategy::InPlace,
-    ] {
+    for &strategy in &[ScatterStrategy::RandomCas, ScatterStrategy::Blocked] {
         for fault in ["force-overflow:31", "fail-alloc:31"] {
             let cfg = SemisortConfig::builder()
                 .scatter(ScatterConfig {

@@ -1,19 +1,20 @@
 //! Chaos tests: drive every escalation transition of the Las Vegas retry
-//! loop deterministically, for both scatter strategies, via the config's
-//! [`FaultPlan`].
+//! loop deterministically, for both arena scatter strategies, via the
+//! config's [`FaultPlan`].
 //!
-//! The five terminal outcomes under test:
+//! The four terminal outcomes under test:
 //! 1. **retry-success** — a fault on the first attempt only; the retry
 //!    (with doubled α and a re-mixed seed) completes the run.
 //! 2. **fallback** — faults outlast `max_retries`; the default policy
 //!    degrades to the comparison sort and still returns a valid semisort.
 //! 3. **error** — same exhaustion under `OverflowPolicy::Error` returns a
 //!    typed [`SemisortError`].
-//! 4. **panic** — same exhaustion under `OverflowPolicy::Panic` panics.
-//! 5. **budget-clamp** — `max_arena_bytes` stops the α-doubling geometry
+//! 4. **budget-clamp** — `max_arena_bytes` stops the α-doubling geometry
 //!    before the retry budget is spent.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//!
+//! The in-place scatter has no ladder: it counts exactly, holds no arena,
+//! and runs once, so the arena faults and the arena budget are inert
+//! under it.
 
 use parlay::hash64;
 use semisort::{
@@ -21,16 +22,9 @@ use semisort::{
     ScatterStrategy, SemisortConfig, SemisortError, TelemetryLevel,
 };
 
-const STRATEGIES: [ScatterStrategy; 3] = [
-    ScatterStrategy::RandomCas,
-    ScatterStrategy::Blocked,
-    ScatterStrategy::InPlace,
-];
-
-/// The strategies whose scratch memory scales with α (so α-doubling and
-/// sample corruption change their allocation geometry). The in-place
-/// scatter counts exactly — it cannot overflow naturally and its scratch
-/// is O(buckets + workers), independent of α.
+/// The strategies that scatter into an `α`-sized slot arena, which can
+/// overflow (so they run inside the retry loop) and whose allocation
+/// geometry α-doubling and sample corruption change.
 const ARENA_STRATEGIES: [ScatterStrategy; 2] =
     [ScatterStrategy::RandomCas, ScatterStrategy::Blocked];
 
@@ -66,7 +60,7 @@ fn assert_valid(out: &[(u64, u64)], input: &[(u64, u64)]) {
 #[test]
 fn forced_overflow_once_retries_then_succeeds() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let (out, stats) =
             try_semisort_with_stats(&recs, &cfg(strategy, "force-overflow:1")).unwrap();
         assert_valid(&out, &recs);
@@ -81,7 +75,7 @@ fn forced_overflow_once_retries_then_succeeds() {
 #[test]
 fn forced_overflow_targets_bucket_class() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         for (spec, want_heavy) in [
             ("force-overflow-heavy:1", true),
             ("force-overflow-light:1", false),
@@ -124,7 +118,7 @@ fn corrupt_sample_overflows_naturally_then_recovers() {
 #[test]
 fn exhausted_retries_degrade_to_fallback() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let base = cfg(strategy, "force-overflow:31");
         let (out, stats) = try_semisort_with_stats(&recs, &base).unwrap();
         assert_valid(&out, &recs);
@@ -156,7 +150,7 @@ fn exhausted_retries_degrade_to_fallback() {
 #[test]
 fn alloc_failure_degrades_to_fallback() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let (out, stats) = try_semisort_with_stats(&recs, &cfg(strategy, "fail-alloc:1")).unwrap();
         assert_valid(&out, &recs);
         assert!(stats.degraded, "{strategy:?}");
@@ -170,7 +164,7 @@ fn alloc_failure_degrades_to_fallback() {
 #[test]
 fn exhausted_retries_error_policy() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let c = SemisortConfig {
             overflow_policy: OverflowPolicy::Error,
             max_retries: 1,
@@ -192,7 +186,7 @@ fn exhausted_retries_error_policy() {
 #[test]
 fn alloc_failure_error_policy() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let c = SemisortConfig {
             overflow_policy: OverflowPolicy::Error,
             ..cfg(strategy, "fail-alloc:1")
@@ -208,52 +202,12 @@ fn alloc_failure_error_policy() {
     }
 }
 
-// ──────────────────────────── outcome 4: panic ──────────────────────────
-
-#[test]
-fn exhausted_retries_panic_policy() {
-    let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
-        let c = SemisortConfig {
-            overflow_policy: OverflowPolicy::Panic,
-            max_retries: 1,
-            ..cfg(strategy, "force-overflow:31")
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| try_semisort_with_stats(&recs, &c)));
-        let msg = *result
-            .expect_err("must panic")
-            .downcast::<String>()
-            .expect("panic payload");
-        assert!(
-            msg.contains("semisort") && msg.contains("overflow"),
-            "{strategy:?}: {msg}"
-        );
-    }
-}
-
-#[test]
-fn panicking_wrapper_surfaces_error_policy() {
-    // The panicking entry points wrap try_*: under OverflowPolicy::Error a
-    // terminal failure becomes their panic.
-    let recs = mixed_workload(100_000);
-    let c = SemisortConfig {
-        overflow_policy: OverflowPolicy::Error,
-        max_retries: 1,
-        ..cfg(ScatterStrategy::RandomCas, "force-overflow:31")
-    };
-    #[allow(deprecated)]
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        semisort::semisort_with_stats(&recs, &c)
-    }));
-    assert!(result.is_err());
-}
-
-// ───────────────────────── outcome 5: budget-clamp ──────────────────────
+// ───────────────────────── outcome 4: budget-clamp ──────────────────────
 
 #[test]
 fn tiny_arena_budget_degrades_immediately() {
     let recs = mixed_workload(100_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let c = SemisortConfig {
             max_arena_bytes: 1024,
             ..cfg(strategy, "none")
@@ -300,12 +254,41 @@ fn arena_budget_clamps_alpha_doubling() {
     }
 }
 
+// ─────────────────────── in-place: no ladder ────────────────────────────
+
+#[test]
+fn in_place_ignores_arena_faults_and_budget() {
+    // Under the Error policy any fault that fired would surface as `Err`;
+    // the in-place run must instead complete untouched on its first and
+    // only pass.
+    let recs = mixed_workload(100_000);
+    let in_place = |spec| cfg(ScatterStrategy::InPlace, spec);
+    let cases = [
+        ("force-overflow:31", in_place("force-overflow:31")),
+        ("fail-alloc:1", in_place("fail-alloc:1")),
+        ("corrupt-sample:1", in_place("corrupt-sample:1")),
+        (
+            "max_arena_bytes: 1024",
+            in_place("none").with_max_arena_bytes(1024),
+        ),
+    ];
+    for (case, c) in cases {
+        let c = c.with_overflow_policy(OverflowPolicy::Error);
+        let (out, stats) = try_semisort_with_stats(&recs, &c).unwrap();
+        assert_valid(&out, &recs);
+        assert_eq!(stats.retries, 0, "{case}");
+        assert!(!stats.degraded, "{case}");
+        assert_eq!(stats.faults_injected, 0, "{case}");
+        assert!(stats.telemetry.retry_causes.is_empty(), "{case}");
+    }
+}
+
 // ─────────────────────────── determinism ────────────────────────────────
 
 #[test]
 fn faulted_runs_are_deterministic() {
     let recs = mixed_workload(60_000);
-    for strategy in STRATEGIES {
+    for strategy in ARENA_STRATEGIES {
         let c = cfg(strategy, "force-overflow:2");
         let (out_a, stats_a) =
             parlay::with_threads(1, || try_semisort_with_stats(&recs, &c).unwrap());

@@ -317,11 +317,7 @@ fn empty_sentinel_key_takes_fallback_path() {
 #[test]
 fn forced_overflow_retries_then_succeeds() {
     let recs = mixed_records(N);
-    for strategy in [
-        ScatterStrategy::RandomCas,
-        ScatterStrategy::Blocked,
-        ScatterStrategy::InPlace,
-    ] {
+    for strategy in [ScatterStrategy::RandomCas, ScatterStrategy::Blocked] {
         let cfg = small_cfg()
             .to_builder()
             .scatter(ScatterConfig {

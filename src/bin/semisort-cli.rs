@@ -32,7 +32,7 @@
 //! well-formed violation records and internally-consistent `ok` flags.
 //!
 //! Failure handling (both `sort --algo semisort` and `bench`):
-//! `--on-overflow <fallback|error|panic>` selects the escalation policy,
+//! `--on-overflow <fallback|error>` selects the escalation policy,
 //! `--max-retries <k>` bounds the Las Vegas restarts, `--max-arena-bytes
 //! <bytes>` (k/m/g suffixes ok) caps the scatter arena, and `--fault
 //! <spec>` injects deterministic faults (`force-overflow:2`,
@@ -78,7 +78,7 @@ fn main() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  semisort-cli generate --dist <uniform|exp|zipf>:<param> --n <count> --out <file> [--seed <u64>]\n  semisort-cli sort --input <file> --out <file> [--algo semisort|radix|sample|stdsort|seq-hash|rr] [--scatter random-cas|blocked|inplace] [--threads <k>] [--stats] [--stats-json <file>] [--telemetry off|counters|deep] [--on-overflow fallback|error|panic] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli verify --input <file>\n  semisort-cli bench [--n <count>] [--dist <spec>] [--quick] [--reuse <k>] [--threads <k>] [--seed <u64>] [--scatter random-cas|blocked|inplace] [--telemetry off|counters|deep] [--stats-json <file>] [--trajectory <file|none>] [--on-overflow fallback|error|panic] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli trace [--n <count>] [--dist <spec>] [--seed <u64>] [--threads <k>] [--scatter random-cas|blocked|inplace] [--out <file>] [--stats-json <file>]\n  semisort-cli validate-json --input <file> [--schema <name>[,<name>...]] [--require <path>[,<path>...]] [--jsonl]"
+        "usage:\n  semisort-cli generate --dist <uniform|exp|zipf>:<param> --n <count> --out <file> [--seed <u64>]\n  semisort-cli sort --input <file> --out <file> [--algo semisort|radix|sample|stdsort|seq-hash|rr] [--scatter random-cas|blocked|inplace] [--threads <k>] [--stats] [--stats-json <file>] [--telemetry off|counters|deep] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli verify --input <file>\n  semisort-cli bench [--n <count>] [--dist <spec>] [--quick] [--reuse <k>] [--threads <k>] [--seed <u64>] [--scatter random-cas|blocked|inplace] [--telemetry off|counters|deep] [--stats-json <file>] [--trajectory <file|none>] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli trace [--n <count>] [--dist <spec>] [--seed <u64>] [--threads <k>] [--scatter random-cas|blocked|inplace] [--out <file>] [--stats-json <file>]\n  semisort-cli validate-json --input <file> [--schema <name>[,<name>...]] [--require <path>[,<path>...]] [--jsonl]"
     );
     std::process::exit(2);
 }
@@ -220,7 +220,7 @@ fn parse_scatter(flags: &Flags) -> ScatterStrategy {
 fn apply_failure_flags(flags: &Flags, mut cfg: SemisortConfig) -> SemisortConfig {
     if let Some(s) = flags.get("on-overflow") {
         cfg.overflow_policy = OverflowPolicy::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown overflow policy {s} (want fallback, error or panic)");
+            eprintln!("unknown overflow policy {s} (want fallback or error)");
             std::process::exit(2);
         });
     }
