@@ -22,57 +22,135 @@ use crate::slices::{block_range, num_blocks};
 /// `dst` where key `k` starts, with a final sentinel `offsets[m] == n`.
 /// (Callers like the radix sort recurse on `dst[offsets[k]..offsets[k+1]]`.)
 ///
+/// `key` runs once per element: the histogram pass stores each key
+/// (4 bytes per element) and the replay pass reads it back.
+///
 /// # Panics
 ///
-/// Panics if `src.len() != dst.len()` or a key is `>= m`.
+/// Panics if `src.len() != dst.len()`, a key is `>= m`, or `m > 2^32`.
 pub fn counting_sort_into<T, F>(src: &[T], dst: &mut [T], m: usize, key: F) -> Vec<usize>
 where
     T: Copy + Send + Sync,
     F: Fn(&T) -> usize + Send + Sync,
 {
+    let mut scratch = CountingScratch::default();
+    counting_sort_into_with(src, dst, m, key, &mut scratch);
+    scratch.offsets
+}
+
+/// The reusable buffers of [`counting_sort_into_with`]: the per-block
+/// count matrix, its key-major transpose, the bucket offsets and the
+/// stored keys. Held by callers that sort repeatedly, so these
+/// `O(n + blocks · m)` buffers are reused across calls.
+#[derive(Debug, Default)]
+pub struct CountingScratch {
+    counts: Vec<usize>,
+    by_key: Vec<usize>,
+    offsets: Vec<usize>,
+    keys: Vec<u32>,
+}
+
+impl CountingScratch {
+    /// Bytes held across the buffers.
+    pub fn bytes(&self) -> usize {
+        (self.counts.capacity() + self.by_key.capacity() + self.offsets.capacity())
+            * std::mem::size_of::<usize>()
+            + self.keys.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// [`counting_sort_into`] with caller-owned scratch. The offsets it
+/// returns live in `scratch` until the next call.
+///
+/// # Panics
+///
+/// As [`counting_sort_into`].
+pub fn counting_sort_into_with<'s, T, F>(
+    src: &[T],
+    dst: &mut [T],
+    m: usize,
+    key: F,
+    scratch: &'s mut CountingScratch,
+) -> &'s [usize]
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T) -> usize + Send + Sync,
+{
     assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+    assert!(m as u64 <= 1 << 32, "stored keys are u32");
     let n = src.len();
+    let CountingScratch {
+        counts,
+        by_key,
+        offsets,
+        keys,
+    } = scratch;
+    offsets.clear();
     if n == 0 {
-        return vec![0; m + 1];
+        offsets.resize(m + 1, 0);
+        return offsets;
     }
     let blocks = num_blocks(n).min(n.div_ceil(m.max(1)).max(1));
 
     // Phase 1: per-block histograms, laid out block-major:
-    // counts[b * m + k] = #elements with key k in block b.
-    let mut counts: Vec<usize> = vec![0; blocks * m];
-    counts.par_chunks_mut(m).enumerate().for_each(|(b, hist)| {
-        for x in &src[block_range(b, blocks, n)] {
+    // counts[b * m + k] = #elements with key k in block b. Each block also
+    // stores its elements' keys, in its own slice of `keys`, split off
+    // safely so the blocks can run in parallel.
+    counts.clear();
+    counts.resize(blocks * m, 0);
+    keys.truncate(n);
+    keys.resize(n, 0);
+    let mut keys_rest: &mut [u32] = keys;
+    let rows: Vec<(usize, &mut [usize], &mut [u32])> = counts
+        .chunks_mut(m)
+        .enumerate()
+        .map(|(b, hist)| {
+            let (mine, rest) =
+                std::mem::take(&mut keys_rest).split_at_mut(block_range(b, blocks, n).len());
+            keys_rest = rest;
+            (b, hist, mine)
+        })
+        .collect();
+    rows.into_par_iter().for_each(|(b, hist, block_keys)| {
+        for (x, slot) in src[block_range(b, blocks, n)].iter().zip(block_keys) {
             let k = key(x);
             assert!(k < m, "key {k} out of range [0, {m})");
             hist[k] += 1;
+            *slot = k as u32;
         }
     });
 
     // Phase 2: offsets. The write position of (block b, key k) must follow
     // all smaller keys and, within key k, all earlier blocks — i.e. scan the
     // counts in key-major order. Transpose, scan, transpose back.
-    let mut by_key: Vec<usize> = vec![0; blocks * m];
-    transpose(&counts, &mut by_key, blocks, m);
-    scan_add_exclusive(&mut by_key);
+    by_key.clear();
+    by_key.resize(blocks * m, 0);
+    transpose(counts, by_key, blocks, m);
+    scan_add_exclusive(by_key);
     // Capture bucket starts before the transpose back: bucket k starts where
     // (key k, block 0) writes.
-    let mut offsets: Vec<usize> = (0..m).map(|k| by_key[k * blocks]).collect();
+    offsets.extend((0..m).map(|k| by_key[k * blocks]));
     offsets.push(n);
-    transpose(&by_key, &mut counts, m, blocks);
+    transpose(by_key, counts, m, blocks);
     let write_pos = counts; // now write_pos[b * m + k]
 
     // Phase 3: replay each block, writing elements to their final slots.
+    // Each block advances its own row of cursors in place.
+    let keys: &[u32] = keys;
     let out = SharedSlice::new(dst);
-    write_pos.par_chunks(m).enumerate().for_each(|(b, pos0)| {
-        let mut pos = pos0.to_vec();
-        for x in &src[block_range(b, blocks, n)] {
-            let k = key(x);
-            // SAFETY: the offset scan partitions [0, n) into disjoint
-            // (block, key) ranges; this task owns exactly its own.
-            unsafe { out.write(pos[k], *x) };
-            pos[k] += 1;
-        }
-    });
+    write_pos
+        .par_chunks_mut(m)
+        .enumerate()
+        .for_each(|(b, pos)| {
+            let r = block_range(b, blocks, n);
+            for (&k, x) in keys[r.clone()].iter().zip(&src[r]) {
+                let k = k as usize;
+                // SAFETY: the offset scan partitions [0, n) into disjoint
+                // (block, key) ranges; this task owns exactly its own.
+                unsafe { out.write(pos[k], *x) };
+                pos[k] += 1;
+            }
+        });
     offsets
 }
 
@@ -185,6 +263,23 @@ mod tests {
     fn out_of_range_key_panics() {
         let mut a = vec![5u32];
         counting_sort(&mut a, 4, |&x| x as usize);
+    }
+
+    #[test]
+    fn pooled_scratch_matches_and_is_reused() {
+        let src: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 64).collect();
+        let mut want = vec![0u32; src.len()];
+        let want_off = counting_sort_into(&src, &mut want, 64, |&x| x as usize);
+        let mut scratch = CountingScratch::default();
+        let mut got = vec![0u32; src.len()];
+        for _ in 0..2 {
+            let off = counting_sort_into_with(&src, &mut got, 64, |&x| x as usize, &mut scratch);
+            assert_eq!(off, &want_off[..]);
+            assert_eq!(got, want);
+        }
+        let held = scratch.bytes();
+        counting_sort_into_with(&src, &mut got, 64, |&x| x as usize, &mut scratch);
+        assert_eq!(scratch.bytes(), held, "same shape, no growth");
     }
 
     #[test]

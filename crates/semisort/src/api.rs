@@ -6,7 +6,9 @@
 //! collision repair, making the result exact rather than
 //! with-high-probability), [`try_group_by`] returning the groups as slices,
 //! and [`try_reduce_by_key`] / [`try_count_by_key`] — the groupBy/shuffle
-//! operations the paper's introduction motivates.
+//! operations the paper's introduction motivates. The two reductions fold
+//! straight off the bucket plan without materializing the semisorted array
+//! (see [`crate::aggregate`]).
 //!
 //! The surface is Result-first: every entry point is a `try_*`
 //! function returning `Result<_, `[`SemisortError`]`>` — which, under the
@@ -19,6 +21,8 @@
 //! return, so one-shot and engine calls are behaviorally identical.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
+
+use rayon::prelude::*;
 
 use crate::config::SemisortConfig;
 use crate::engine::Semisorter;
@@ -42,6 +46,24 @@ pub fn hash_key<K: Hash>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     parlay::hash64(h.finish())
+}
+
+/// Fill `hashed` with one `(hash_key(key(item)), index)` pair per item, in
+/// parallel, reusing its capacity (a buffer already `items.len()` long is
+/// overwritten without being cleared first).
+pub(crate) fn hash_keys_into<T, K, F>(items: &[T], key: &F, hashed: &mut Vec<(u64, u64)>)
+where
+    T: Sync,
+    K: Hash,
+    F: Fn(&T) -> K + Sync,
+{
+    hashed.truncate(items.len());
+    hashed.resize(items.len(), (0, 0));
+    hashed
+        .par_iter_mut()
+        .enumerate()
+        .with_min_len(4096)
+        .for_each(|(i, slot)| *slot = (hash_key(&key(&items[i])), i as u64));
 }
 
 /// Semisort `items` by an arbitrary `Hash + Eq` key.
@@ -357,8 +379,33 @@ where
 }
 
 /// Fold every group: returns one `(key, accumulator)` per distinct key,
-/// with `fold` applied left-to-right over the group's items starting from
-/// `init`. Groups are processed in parallel.
+/// with `fold` applied over the group's items starting from `init`. Each
+/// group is folded **in input order**; groups are folded in parallel and
+/// come back in no particular (but deterministic) order. Items are only
+/// read, so `T` need not be `Clone`.
+///
+/// This is a fused aggregation, not a semisort followed by a scan (see
+/// [`Semisorter::reduce_by_key`], which documents the config fields it
+/// ignores).
+///
+/// ```
+/// use semisort::{try_reduce_by_key, SemisortConfig};
+/// // Not Clone: the reduction only reads the items.
+/// struct Sale {
+///     shop: &'static str,
+///     cents: u64,
+/// }
+/// let sales = vec![
+///     Sale { shop: "north", cents: 250 },
+///     Sale { shop: "south", cents: 100 },
+///     Sale { shop: "north", cents: 50 },
+/// ];
+/// let mut totals =
+///     try_reduce_by_key(&sales, |s| s.shop, 0u64, |a, s| a + s.cents, &SemisortConfig::default())
+///         .unwrap();
+/// totals.sort_unstable();
+/// assert_eq!(totals, vec![("north", 300), ("south", 100)]);
+/// ```
 pub fn try_reduce_by_key<T, K, A, F, G>(
     items: &[T],
     key: F,
@@ -367,8 +414,8 @@ pub fn try_reduce_by_key<T, K, A, F, G>(
     cfg: &SemisortConfig,
 ) -> Result<Vec<(K, A)>, SemisortError>
 where
-    T: Clone + Send + Sync,
-    K: Hash + Eq + Send + Sync,
+    T: Sync,
+    K: Hash + Eq + Send,
     A: Clone + Send + Sync,
     F: Fn(&T) -> K + Send + Sync,
     G: Fn(A, &T) -> A + Send + Sync,
@@ -376,7 +423,8 @@ where
     Semisorter::new(*cfg)?.reduce_by_key(items, key, init, fold)
 }
 
-/// Histogram: the number of items per distinct key.
+/// Histogram: the number of items per distinct key (a
+/// [`try_reduce_by_key`] that counts).
 ///
 /// ```
 /// use semisort::{try_count_by_key, SemisortConfig};
@@ -391,11 +439,11 @@ pub fn try_count_by_key<T, K, F>(
     cfg: &SemisortConfig,
 ) -> Result<Vec<(K, usize)>, SemisortError>
 where
-    T: Clone + Send + Sync,
-    K: Hash + Eq + Send + Sync,
+    T: Sync,
+    K: Hash + Eq + Send,
     F: Fn(&T) -> K + Send + Sync,
 {
-    try_reduce_by_key(items, key, 0usize, |a, _| a + 1, cfg)
+    Semisorter::new(*cfg)?.count_by_key(items, key)
 }
 
 #[cfg(test)]

@@ -164,14 +164,8 @@ fn run_pooled<V: Copy + Send + Sync>(
     }
     // Baseline scheduler snapshot: the final stats carry the delta across
     // the whole run (sentinel screen included — its par_iter is part of the
-    // run's scheduler footprint). Skipped when the run executes inline
-    // (effective pool of 1, or Miri): there is no scheduler to observe, and
-    // asking would force the global registry into existence for nothing.
-    let sched_before = if cfg.capture_scheduler && rayon::current_num_threads() > 1 {
-        rayon::scheduler_stats()
-    } else {
-        None
-    };
+    // run's scheduler footprint).
+    let sched_before = scheduler_baseline(cfg);
     // The scatter reserves EMPTY (= 0) as its slot-vacancy sentinel and the
     // heavy-key table reserves u64::MAX. A hashed key colliding with either
     // is a ~n/2^63 event; handle it by falling back rather than by silently
@@ -230,7 +224,7 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
         let rng = Rng::new(run_cfg.seed);
         let sink = ObsSink::new(run_cfg.telemetry);
 
-        self.sample_phase(&run_cfg, &rng, false, sample, &mut stats);
+        sample_phase(self.records, &run_cfg, &rng, false, sample, &mut stats);
         self.cancel.check()?;
 
         let span = PhaseSpan::start("construct_buckets");
@@ -244,7 +238,7 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
         // `try_semisort_with_stats_cancellable`).
         let span = PhaseSpan::start("scatter");
         if self.cfg.fault.panics(0) {
-            self.injected_panic(0);
+            injected_panic(self.cfg, 0);
         }
         let o = inplace_scatter(
             self.records,
@@ -345,7 +339,7 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
                 }
             }
 
-            self.sample_phase(&run_cfg, &rng, corrupt_sample, sample, &mut stats);
+            sample_phase(records, &run_cfg, &rng, corrupt_sample, sample, &mut stats);
             cancel.check()?;
 
             // Phase 2: bucket construction (classification, table,
@@ -384,7 +378,7 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
             // variant; both fill the same arena under the same contract).
             let span = PhaseSpan::start("scatter");
             if cfg.fault.panics(attempt) {
-                self.injected_panic(attempt);
+                injected_panic(cfg, attempt);
             }
             let (heavy_records, overflowed, overflow) = match run_cfg.scatter.strategy {
                 ScatterStrategy::Blocked => {
@@ -480,49 +474,6 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
         }
     }
 
-    /// Phase 1: draw the strided sample into the pooled buffer (decimated
-    /// when `corrupt` injects that fault) and sort it.
-    fn sample_phase(
-        &self,
-        run_cfg: &SemisortConfig,
-        rng: &Rng,
-        corrupt: bool,
-        sample: &mut Vec<u64>,
-        stats: &mut SemisortStats,
-    ) {
-        let records = self.records;
-        let span = PhaseSpan::start("sample_sort");
-        strided_sample_by_into(
-            records.len(),
-            run_cfg.sample_shift,
-            rng.fork(1),
-            |i| records[i].0,
-            sample,
-        );
-        if corrupt {
-            FaultPlan::corrupt_sample(sample);
-        }
-        parlay::radix_sort::radix_sort_u64(sample);
-        stats.t_sample_sort = span.finish_into(&mut stats.spans);
-        stats.sample_size = sample.len();
-    }
-
-    /// Chaos injection: a real unwind from the middle of the hot phase, for
-    /// the service layer's `catch_unwind` containment to absorb. All
-    /// scratch is leased from the pool via borrows, so the unwind cannot
-    /// leave a lease dangling (tests/poison_recovery.rs).
-    fn injected_panic(&self, attempt: u32) -> ! {
-        log_event_kv(
-            "fault",
-            &[("kind", "panic")],
-            &[("attempt", attempt as u64)],
-        );
-        panic!(
-            "semisort: injected panic (fault plan `{}`)",
-            self.cfg.fault.spec()
-        );
-    }
-
     /// Fold the attempt's telemetry and the run-level failure bookkeeping
     /// into the stats (shared by the success returns and every escalation
     /// site). When a baseline scheduler snapshot was taken, the closing
@@ -586,8 +537,63 @@ impl<V: Copy + Send + Sync> Run<'_, V> {
     }
 }
 
+/// The scheduler snapshot a run's closing snapshot is diffed against, when
+/// `cfg.capture_scheduler` is on. Skipped when the run executes inline
+/// (effective pool of 1, or Miri): there is no scheduler to observe, and
+/// asking would force the global registry into existence for nothing.
+pub(crate) fn scheduler_baseline(cfg: &SemisortConfig) -> Option<SchedulerStats> {
+    if cfg.capture_scheduler && rayon::current_num_threads() > 1 {
+        rayon::scheduler_stats()
+    } else {
+        None
+    }
+}
+
+/// Phase 1: draw the strided sample of `records`' keys into the pooled
+/// buffer (decimated when `corrupt` injects that fault) and sort it. Shared
+/// by both driver paths and the fused by-key aggregation.
+pub(crate) fn sample_phase<V: Sync>(
+    records: &[(u64, V)],
+    run_cfg: &SemisortConfig,
+    rng: &Rng,
+    corrupt: bool,
+    sample: &mut Vec<u64>,
+    stats: &mut SemisortStats,
+) {
+    let span = PhaseSpan::start("sample_sort");
+    strided_sample_by_into(
+        records.len(),
+        run_cfg.sample_shift,
+        rng.fork(1),
+        |i| records[i].0,
+        sample,
+    );
+    if corrupt {
+        FaultPlan::corrupt_sample(sample);
+    }
+    parlay::radix_sort::radix_sort_u64(sample);
+    stats.t_sample_sort = span.finish_into(&mut stats.spans);
+    stats.sample_size = sample.len();
+}
+
+/// Chaos injection: a real unwind from the middle of the hot phase, for
+/// the service layer's `catch_unwind` containment to absorb. All scratch
+/// is leased from the pool via borrows, so the unwind cannot leave a lease
+/// dangling (tests/poison_recovery.rs).
+pub(crate) fn injected_panic(cfg: &SemisortConfig, attempt: u32) -> ! {
+    log_event_kv(
+        "fault",
+        &[("kind", "panic")],
+        &[("attempt", attempt as u64)],
+    );
+    panic!(
+        "semisort: injected panic (fault plan `{}`)",
+        cfg.fault.spec()
+    );
+}
+
 /// Copy the plan's bucket geometry into the stats.
-fn record_plan(stats: &mut SemisortStats, plan: &BucketPlan) {
+pub(crate) fn record_plan(stats: &mut SemisortStats, plan: &BucketPlan) {
     stats.heavy_keys = plan.num_heavy;
     stats.light_buckets = plan.num_light;
     stats.total_slots = plan.total_slots;
@@ -597,7 +603,7 @@ fn record_plan(stats: &mut SemisortStats, plan: &BucketPlan) {
 /// finalizer, so retry streams are statistically independent of the failed
 /// attempt's. Attempt 0 is mixed too — the entry seed is a label, not a
 /// stream prefix.
-fn mix_seed(seed: u64, attempt: u32) -> u64 {
+pub(crate) fn mix_seed(seed: u64, attempt: u32) -> u64 {
     let mut z = seed.wrapping_add((attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -43,9 +43,10 @@ use std::mem;
 
 use rayon::prelude::*;
 
+use crate::aggregate::{reduce_pooled, Folder};
 use crate::api::{
-    apply_permutation_with_scratch, hash_key, repair_collisions_on_perm, repair_hash_collisions,
-    Groups,
+    apply_permutation_with_scratch, hash_keys_into, repair_collisions_on_perm,
+    repair_hash_collisions, Groups,
 };
 use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
@@ -150,7 +151,7 @@ impl Semisorter {
 
     /// Hash `items`' keys into the pool's hashed-record buffer, semisort
     /// into the pool's placed buffer, and leave both restored. The shared
-    /// front half of every by-key method.
+    /// front half of every by-key method that returns an arrangement.
     fn place_by_key<T, K, F>(&mut self, items: &[T], key: &F) -> Result<(), SemisortError>
     where
         T: Sync,
@@ -159,13 +160,7 @@ impl Semisorter {
     {
         let mut hashed = mem::take(&mut self.pool.hashed);
         let mut placed = mem::take(&mut self.pool.placed);
-        hashed.clear();
-        hashed.resize(items.len(), (0, 0));
-        hashed
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(4096)
-            .for_each(|(i, slot)| *slot = (hash_key(&key(&items[i])), i as u64));
+        hash_keys_into(items, key, &mut hashed);
         let result = try_semisort_into_pooled(
             &hashed,
             &self.cfg,
@@ -325,6 +320,44 @@ impl Semisorter {
 
     /// Fold every group into one `(key, accumulator)` — the pooled
     /// counterpart of [`crate::api::try_reduce_by_key`].
+    ///
+    /// Each group is folded **in input order**: `fold` sees a key's items
+    /// in the order they appear in `items`, so a non-commutative fold (an
+    /// append, a first/last pick) gives the same answer at every thread
+    /// count. Groups come back in no particular order, but the same order
+    /// for the same input, config and seed. Items are only read, never
+    /// cloned or moved.
+    ///
+    /// This never builds the semisorted array: it samples, plans the
+    /// buckets, distributes `(hash, index)` pairs into exact bucket
+    /// regions with a stable counting sort, and folds the regions in
+    /// parallel (see [`crate::aggregate`]). With exact regions there is no
+    /// arena and nothing to retry, so the reduction ignores
+    /// [`SemisortConfig::scatter`], `alpha`, `c`, `probe_strategy`,
+    /// `local_sort_algo`, `max_retries`, `overflow_policy`,
+    /// `max_arena_bytes` and `telemetry` (it has no scatter counters to
+    /// collect), and of [`SemisortConfig::fault`] only the `panic` fault
+    /// applies. It honours `seed`, `sample_shift`,
+    /// `heavy_threshold`, `light_bucket_log2`, `merge_light_buckets`,
+    /// `seq_threshold`, `max_scratch_bytes` and `capture_scheduler`.
+    ///
+    /// ```
+    /// use semisort::prelude::*;
+    ///
+    /// // Not Clone: the reduction only reads the items.
+    /// struct Event {
+    ///     user: u32,
+    ///     seq: u32,
+    /// }
+    /// let events: Vec<Event> = (0..20_000).map(|i| Event { user: i % 7, seq: i }).collect();
+    /// let mut engine = Semisorter::new(SemisortConfig::default()).unwrap();
+    /// let firsts = engine
+    ///     .reduce_by_key(&events, |e| e.user, None, |first, e| first.or(Some(e.seq)))
+    ///     .unwrap();
+    /// // Input-order fold: every user's first event is the earliest one.
+    /// assert_eq!(firsts.len(), 7);
+    /// assert!(firsts.iter().all(|&(user, first)| first == Some(user)));
+    /// ```
     #[must_use = "the Err carries the failure that the config asked to surface"]
     pub fn reduce_by_key<T, K, A, F, G>(
         &mut self,
@@ -334,25 +367,29 @@ impl Semisorter {
         fold: G,
     ) -> Result<Vec<(K, A)>, SemisortError>
     where
-        T: Clone + Send + Sync,
-        K: Hash + Eq + Send + Sync,
+        T: Sync,
+        K: Hash + Eq + Send,
         A: Clone + Send + Sync,
         F: Fn(&T) -> K + Send + Sync,
         G: Fn(A, &T) -> A + Send + Sync,
     {
-        let groups = self.group_by(items, &key)?;
-        Ok((0..groups.len())
-            .into_par_iter()
-            .map(|g| {
-                let slice = groups.group(g);
-                let acc = slice.iter().fold(init.clone(), &fold);
-                (key(&slice[0]), acc)
-            })
-            .collect())
+        let folder = Folder {
+            items,
+            key: &key,
+            init: &init,
+            fold: &fold,
+        };
+        let result = reduce_pooled(&folder, &self.cfg, &mut self.pool, &self.cancel);
+        self.finish();
+        let (groups, stats) = result?;
+        self.last_stats = stats;
+        self.last_stats.scratch_bytes_held = self.pool.bytes_held();
+        Ok(groups)
     }
 
     /// Histogram of items per distinct key — the pooled counterpart of
-    /// [`crate::api::try_count_by_key`].
+    /// [`crate::api::try_count_by_key`]. A [`Self::reduce_by_key`] that
+    /// counts, with the same contract.
     #[must_use = "the Err carries the failure that the config asked to surface"]
     pub fn count_by_key<T, K, F>(
         &mut self,
@@ -360,8 +397,8 @@ impl Semisorter {
         key: F,
     ) -> Result<Vec<(K, usize)>, SemisortError>
     where
-        T: Clone + Send + Sync,
-        K: Hash + Eq + Send + Sync,
+        T: Sync,
+        K: Hash + Eq + Send,
         F: Fn(&T) -> K + Send + Sync,
     {
         self.reduce_by_key(items, key, 0usize, |a, _| a + 1)

@@ -58,7 +58,9 @@
 //! budget) is exhausted is governed by [`OverflowPolicy`]: degrade to the
 //! deterministic comparison-sort fallback (default) or return a
 //! [`SemisortError`] from the `try_*` entry points. The in-place scatter
-//! counts exactly, cannot overflow, and runs once with no retry ladder.
+//! counts exactly, cannot overflow, and runs once with no retry ladder;
+//! so does the fused by-key aggregation behind `reduce_by_key` /
+//! `count_by_key` ([`aggregate`]).
 //! The [`fault`] module injects deterministic failures into each phase so
 //! the whole escalation ladder is testable.
 //!
@@ -75,6 +77,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod aggregate;
 pub mod analysis;
 pub mod api;
 pub mod blocked_scatter;

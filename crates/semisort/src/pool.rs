@@ -41,6 +41,7 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::AtomicUsize;
 
+use parlay::counting_sort::CountingScratch;
 use rayon::prelude::*;
 
 use crate::obs::ScratchCounters;
@@ -602,6 +603,9 @@ pub struct ScratchPool {
     pub(crate) perm: Vec<usize>,
     /// Cycle-visited bitmap for the in-place permutation application.
     pub(crate) visited: Vec<u64>,
+    /// Count matrices and bucket offsets of the by-key aggregation's
+    /// exact distribution.
+    pub(crate) counting: CountingScratch,
 }
 
 impl ScratchPool {
@@ -621,6 +625,7 @@ impl ScratchPool {
             + vec_bytes(&self.placed)
             + vec_bytes(&self.perm)
             + vec_bytes(&self.visited)
+            + self.counting.bytes()
     }
 
     /// Release all pooled memory. The pool stays usable; the next call
@@ -634,6 +639,7 @@ impl ScratchPool {
         self.placed = Vec::new();
         self.perm = Vec::new();
         self.visited = Vec::new();
+        self.counting = CountingScratch::default();
     }
 
     /// Enforce the retained-memory budget between runs: when the pool

@@ -209,3 +209,35 @@ fn cancellable_entry_point_is_equivalent_when_token_is_inert() {
     let (b, _) = semisort::try_semisort_with_stats(&input, &cfg).unwrap();
     assert_eq!(a, b, "an inert token changes nothing (same seed, same run)");
 }
+
+#[test]
+fn count_by_key_honours_the_token_and_stays_reusable() {
+    // The fused by-key path polls the same engine token (after hashing,
+    // sampling, planning and distribution); a tripped token returns Err
+    // with no partial histogram, and after a reset the engine serves again.
+    for cfg in all_configs() {
+        let mut engine = Semisorter::new(cfg).unwrap();
+        let input = records(16384);
+        let token = engine.cancel_token().clone();
+
+        token.cancel();
+        assert!(matches!(
+            engine.count_by_key(&input, |r| r.0),
+            Err(SemisortError::Cancelled)
+        ));
+        token.reset();
+
+        token.set_deadline_in(Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(matches!(
+            engine.count_by_key(&input, |r| r.0),
+            Err(SemisortError::DeadlineExceeded { .. })
+        ));
+        token.reset();
+
+        let mut counts = engine.count_by_key(&input, |r| r.0).unwrap();
+        counts.sort_unstable();
+        assert_eq!(counts.len(), 97);
+        assert_eq!(counts.iter().map(|c| c.1).sum::<usize>(), input.len());
+    }
+}

@@ -141,6 +141,47 @@ fn grows_stabilize_after_high_water_mark() {
     assert_eq!(engine.last_stats().scratch_grows, 0);
 }
 
+/// The fused `count_by_key` path keeps its scratch pooled too: a second
+/// identical call grows nothing and holds the same bytes, for every
+/// distribution and whatever scatter strategy the config names.
+#[test]
+fn count_by_key_reuses_scratch() {
+    for &strategy in &[
+        ScatterStrategy::RandomCas,
+        ScatterStrategy::Blocked,
+        ScatterStrategy::InPlace,
+    ] {
+        let cfg = SemisortConfig::builder()
+            .scatter(ScatterConfig {
+                strategy,
+                ..ScatterConfig::default()
+            })
+            .build()
+            .unwrap();
+        for d in 0..5u64 {
+            let mut engine = Semisorter::new(cfg).unwrap();
+            let recs = workload(40_000, d);
+            let first = engine.count_by_key(&recs, |r| r.0).unwrap();
+            assert!(engine.last_stats().scratch_grows >= 1, "cold pool grows");
+            let held = engine.scratch_bytes_held();
+            let second = engine.count_by_key(&recs, |r| r.0).unwrap();
+            assert_eq!(first, second, "deterministic output ({strategy:?}, d={d})");
+            let st = engine.last_stats();
+            assert_eq!(st.scratch_grows, 0, "{strategy:?}, d={d}");
+            assert_eq!(st.scratch_reuse_hits, 1, "{strategy:?}, d={d}");
+            assert_eq!(engine.scratch_bytes_held(), held, "{strategy:?}, d={d}");
+            assert_eq!(st.n, recs.len());
+            assert_eq!(st.heavy_records + st.light_records, recs.len());
+            assert_eq!(st.retries, 0, "no retry ladder on the fused path");
+            let names: Vec<&str> = st.spans.iter().map(|s| s.name).collect();
+            assert_eq!(
+                names,
+                ["sample_sort", "construct_buckets", "scatter", "local_sort"]
+            );
+        }
+    }
+}
+
 /// The stats JSON carries the pool counters (schema `semisort-stats-v2`).
 #[test]
 fn scratch_counters_reach_stats_json() {

@@ -13,7 +13,9 @@
 //! 3. **arena estimate** — the request's projected scatter-arena demand
 //!    (slot size × blowup bound) is checked against the engine's
 //!    `max_arena_bytes` budget: work that would be rejected by the engine
-//!    mid-run is cheaper to reject at the door;
+//!    mid-run is cheaper to reject at the door. Requests that run without
+//!    an arena — `count-by-key`, or any op on an `InPlace` engine —
+//!    project zero and always pass;
 //! 4. **queue capacity** — a bounded `sync_channel` per shard; `try_send`
 //!    round-robins across shards and a full sweep means the server is
 //!    saturated — shed, don't buffer.
@@ -37,7 +39,7 @@ use std::time::Duration;
 
 use semisort::obs::{epoch_micros, log_event_kv, ServiceCounters};
 use semisort::scatter::Slot;
-use semisort::{SemisortConfig, SemisortError, SemisortStats, Semisorter};
+use semisort::{ScatterStrategy, SemisortConfig, SemisortError, SemisortStats, Semisorter};
 
 use crate::faults::ServiceFaultPlan;
 use crate::proto::{
@@ -327,9 +329,14 @@ fn invalid_request(message: &str) -> Response {
     }
 }
 
-/// The projected scatter-arena demand of an `n`-record request, for
-/// admission rung 3.
-fn estimated_arena_bytes(n: usize) -> u64 {
+/// The projected scatter-arena demand of an `n`-record `op` on an engine
+/// configured as `engine`, for admission rung 3. Zero when the request
+/// runs without an arena: a `CountByKey` (the fused aggregation
+/// distributes into exact regions) or any op on an `InPlace` engine.
+fn estimated_arena_bytes(op: Op, n: usize, engine: &SemisortConfig) -> u64 {
+    if op == Op::CountByKey || engine.scatter.strategy == ScatterStrategy::InPlace {
+        return 0;
+    }
     (n as u64).saturating_mul(std::mem::size_of::<Slot<u64>>() as u64 * ARENA_BLOWUP_EST)
 }
 
@@ -412,7 +419,7 @@ fn admit_and_run(
     }
     let budget = inner.cfg.engine.max_arena_bytes;
     if budget != usize::MAX {
-        let required = estimated_arena_bytes(n);
+        let required = estimated_arena_bytes(req.op, n, &inner.cfg.engine);
         if required > budget as u64 {
             return shed("arena-budget", required, budget as u64);
         }
