@@ -12,7 +12,14 @@ const N: usize = 500_000;
 
 fn bench_ablation(c: &mut Criterion) {
     let records = generate(Distribution::Zipfian { m: 1_000_000 }, N, 1);
-    let base = SemisortConfig::default();
+    // The paper's algorithm: every variant below is ablated against it.
+    let base = SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..SemisortConfig::default()
+    };
     let mut g = c.benchmark_group("ablation_zipf_500k");
     g.throughput(Throughput::Elements(N as u64));
 
@@ -68,32 +75,11 @@ fn bench_ablation(c: &mut Criterion) {
             },
         ),
         (
-            "blocked_scatter",
+            "counting_distribution",
             SemisortConfig {
                 scatter: ScatterConfig {
-                    strategy: ScatterStrategy::Blocked,
-                    ..ScatterConfig::default()
-                },
-                ..base
-            },
-        ),
-        (
-            "blocked_scatter_b64",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy: ScatterStrategy::Blocked,
-                    block: 64,
-                    ..ScatterConfig::default()
-                },
-                ..base
-            },
-        ),
-        (
-            "inplace_scatter",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy: ScatterStrategy::InPlace,
-                    ..ScatterConfig::default()
+                    strategy: ScatterStrategy::Counting,
+                    ..base.scatter
                 },
                 ..base
             },
@@ -103,7 +89,7 @@ fn bench_ablation(c: &mut Criterion) {
             SemisortConfig {
                 scatter: ScatterConfig {
                     prefetch_distance: 0,
-                    ..ScatterConfig::default()
+                    ..base.scatter
                 },
                 ..base
             },
@@ -117,7 +103,7 @@ fn bench_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// RandomCas vs Blocked vs InPlace on the three shapes that stress the
+/// RandomCas vs Counting on the three shapes that stress the
 /// scatter differently: all-light uniform, power-law (Zipfian), and
 /// all-equal.
 fn bench_scatter_strategies(c: &mut Criterion) {
@@ -130,11 +116,7 @@ fn bench_scatter_strategies(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N as u64));
     for (dist_name, dist) in inputs {
         let records = generate(dist, N, 1);
-        for (strat_name, strategy) in [
-            ("random_cas", ScatterStrategy::RandomCas),
-            ("blocked", ScatterStrategy::Blocked),
-            ("inplace", ScatterStrategy::InPlace),
-        ] {
+        for strategy in [ScatterStrategy::RandomCas, ScatterStrategy::Counting] {
             let cfg = SemisortConfig {
                 scatter: ScatterConfig {
                     strategy,
@@ -142,9 +124,11 @@ fn bench_scatter_strategies(c: &mut Criterion) {
                 },
                 ..SemisortConfig::default()
             };
-            g.bench_with_input(BenchmarkId::new(dist_name, strat_name), &cfg, |b, cfg| {
-                b.iter(|| try_semisort_pairs(&records, cfg).unwrap())
-            });
+            g.bench_with_input(
+                BenchmarkId::new(dist_name, strategy.as_str()),
+                &cfg,
+                |b, cfg| b.iter(|| try_semisort_pairs(&records, cfg).unwrap()),
+            );
         }
     }
     g.finish();

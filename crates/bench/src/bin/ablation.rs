@@ -3,8 +3,8 @@
 //! - light-bucket merging on/off (paper: merging is worth ≤10%);
 //! - linear probing vs fresh-random-slot probing in the scatter (paper:
 //!   linear probing chosen for cache performance);
-//! - the CAS scatter vs the block-buffered scatter (one fetch_add slab
-//!   reservation per block instead of one CAS per record);
+//! - the paper's CAS scatter vs the exact counting-sort distribution (the
+//!   library default: no arena, no probing, no pack);
 //! - the heavy threshold δ;
 //! - the sampling rate p = 1/2^shift;
 //! - the local sort algorithm (paper: the STL hybrid sort was chosen for
@@ -131,9 +131,16 @@ fn main() {
     for dist in [exp_dist, uni_dist] {
         println!("{}:", dist.label());
         let records = generate(dist, args.n, args.seed);
-        let base_cfg = SemisortConfig::default()
-            .with_seed(args.seed)
-            .with_telemetry(args.telemetry);
+        // The paper's algorithm: every knob below is ablated against it.
+        let base_cfg = SemisortConfig {
+            scatter: ScatterConfig {
+                strategy: ScatterStrategy::RandomCas,
+                ..ScatterConfig::default()
+            },
+            ..SemisortConfig::default()
+                .with_seed(args.seed)
+                .with_telemetry(args.telemetry)
+        };
         let ((base_stats, base), eff) = with_threads(threads, || {
             let timed = time_best_of(args.reps, || {
                 try_semisort_with_stats(&records, &base_cfg).unwrap().1
@@ -174,32 +181,11 @@ fn main() {
             },
         );
         run(
-            "blocked scatter",
+            "counting distribution",
             SemisortConfig {
                 scatter: ScatterConfig {
-                    strategy: ScatterStrategy::Blocked,
-                    ..ScatterConfig::default()
-                },
-                ..base_cfg
-            },
-        );
-        run(
-            "blocked scatter, block = 64",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy: ScatterStrategy::Blocked,
-                    block: 64,
-                    ..ScatterConfig::default()
-                },
-                ..base_cfg
-            },
-        );
-        run(
-            "in-place scatter",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy: ScatterStrategy::InPlace,
-                    ..ScatterConfig::default()
+                    strategy: ScatterStrategy::Counting,
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },
@@ -209,7 +195,7 @@ fn main() {
             SemisortConfig {
                 scatter: ScatterConfig {
                     prefetch_distance: 0,
-                    ..ScatterConfig::default()
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },
@@ -252,11 +238,11 @@ fn main() {
 
     // Head-to-head scatter comparison on the three shapes that stress it
     // differently: all-light (uniform), skewed (Zipfian power law), and
-    // single-bucket (all keys equal). Each strategy also runs with
-    // prefetching disabled, and every run appends a trajectory record so
-    // the three-strategy (± prefetch) ablation lands in
+    // single-bucket (all keys equal). RandomCas also runs with prefetching
+    // disabled (the only strategy that reads it), and every run appends a
+    // trajectory record so the strategy (± prefetch) ablation lands in
     // `BENCH_semisort.json`.
-    println!("Scatter strategy (RandomCas vs Blocked vs InPlace), t_scatter isolated:");
+    println!("Scatter strategy (RandomCas vs Counting), t_scatter isolated:");
     let scatter_dists = [
         Distribution::Uniform { n: args.n as u64 },
         Distribution::Zipfian { m: 1_000_000 },
@@ -267,59 +253,52 @@ fn main() {
         "strategy",
         "total (s)",
         "scatter (s)",
-        "blocks",
-        "slab ovf",
-        "cycles",
-        "swap flush",
+        "slots/n",
         "scratch (B)",
     ]);
     for dist in scatter_dists {
         let records = generate(dist, args.n, args.seed);
-        for (name, strategy) in [
-            ("random-cas", ScatterStrategy::RandomCas),
-            ("blocked", ScatterStrategy::Blocked),
-            ("inplace", ScatterStrategy::InPlace),
+        let default_prefetch = ScatterConfig::default().prefetch_distance;
+        for (strategy, prefetch_distance) in [
+            (ScatterStrategy::RandomCas, default_prefetch),
+            (ScatterStrategy::RandomCas, 0),
+            (ScatterStrategy::Counting, default_prefetch),
         ] {
-            for prefetch_distance in [ScatterConfig::default().prefetch_distance, 0] {
-                let cfg = SemisortConfig {
-                    scatter: ScatterConfig {
-                        strategy,
-                        prefetch_distance,
-                        ..ScatterConfig::default()
-                    },
-                    telemetry: args.telemetry,
-                    ..SemisortConfig::default().with_seed(args.seed)
-                };
-                let ((stats, t), eff) = with_threads(threads, || {
-                    let timed = time_best_of(args.reps, || {
-                        try_semisort_with_stats(&records, &cfg).unwrap().1
-                    });
-                    (timed, bench::trajectory::effective_threads())
+            let name = strategy.as_str();
+            let cfg = SemisortConfig {
+                scatter: ScatterConfig {
+                    strategy,
+                    prefetch_distance,
+                },
+                telemetry: args.telemetry,
+                ..SemisortConfig::default().with_seed(args.seed)
+            };
+            let ((stats, t), eff) = with_threads(threads, || {
+                let timed = time_best_of(args.reps, || {
+                    try_semisort_with_stats(&records, &cfg).unwrap().1
                 });
-                bench::trajectory::emit(
-                    &args,
-                    "ablation-scatter",
-                    threads,
-                    eff,
-                    t.as_secs_f64(),
-                    &stats,
-                );
-                table.row([
-                    dist.label(),
-                    if prefetch_distance == 0 {
-                        format!("{name} (no prefetch)")
-                    } else {
-                        name.to_string()
-                    },
-                    s3(t),
-                    format!("{:.3}", stats.t_scatter.as_secs_f64()),
-                    stats.blocks_flushed.to_string(),
-                    stats.slab_overflows.to_string(),
-                    stats.inplace_cycles.to_string(),
-                    stats.swap_buffer_flushes.to_string(),
-                    stats.scratch_bytes_held.to_string(),
-                ]);
-            }
+                (timed, bench::trajectory::effective_threads())
+            });
+            bench::trajectory::emit(
+                &args,
+                "ablation-scatter",
+                threads,
+                eff,
+                t.as_secs_f64(),
+                &stats,
+            );
+            table.row([
+                dist.label(),
+                if prefetch_distance == 0 {
+                    format!("{name} (no prefetch)")
+                } else {
+                    name.to_string()
+                },
+                s3(t),
+                format!("{:.3}", stats.t_scatter.as_secs_f64()),
+                format!("{:.2}", stats.space_blowup()),
+                stats.scratch_bytes_held.to_string(),
+            ]);
         }
     }
     table.print();

@@ -11,12 +11,12 @@ use bench::fmt::{pct1, s3, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::{try_semisort_with_stats, SemisortConfig};
+use semisort::try_semisort_with_stats;
 use workloads::{generate, paper_distributions, Distribution};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
     let threads = args.max_threads();
 
     println!(

@@ -95,7 +95,7 @@ fn main() {
             .count()
     });
     bench("semisort (end to end)", &|| {
-        semisort::try_semisort_pairs(&pairs, &semisort::SemisortConfig::default())
+        semisort::try_semisort_pairs(&pairs, &bench::paper_config(args.seed))
             .unwrap()
             .len()
     });
@@ -104,9 +104,7 @@ fn main() {
 
     // The stats-carrying run for --stats-json and the trajectory file
     // (the closure-driven rows above only keep wall times).
-    let cfg = semisort::SemisortConfig::default()
-        .with_seed(args.seed)
-        .with_telemetry(args.telemetry);
+    let cfg = bench::paper_config(args.seed).with_telemetry(args.telemetry);
     let ((stats, dt), eff) = with_threads(threads, || {
         let timed = time_best_of(args.reps, || {
             semisort::try_semisort_with_stats(&pairs, &cfg).unwrap().1

@@ -12,7 +12,7 @@ use baselines::{seq_hash_semisort, seq_two_phase_semisort};
 use bench::alloc_track::{measure_peak, TrackingAllocator};
 use bench::fmt::{x2, Table};
 use bench::Args;
-use semisort::{try_semisort_pairs, SemisortConfig};
+use semisort::try_semisort_pairs;
 use workloads::{generate, representative_distributions, Distribution};
 
 #[global_allocator]
@@ -20,7 +20,7 @@ static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
 
     println!(
         "Peak additional heap per algorithm (input is {} × 16 B records)\n",

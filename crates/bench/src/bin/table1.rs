@@ -14,12 +14,12 @@ use bench::timing::time_best_of;
 use bench::Args;
 use parlay::radix_sort::radix_sort_pairs;
 use parlay::with_threads;
-use semisort::{try_semisort_with_stats, SemisortConfig};
+use semisort::try_semisort_with_stats;
 use workloads::{generate, paper_distributions};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
 
     println!(
         "Table 1: semisort vs radix sort, n = {}, threads {:?}, best of {}\n",

@@ -15,14 +15,12 @@ use bench::fmt::{pct1, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::{try_semisort_with_stats, SemisortConfig, SemisortStats};
+use semisort::{try_semisort_with_stats, SemisortStats};
 use workloads::{generate, representative_distributions};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default()
-        .with_seed(args.seed)
-        .with_telemetry(args.telemetry);
+    let cfg = bench::paper_config(args.seed).with_telemetry(args.telemetry);
     let (exp_dist, uni_dist) = representative_distributions(args.n);
     let par_threads = args.max_threads();
 

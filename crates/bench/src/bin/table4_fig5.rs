@@ -12,12 +12,12 @@ use bench::fmt::{s3, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::{try_semisort_pairs, SemisortConfig};
+use semisort::try_semisort_pairs;
 use workloads::{generate, representative_distributions};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
     let par_threads = args.max_threads();
 
     println!(

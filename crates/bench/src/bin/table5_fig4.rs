@@ -15,12 +15,12 @@ use bench::Args;
 use parlay::radix_sort::radix_sort_pairs;
 use parlay::sample_sort::sample_sort_pairs;
 use parlay::with_threads;
-use semisort::{try_semisort_pairs, SemisortConfig};
+use semisort::try_semisort_pairs;
 use workloads::{generate, representative_distributions, Distribution};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
     let par_threads = args.max_threads();
 
     println!(

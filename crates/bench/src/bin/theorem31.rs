@@ -8,12 +8,11 @@
 use bench::fmt::{x2, Table};
 use bench::Args;
 use semisort::analysis::analyze;
-use semisort::SemisortConfig;
 use workloads::{generate, representative_distributions, Distribution};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = SemisortConfig::default().with_seed(args.seed);
+    let cfg = bench::paper_config(args.seed);
 
     println!("Theorem 3.1: operation counts (no timing) across input sizes\n");
 

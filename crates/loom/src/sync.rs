@@ -85,12 +85,6 @@ pub mod atomic {
         u64
     );
     model_atomic!(
-        /// Model-aware `AtomicUsize` (the blocked scatter's slab cursors).
-        AtomicUsize,
-        AtomicUsize,
-        usize
-    );
-    model_atomic!(
         /// Model-aware `AtomicU32`.
         AtomicU32,
         AtomicU32,

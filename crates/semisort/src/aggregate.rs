@@ -9,9 +9,10 @@
 //! 1. hash every key into pooled `(hash, index)` pairs;
 //! 2. Phase 1 (strided sample, sorted) and Phase 2 (the bucket plan), as
 //!    in the driver;
-//! 3. distribute the pairs into **exact** bucket regions with one stable
-//!    counting sort keyed by `plan.bucket_of` — exact counts mean no slot
-//!    arena, no CAS, no overflow, no Las Vegas retry and no pack;
+//! 3. distribute the pairs into **exact** bucket regions with
+//!    [`BucketPlan::distribute_into`](crate::buckets::BucketPlan::distribute_into),
+//!    the driver's default Phase 3 — exact counts mean no slot arena, no
+//!    CAS, no overflow, no Las Vegas retry and no pack;
 //! 4. fold all regions in parallel. A heavy region holds a single hash and
 //!    is folded as it stands; a light region (`O(log² n)` records) is first
 //!    sorted by `(hash, index)` — a stable sort by hash, since indices are
@@ -30,7 +31,6 @@
 
 use std::hash::Hash;
 
-use parlay::counting_sort::counting_sort_into_with;
 use parlay::random::Rng;
 use rayon::prelude::*;
 
@@ -122,13 +122,7 @@ where
             }
             placed.truncate(n);
             placed.resize(n, (0, 0));
-            let starts = counting_sort_into_with(
-                hashed,
-                placed,
-                plan.num_buckets(),
-                |r| plan.bucket_of(r.0) as usize,
-                counting,
-            );
+            let starts = plan.distribute_into(hashed, placed, counting);
             stats.t_scatter = span.finish_into(&mut stats.spans);
             stats.heavy_records = starts[plan.num_heavy];
             stats.light_records = n - stats.heavy_records;

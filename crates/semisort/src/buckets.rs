@@ -18,6 +18,7 @@
 //! all of the buckets"), with each bucket's offset recorded. Sizes are
 //! powers of two so the scatter's wraparound is a mask.
 
+use parlay::counting_sort::{counting_sort_into_with, CountingScratch};
 use parlay::hash_table::PhaseConcurrentMap;
 use rayon::prelude::*;
 
@@ -82,6 +83,36 @@ impl BucketPlan {
         (
             self.prefix_to_bucket[(key >> self.prefix_shift) as usize],
             false,
+        )
+    }
+
+    /// The exact distribution: move every record of `src` into its bucket's
+    /// region of `dst` with one stable counting sort keyed by
+    /// [`Self::bucket_of`], and return the region bounds (bucket `b` holds
+    /// `dst[starts[b]..starts[b + 1]]`, heavy buckets first; the slice
+    /// lives in `scratch` until its next use).
+    ///
+    /// The counts are exact, so unlike the slot arena nothing can
+    /// overflow and nothing needs packing. The sort is stable, so `dst`
+    /// is a function of `src` and the plan alone, at any thread count.
+    /// Both the driver's default path and the by-key aggregation
+    /// distribute through here.
+    ///
+    /// # Panics
+    ///
+    /// If `src.len() != dst.len()`.
+    pub fn distribute_into<'s, V: Copy + Send + Sync>(
+        &self,
+        src: &[(u64, V)],
+        dst: &mut [(u64, V)],
+        scratch: &'s mut CountingScratch,
+    ) -> &'s [usize] {
+        counting_sort_into_with(
+            src,
+            dst,
+            self.num_buckets(),
+            |r| self.bucket_of(r.0) as usize,
+            scratch,
         )
     }
 }
@@ -382,5 +413,95 @@ mod tests {
         let plan = build_plan(&sample, 2624, &c);
         assert_eq!(plan.num_heavy, 1);
         assert!(plan.bucket_size[0] >= 64 * c.sample_stride());
+    }
+
+    /// The plan the driver would build for `records` (strided sample,
+    /// sorted).
+    fn plan_for(records: &[(u64, u64)]) -> BucketPlan {
+        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
+        let mut sample =
+            crate::sample::strided_sample(&keys, cfg().sample_shift, parlay::random::Rng::new(1));
+        sample.sort_unstable();
+        build_plan(&sample, records.len(), &cfg())
+    }
+
+    /// Distribute `records` into a fresh buffer; the region bounds come
+    /// back owned.
+    fn distribute(plan: &BucketPlan, records: &[(u64, u64)]) -> (Vec<(u64, u64)>, Vec<usize>) {
+        let mut out = vec![(0, 0); records.len()];
+        let mut scratch = CountingScratch::default();
+        let starts = plan
+            .distribute_into(records, &mut out, &mut scratch)
+            .to_vec();
+        (out, starts)
+    }
+
+    #[test]
+    fn permutes_into_exact_regions() {
+        let records: Vec<(u64, u64)> = (0..40_000u64).map(|i| (hash64(i % 3000), i)).collect();
+        let plan = plan_for(&records);
+        let (out, starts) = distribute(&plan, &records);
+        assert!(crate::verify::is_permutation_of(&out, &records));
+        assert_eq!(starts.len(), plan.num_buckets() + 1);
+        for b in 0..plan.num_buckets() {
+            for &(key, i) in &out[starts[b]..starts[b + 1]] {
+                assert_eq!(
+                    plan.bucket_of(key) as usize,
+                    b,
+                    "record {i} in wrong region"
+                );
+            }
+            // Stable: within a region, records keep their input order.
+            let region = &out[starts[b]..starts[b + 1]];
+            assert!(region.windows(2).all(|w| w[0].1 < w[1].1));
+        }
+    }
+
+    #[test]
+    fn all_equal_keys_need_no_movement() {
+        let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(7), i)).collect();
+        let plan = plan_for(&records);
+        assert_eq!(plan.num_heavy, 1);
+        let (out, starts) = distribute(&plan, &records);
+        assert_eq!(out, records, "one region, stable order: the identity");
+        assert_eq!(starts[1], records.len(), "the heavy region holds all");
+    }
+
+    #[test]
+    fn empty_input_is_a_no_op() {
+        let plan = build_plan(&[], 0, &cfg());
+        let (out, starts) = distribute(&plan, &[]);
+        assert!(out.is_empty());
+        assert!(starts.iter().all(|&s| s == 0));
+    }
+
+    #[test]
+    fn scratch_is_reused_across_runs() {
+        let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 500), i)).collect();
+        let plan = plan_for(&records);
+        let mut scratch = CountingScratch::default();
+        let mut out = vec![(0, 0); records.len()];
+        plan.distribute_into(&records, &mut out, &mut scratch);
+        let held = scratch.bytes();
+        assert!(held > 0, "a cold scratch must allocate");
+        let first = out.clone();
+        plan.distribute_into(&records, &mut out, &mut scratch);
+        assert_eq!(scratch.bytes(), held, "steady state: no regrowth");
+        assert_eq!(out, first, "stable: the same input lands the same way");
+    }
+
+    #[test]
+    fn scratch_is_far_below_arena() {
+        let records: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
+        let plan = plan_for(&records);
+        let mut scratch = CountingScratch::default();
+        let mut out = vec![(0, 0); records.len()];
+        parlay::with_threads(2, || plan.distribute_into(&records, &mut out, &mut scratch));
+        let arena = crate::scatter::arena_bytes::<u64>(&plan);
+        let held = scratch.bytes();
+        assert!(
+            held * 4 <= arena,
+            "counting scratch {held} not ≥4× below arena {arena}"
+        );
     }
 }

@@ -5,6 +5,9 @@
 //! be 2^16", with the estimator constant `c = 1.25` and the slack factor
 //! `1.1` from Phase 2 ("each bucket with s samples allocates an array of
 //! size 1.1·f(s) with c = 1.25, and rounded up to the nearest power of 2").
+//! The one default that departs from the paper is Phase 3: the exact
+//! distribution ([`ScatterStrategy::Counting`]) replaces its CAS scatter,
+//! which stays selectable as [`ScatterStrategy::RandomCas`].
 
 pub use crate::fault::FaultPlan;
 pub use crate::obs::TelemetryLevel;
@@ -14,8 +17,9 @@ use crate::error::SemisortError;
 /// What the driver does once the Las Vegas machinery of the arena
 /// strategies gives up — the retry budget is exhausted, the arena memory
 /// budget is exceeded, or the arena allocation fails. Retries always happen
-/// first; the policy governs only the terminal step. The in-place scatter
-/// has no terminal step, so the policy never applies to it.
+/// first; the policy governs only the terminal step. The exact
+/// distribution ([`ScatterStrategy::Counting`]) has no terminal step, so
+/// the policy never applies to it.
 ///
 /// `#[non_exhaustive]`: future versions may add policies; match with a
 /// wildcard arm.
@@ -67,72 +71,61 @@ pub enum ProbeStrategy {
 /// How Phase 3 moves records into their buckets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScatterStrategy {
-    /// The paper's Phase 3: every record CASes into a random slot of its
-    /// bucket, probing on collision (see [`ProbeStrategy`]). The default.
+    /// The exact distribution, and the default: one stable counting sort
+    /// keyed by each record's bucket moves every record straight into its
+    /// bucket's region of the output, then each light region is sorted.
+    /// Exact counts mean no slot arena, no CAS, no overflow, no Las Vegas
+    /// retry and no pack, and stability makes the output a function of
+    /// the input and the seed alone, at any thread count. See
+    /// [`BucketPlan::distribute_into`](crate::buckets::BucketPlan::distribute_into).
+    Counting,
+    /// The paper's Phase 3, kept as the reference that reproduces its
+    /// tables: every record CASes into a random slot of its bucket's
+    /// `α`-sized arena, probing on collision (see [`ProbeStrategy`]); a
+    /// full bucket retries the run with doubled α.
     RandomCas,
-    /// Block-buffered scatter: each worker classifies its chunk of records
-    /// into per-bucket software write buffers and flushes full buffers with
-    /// one `fetch_add` slab reservation instead of per-record CAS traffic.
-    /// Buckets whose reserved slab fills fall back to CAS placement in a
-    /// tail region. See `blocked_scatter`.
-    Blocked,
-    /// Arena-free permutation: a counting pass computes exact bucket
-    /// boundaries inside the output buffer, then workers claim hole ranges
-    /// from per-bucket region cursors (`fetch_add`) and move records
-    /// through small per-bucket swap buffers until every region holds only
-    /// its own records. No slot array, no probing, no Las Vegas overflow —
-    /// scratch is O(n/swap_buffer + workers·buckets·swap_buffer) instead
-    /// of O(n·α).
-    /// See `inplace_scatter`.
-    InPlace,
 }
 
-/// Phase 3 backend selection plus every scatter-side tuning knob, grouped
-/// so a strategy and the knobs it reads travel together (and so adding a
-/// knob is not a breaking change to [`SemisortConfig`] construction via
-/// `..Default::default()`).
-///
-/// Which knobs each backend reads:
-///
-/// | field               | `RandomCas` | `Blocked` | `InPlace` |
-/// |---------------------|-------------|-----------|-----------|
-/// | `block`             |      –      |     ✓     |     –     |
-/// | `tail_log2`         |      –      |     ✓     |     –     |
-/// | `prefetch_distance` |      ✓      |     ✓     |     –     |
-/// | `swap_buffer`       |      –      |     –     |     ✓     |
+impl ScatterStrategy {
+    /// Parse a CLI spelling (`counting`, `random-cas`, or its alias `cas`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "counting" => Some(ScatterStrategy::Counting),
+            "random-cas" | "cas" => Some(ScatterStrategy::RandomCas),
+            _ => None,
+        }
+    }
+
+    /// The CLI (and stats JSON) spelling of this strategy.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ScatterStrategy::Counting => "counting",
+            ScatterStrategy::RandomCas => "random-cas",
+        }
+    }
+}
+
+/// Phase 3 backend selection plus the knob it reads, grouped so that
+/// adding a knob is not a breaking change to [`SemisortConfig`]
+/// construction via `..Default::default()`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScatterConfig {
-    /// Which Phase 3 implementation to run; default the paper's
-    /// [`ScatterStrategy::RandomCas`].
+    /// Which Phase 3 implementation to run; default the exact
+    /// [`ScatterStrategy::Counting`].
     pub strategy: ScatterStrategy,
-    /// Records per per-worker write-buffer block in the blocked scatter;
-    /// default 32 (512 bytes of `(u64, u64)` records — eight cache lines,
-    /// so a flush is a whole-line burst). Must be a power of two.
-    pub block: usize,
-    /// In the blocked scatter, each bucket reserves its last
-    /// `size / 2^tail_log2` slots as the CAS-fallback tail (the slab
-    /// cursor allocates only below it); default 3 (tail = size/8).
-    pub tail_log2: u32,
-    /// How many records ahead of the store the CAS/slab scatters compute
-    /// the hash→slot mapping and issue a software prefetch for the target
-    /// cache line; default 8, `0` disables prefetching. Capped at 64 —
-    /// beyond that the lines fall out of the fill buffers before use.
+    /// [`ScatterStrategy::RandomCas`] only: how many records ahead of the
+    /// store the scatter computes the hash→slot mapping and issues a
+    /// software prefetch for the target cache line; default 8, `0`
+    /// disables prefetching. Capped at 64 — beyond that the lines fall out
+    /// of the fill buffers before use.
     pub prefetch_distance: usize,
-    /// Records per per-bucket swap buffer in the in-place scatter: a
-    /// worker batches this many displaced records per destination bucket
-    /// before claiming a hole range to flush them into; default 32. Must
-    /// be a power of two in `1..=4096`.
-    pub swap_buffer: usize,
 }
 
 impl Default for ScatterConfig {
     fn default() -> Self {
         ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
-            block: 32,
-            tail_log2: 3,
+            strategy: ScatterStrategy::Counting,
             prefetch_distance: 8,
-            swap_buffer: 32,
         }
     }
 }
@@ -156,7 +149,7 @@ pub enum LocalSortAlgo {
 }
 
 /// Configuration for the semisort. `Default::default()` reproduces the
-/// paper's shipped constants.
+/// paper's shipped constants, with the exact distribution as Phase 3.
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfig {
     /// Sampling probability is `1/2^sample_shift`; default 4 (p = 1/16).
@@ -179,9 +172,8 @@ pub struct SemisortConfig {
     pub merge_light_buckets: bool,
     /// Collision handling in the scatter; default linear probing.
     pub probe_strategy: ProbeStrategy,
-    /// Phase 3 backend and its tuning knobs — strategy, block width,
-    /// CAS-tail exponent, prefetch distance, in-place swap-buffer size —
-    /// grouped in one validated sub-struct (see [`ScatterConfig`]).
+    /// Phase 3 backend and its prefetch distance, grouped in one validated
+    /// sub-struct (see [`ScatterConfig`]).
     pub scatter: ScatterConfig,
     /// Light-bucket sorting algorithm; default `StdUnstable`.
     pub local_sort_algo: LocalSortAlgo,
@@ -195,19 +187,19 @@ pub struct SemisortConfig {
     /// before growing α; default 3, must be < 32 (α growth is `2^attempt`).
     /// Each retry re-randomizes scatter positions and doubles the
     /// overflowing run's slack. What happens when the budget runs out is
-    /// governed by `overflow_policy`. Arena strategies only: the in-place
-    /// scatter cannot overflow and never retries.
+    /// governed by `overflow_policy`. [`ScatterStrategy::RandomCas`] only:
+    /// the exact distribution cannot overflow and never retries.
     pub max_retries: u32,
     /// What to do when retries are exhausted, the arena budget is
     /// exceeded, or the arena allocation fails; default
     /// [`OverflowPolicy::Fallback`] (degrade, never crash).
     pub overflow_policy: OverflowPolicy,
-    /// Upper bound in bytes on the scatter arena (slot array) of the arena
-    /// strategies. α-doubling across retries grows the arena; a plan whose
-    /// arena would exceed this budget triggers early degradation per
-    /// `overflow_policy` instead of an oversized allocation. The in-place
-    /// scatter holds no arena and ignores it. Default `usize::MAX`
-    /// (unlimited).
+    /// Upper bound in bytes on the scatter arena (slot array) of
+    /// [`ScatterStrategy::RandomCas`]. α-doubling across retries grows the
+    /// arena; a plan whose arena would exceed this budget triggers early
+    /// degradation per `overflow_policy` instead of an oversized
+    /// allocation. The exact distribution holds no arena and ignores it.
+    /// Default `usize::MAX` (unlimited).
     pub max_arena_bytes: usize,
     /// Upper bound in bytes on the scratch memory a
     /// [`Semisorter`](crate::engine::Semisorter) *retains between calls*
@@ -352,22 +344,8 @@ impl SemisortConfig {
         check(self.alpha > 1.0, "α must exceed 1 for scatter termination")?;
         check(self.c > 0.0, "estimator constant c must be positive")?;
         check(
-            self.scatter.block >= 1 && self.scatter.block.is_power_of_two(),
-            "scatter.block must be a power of two",
-        )?;
-        check(
-            self.scatter.tail_log2 >= 1 && self.scatter.tail_log2 <= 16,
-            "scatter.tail_log2 must be in 1..=16",
-        )?;
-        check(
             self.scatter.prefetch_distance <= 64,
             "scatter.prefetch_distance must be <= 64 (0 disables)",
-        )?;
-        check(
-            self.scatter.swap_buffer >= 1
-                && self.scatter.swap_buffer <= 4096
-                && self.scatter.swap_buffer.is_power_of_two(),
-            "scatter.swap_buffer must be a power of two in 1..=4096",
         )?;
         // α grows as 2^attempt across retries; 32 doublings already
         // overflows any conceivable arena budget, and an unbounded retry
@@ -439,8 +417,8 @@ impl SemisortConfigBuilder {
         merge_light_buckets: bool,
         /// Set the scatter collision-probe strategy.
         probe_strategy: ProbeStrategy,
-        /// Set the whole Phase 3 scatter sub-config (strategy + knobs) in
-        /// one call; see [`ScatterConfig`].
+        /// Set the whole Phase 3 scatter sub-config (strategy + prefetch
+        /// distance) in one call; see [`ScatterConfig`].
         scatter: ScatterConfig,
         /// Set the light-bucket sorting algorithm.
         local_sort_algo: LocalSortAlgo,
@@ -496,25 +474,10 @@ mod tests {
         assert!((c.c - 1.25).abs() < 1e-12);
         assert!(c.merge_light_buckets);
         assert_eq!(c.probe_strategy, ProbeStrategy::Linear);
-        assert_eq!(c.scatter.strategy, ScatterStrategy::RandomCas);
-        assert_eq!(c.scatter.block, 32);
-        assert_eq!(c.scatter.tail_log2, 3);
+        assert_eq!(c.scatter.strategy, ScatterStrategy::Counting);
         assert_eq!(c.scatter.prefetch_distance, 8);
-        assert_eq!(c.scatter.swap_buffer, 32);
         assert_eq!(c.telemetry, TelemetryLevel::Off);
         assert!(c.try_validate().is_ok());
-    }
-
-    #[test]
-    fn non_power_of_two_block_rejected() {
-        let cfg = SemisortConfig {
-            scatter: ScatterConfig {
-                block: 12,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(rejection(cfg).contains("scatter.block must be a power of two"));
     }
 
     #[test]
@@ -535,36 +498,19 @@ mod tests {
         })
         .try_validate()
         .is_ok());
-        assert!(from(ScatterConfig {
-            swap_buffer: 0,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 3,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 8192,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 1,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_ok());
-        assert!(from(ScatterConfig {
-            tail_log2: 0,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
+    }
+
+    #[test]
+    fn strategy_spellings_round_trip() {
+        for st in [ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
+            assert_eq!(ScatterStrategy::parse(st.as_str()), Some(st));
+        }
+        assert_eq!(
+            ScatterStrategy::parse("cas"),
+            Some(ScatterStrategy::RandomCas)
+        );
+        assert_eq!(ScatterStrategy::parse("blocked"), None);
+        assert_eq!(ScatterStrategy::parse("inplace"), None);
     }
 
     #[test]
@@ -625,7 +571,7 @@ mod tests {
             .seed(7)
             .alpha(1.5)
             .scatter(ScatterConfig {
-                strategy: ScatterStrategy::Blocked,
+                strategy: ScatterStrategy::RandomCas,
                 ..Default::default()
             })
             .max_scratch_bytes(1 << 20)
@@ -633,7 +579,7 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.seed, 7);
         assert!((cfg.alpha - 1.5).abs() < 1e-12);
-        assert_eq!(cfg.scatter.strategy, ScatterStrategy::Blocked);
+        assert_eq!(cfg.scatter.strategy, ScatterStrategy::RandomCas);
         assert_eq!(cfg.max_scratch_bytes, 1 << 20);
     }
 
@@ -652,7 +598,7 @@ mod tests {
         assert!(SemisortConfig::builder().alpha(1.0).build().is_err());
         assert!(SemisortConfig::builder()
             .scatter(ScatterConfig {
-                block: 12,
+                prefetch_distance: 65,
                 ..Default::default()
             })
             .build()

@@ -10,8 +10,7 @@
 //! - **Forced scatter overflow** — the scatter reports a Corollary 3.4
 //!   bucket overflow for the first record routed to a bucket of the chosen
 //!   [`FaultClass`], exercising the real `OverflowCapture` → retry → α
-//!   growth machinery in both [`crate::scatter`] and
-//!   [`crate::blocked_scatter`].
+//!   growth machinery in [`crate::scatter`].
 //! - **Failed arena allocation** — `try_allocate_arena` reports allocator
 //!   refusal without asking the allocator, driving the alloc-failure arm of
 //!   the escalation policy.
@@ -24,9 +23,9 @@
 //!   layer (DESIGN.md §14) and the no-dangling-leases guarantee of
 //!   [`crate::pool::ScratchPool`].
 //!
-//! The first three faults target the arena path (`RandomCas`, `Blocked`)
-//! and are inert under `InPlace`, which has no arena, no overflow and no
-//! retry ladder; the forced panic fires on both paths.
+//! The first three faults target the arena path (`RandomCas`) and are
+//! inert under `Counting`, which has no arena, no overflow and no retry
+//! ladder; the forced panic fires on both paths.
 //!
 //! Faults are armed per attempt: each knob fires on the first *k* attempts
 //! of a run (attempts are 0-based internally; `k = 1` faults only the

@@ -12,7 +12,9 @@
 //! slice of the hash range for light keys (sizes from the high-probability
 //! estimator [`estimate::f_estimate`]), scatter every record into a random
 //! slot of its bucket with CAS + linear probing, locally sort the light
-//! buckets, and pack.
+//! buckets, and pack. By default this crate replaces the last three steps
+//! with an exact distribution (one stable counting sort by bucket) and a
+//! sort of each light region; the paper's CAS scatter stays selectable.
 //!
 //! # Quick start
 //!
@@ -51,16 +53,18 @@
 //!
 //! # Failure handling
 //!
-//! The arena scatters (the paper's CAS scatter and the blocked variant)
-//! are Las Vegas: a bucket can overflow its allocated slots, in which case
-//! the run retries with doubled slack α. What happens when the retry
-//! budget (or the optional [`SemisortConfig::max_arena_bytes`] memory
-//! budget) is exhausted is governed by [`OverflowPolicy`]: degrade to the
+//! The default Phase 3 ([`ScatterStrategy::Counting`]) distributes
+//! records into exact bucket regions with one stable counting sort: it
+//! cannot overflow and runs once with no retry ladder, as does the fused
+//! by-key aggregation behind `reduce_by_key` / `count_by_key`
+//! ([`aggregate`]), which shares it. The paper's CAS scatter
+//! ([`ScatterStrategy::RandomCas`], kept to reproduce the paper) is Las
+//! Vegas: a bucket can overflow its allocated slots, in which case the run
+//! retries with doubled slack α. What happens when the retry budget (or
+//! the optional [`SemisortConfig::max_arena_bytes`] memory budget) is
+//! exhausted is governed by [`OverflowPolicy`]: degrade to the
 //! deterministic comparison-sort fallback (default) or return a
-//! [`SemisortError`] from the `try_*` entry points. The in-place scatter
-//! counts exactly, cannot overflow, and runs once with no retry ladder;
-//! so does the fused by-key aggregation behind `reduce_by_key` /
-//! `count_by_key` ([`aggregate`]).
+//! [`SemisortError`] from the `try_*` entry points.
 //! The [`fault`] module injects deterministic failures into each phase so
 //! the whole escalation ladder is testable.
 //!
@@ -80,7 +84,6 @@
 pub mod aggregate;
 pub mod analysis;
 pub mod api;
-pub mod blocked_scatter;
 pub mod bounded;
 pub mod buckets;
 pub mod cancel;
@@ -90,7 +93,6 @@ pub mod engine;
 pub mod error;
 pub mod estimate;
 pub mod fault;
-pub mod inplace_scatter;
 pub mod json;
 pub mod local_sort;
 pub mod obs;

@@ -61,6 +61,29 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
         .collect()
 }
 
+/// Sort every light-bucket region of `out` by key, in parallel (heavy
+/// regions hold a single key and need no sort). `starts` are the region
+/// bounds from [`BucketPlan::distribute_into`]. This is Phase 4 of the
+/// exact path, which has no slots to compact and no pack.
+pub fn sort_light_regions<V: Copy + Send + Sync>(
+    out: &mut [(u64, V)],
+    plan: &BucketPlan,
+    starts: &[usize],
+    algo: LocalSortAlgo,
+) {
+    debug_assert_eq!(starts.len(), plan.num_buckets() + 1);
+    let mut rest = &mut out[starts[plan.num_heavy]..];
+    let mut regions = Vec::with_capacity(plan.num_light);
+    for w in starts[plan.num_heavy..].windows(2) {
+        let (region, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        regions.push(region);
+        rest = tail;
+    }
+    regions
+        .into_par_iter()
+        .for_each(|region| sort_records(region, algo));
+}
+
 /// Sort a small record run by key with the configured algorithm.
 pub fn sort_records<V: Copy>(records: &mut [(u64, V)], algo: LocalSortAlgo) {
     match algo {
@@ -161,6 +184,28 @@ mod tests {
         assert!(!out.overflowed);
         let counts = local_sort_light_buckets(&plan, &arena.slots, algo, &sink);
         (plan, arena, counts)
+    }
+
+    #[test]
+    fn sorted_regions_semisort() {
+        let records: Vec<(u64, u64)> = (0..50_000u64)
+            .map(|i| {
+                let k = if i % 2 == 0 { i % 10 } else { 1_000_000 + i };
+                (hash64(k), i)
+            })
+            .collect();
+        let cfg = SemisortConfig::default();
+        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
+        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
+        sample.sort_unstable();
+        let plan = build_plan(&sample, records.len(), &cfg);
+        assert!(plan.num_heavy > 0);
+        let mut out = records.clone();
+        let mut scratch = parlay::counting_sort::CountingScratch::default();
+        let starts = plan.distribute_into(&records, &mut out, &mut scratch);
+        sort_light_regions(&mut out, &plan, starts, LocalSortAlgo::StdUnstable);
+        assert!(crate::verify::is_semisorted_by(&out, |r| r.0));
+        assert!(crate::verify::is_permutation_of(&out, &records));
     }
 
     #[test]

@@ -394,10 +394,9 @@ pub struct RetryCause {
     pub heavy: bool,
     /// Slots allocated to the bucket (its power-of-two size).
     pub allocated: usize,
-    /// Records observed to demand the bucket when the overflow was hit.
-    /// For the blocked scatter this is the slab cursor (exact demand so
-    /// far); for the CAS scatter the bucket is full when placement fails,
-    /// so this is `allocated + 1` — a lower bound on true demand.
+    /// Records observed to demand the bucket when the overflow was hit:
+    /// the bucket is full when placement fails, so this is
+    /// `allocated + 1` — a lower bound on true demand.
     pub observed: usize,
 }
 
@@ -488,8 +487,7 @@ impl OverflowCapture {
 pub struct Telemetry {
     /// Level the run collected at.
     pub level: TelemetryLevel,
-    /// CAS instructions issued across the scatter (including the blocked
-    /// scatter's tail fallback).
+    /// CAS instructions issued across the scatter.
     pub cas_attempts: u64,
     /// CAS instructions that lost their race.
     pub cas_failures: u64,

@@ -50,7 +50,7 @@ const MIN_CHUNK: usize = 4096;
 ///
 /// [`ScatterConfig::prefetch_distance`]: crate::config::ScatterConfig::prefetch_distance
 #[inline(always)]
-pub(crate) fn prefetch<T>(p: *const T) {
+fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is a pure cache hint with no memory access
     // semantics; it is defined for any address value.
@@ -380,10 +380,9 @@ pub fn scatter<V: Copy + Send + Sync>(
 }
 
 /// CAS at `start`, then linear probing with wraparound. Fails only if the
-/// bucket is completely full. Shared with the blocked scatter, which uses
-/// it for its CAS-fallback tail region.
+/// bucket is completely full.
 #[inline]
-pub(crate) fn place_linear<V: Copy>(
+fn place_linear<V: Copy>(
     bucket: &[Slot<V>],
     start: usize,
     mask: usize,

@@ -29,8 +29,7 @@
 //!     "sample_shift": 4, "heavy_threshold": 16, "light_bucket_log2": 16,
 //!     "alpha": 1.1, "c": 1.25, "merge_light_buckets": true,
 //!     "probe_strategy": "linear", "scatter_strategy": "random-cas",
-//!     "scatter_block": 16, "blocked_tail_log2": 3,
-//!     "prefetch_distance": 8, "swap_buffer": 32,
+//!     "prefetch_distance": 8,
 //!     "local_sort_algo": "std-unstable", "seed": 42,
 //!     "seq_threshold": 8192, "max_retries": 3, "telemetry": "deep",
 //!     "overflow_policy": "fallback", "max_arena_bytes": null,
@@ -45,9 +44,7 @@
 //!   "counters": {
 //!     "sample_size": 62500, "heavy_keys": 5, "light_buckets": 4096,
 //!     "heavy_records": 500000, "light_records": 500000,
-//!     "total_slots": 1300000, "retries": 0, "blocks_flushed": 0,
-//!     "slab_overflows": 0, "fallback_records": 0,
-//!     "inplace_cycles": 0, "swap_buffer_flushes": 0,
+//!     "total_slots": 1300000, "retries": 0,
 //!     "scratch_bytes_held": 20800000, "scratch_reuse_hits": 1,
 //!     "scratch_grows": 0
 //!   },
@@ -110,7 +107,7 @@ use std::time::Duration;
 
 use rayon::trace::SchedulerStats;
 
-use crate::config::{LocalSortAlgo, ProbeStrategy, ScatterStrategy, SemisortConfig};
+use crate::config::{LocalSortAlgo, ProbeStrategy, SemisortConfig};
 use crate::error::DegradeReason;
 use crate::json::Json;
 use crate::obs::{ServiceSnapshot, SpanRecord, Telemetry};
@@ -145,20 +142,14 @@ pub struct SemisortStats {
     pub total_slots: usize,
     /// Las Vegas restarts that were needed (almost always 0).
     pub retries: u32,
-    /// Blocked scatter only: buffer flushes that reserved slab space with a
-    /// single `fetch_add` (0 under `ScatterStrategy::RandomCas`).
+    /// Always 0: counted the flushes of a block-buffered scatter that no
+    /// strategy runs any more. Kept (and left out of the JSON) only so
+    /// existing readers of this field still compile.
     pub blocks_flushed: usize,
-    /// Blocked scatter only: flushes whose slab reservation overflowed into
-    /// the CAS tail.
-    pub slab_overflows: usize,
-    /// Blocked scatter only: records placed by the per-record CAS fallback.
-    pub fallback_records: usize,
-    /// In-place scatter only: positions claimed from bucket cursors during
-    /// the cycle-following permutation (each claim opens or extends one
-    /// displacement chain; 0 under the arena-backed strategies).
+    /// Always 0, as [`Self::blocks_flushed`] (an in-place scatter's claims).
     pub inplace_cycles: usize,
-    /// In-place scatter only: times a worker's per-bucket swap buffer
-    /// filled and was written back through the claim/displace protocol.
+    /// Always 0, as [`Self::blocks_flushed`] (an in-place scatter's swap
+    /// buffer flushes).
     pub swap_buffer_flushes: usize,
     /// Bytes of scratch the [`ScratchPool`](crate::pool::ScratchPool)
     /// retains after this call (post `max_scratch_bytes` enforcement).
@@ -277,24 +268,11 @@ impl SemisortStats {
             ),
             (
                 "scatter_strategy".into(),
-                Json::str(match cfg.scatter.strategy {
-                    ScatterStrategy::RandomCas => "random-cas",
-                    ScatterStrategy::Blocked => "blocked",
-                    ScatterStrategy::InPlace => "inplace",
-                }),
-            ),
-            ("scatter_block".into(), Json::num(cfg.scatter.block as u64)),
-            (
-                "blocked_tail_log2".into(),
-                Json::num(cfg.scatter.tail_log2 as u64),
+                Json::str(cfg.scatter.strategy.as_str()),
             ),
             (
                 "prefetch_distance".into(),
                 Json::num(cfg.scatter.prefetch_distance as u64),
-            ),
-            (
-                "swap_buffer".into(),
-                Json::num(cfg.scatter.swap_buffer as u64),
             ),
             (
                 "local_sort_algo".into(),
@@ -359,26 +337,6 @@ impl SemisortStats {
             ("light_records".into(), Json::num(self.light_records as u64)),
             ("total_slots".into(), Json::num(self.total_slots as u64)),
             ("retries".into(), Json::num(self.retries as u64)),
-            (
-                "blocks_flushed".into(),
-                Json::num(self.blocks_flushed as u64),
-            ),
-            (
-                "slab_overflows".into(),
-                Json::num(self.slab_overflows as u64),
-            ),
-            (
-                "fallback_records".into(),
-                Json::num(self.fallback_records as u64),
-            ),
-            (
-                "inplace_cycles".into(),
-                Json::num(self.inplace_cycles as u64),
-            ),
-            (
-                "swap_buffer_flushes".into(),
-                Json::num(self.swap_buffer_flushes as u64),
-            ),
             (
                 "scratch_bytes_held".into(),
                 Json::num(self.scratch_bytes_held as u64),
@@ -566,8 +524,6 @@ mod tests {
         let s = SemisortStats::default();
         assert_eq!(s.light_records, 0);
         assert_eq!(s.blocks_flushed, 0);
-        assert_eq!(s.slab_overflows, 0);
-        assert_eq!(s.fallback_records, 0);
         assert_eq!(s.inplace_cycles, 0);
         assert_eq!(s.swap_buffer_flushes, 0);
     }

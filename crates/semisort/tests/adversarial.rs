@@ -17,6 +17,16 @@ fn cfg() -> SemisortConfig {
     SemisortConfig::default()
 }
 
+fn random_cas() -> SemisortConfig {
+    SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..Default::default()
+    }
+}
+
 #[test]
 fn all_keys_share_one_light_prefix() {
     // Every key lands in the same light bucket's prefix class (top 16 bits
@@ -115,9 +125,10 @@ fn saw_tooth_arrangement_defeats_strided_sampling_bias() {
 
 #[test]
 fn tiny_alpha_large_skew_converges_via_retries() {
+    // α is the RandomCas arena's slack; the exact distribution ignores it.
     let cfg = SemisortConfig {
         alpha: 1.001,
-        ..Default::default()
+        ..random_cas()
     };
     let recs: Vec<(u64, u64)> = (0..100_000u64)
         .map(|i| (parlay::hash64(i % 31) | 1, i))
@@ -188,68 +199,10 @@ fn config_extremes() {
 }
 
 #[test]
-fn blocked_slab_overflow_is_forced_and_survived() {
-    // Adversarial setup for the blocked scatter: reserve half of every
-    // bucket as the CAS tail (blocked_tail_log2 = 1), so the slab holds at
-    // most size/2 slots while buckets are sized ≈ α·count — the slab
-    // cursor *must* run out on the big heavy buckets and spill into the
-    // per-record CAS fallback. The output must still be a valid semisort
-    // and the overflow telemetry must record the event.
-    let recs: Vec<(u64, u64)> = (0..120_000u64)
-        .map(|i| (parlay::hash64(i % 5) | 1, i))
-        .collect();
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::Blocked,
-            tail_log2: 1,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
-    let (out, stats) = try_semisort_with_stats(&recs, &cfg).unwrap();
-    assert!(is_semisorted_by(&out, |r| r.0));
-    assert!(is_permutation_of(&out, &recs));
-    assert!(
-        stats.slab_overflows > 0,
-        "a half-size slab must overflow on 24k-record buckets"
-    );
-    assert!(
-        stats.fallback_records > 0,
-        "overflowing flushes must route records through the CAS tail"
-    );
-    assert_eq!(stats.retries, 0, "the tail must absorb the spill");
-}
-
-#[test]
-fn blocked_tail_exhaustion_retries_like_cas_overflow() {
-    // α barely above 1 under the blocked strategy: slab + tail together
-    // barely fit the records, so some run overflows entirely and the Las
-    // Vegas loop must converge by doubling α — same contract as the CAS
-    // path's overflow.
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::Blocked,
-            ..ScatterConfig::default()
-        },
-        alpha: 1.001,
-        ..Default::default()
-    };
-    let recs: Vec<(u64, u64)> = (0..100_000u64)
-        .map(|i| (parlay::hash64(i % 31) | 1, i))
-        .collect();
-    check(&recs, &cfg);
-}
-
-#[test]
-fn blocked_strategy_survives_the_adversarial_gauntlet() {
-    // The structural attacks above, replayed under the blocked scatter.
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::Blocked,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
+fn random_cas_survives_the_adversarial_gauntlet() {
+    // The structural attacks above, replayed under the paper's CAS
+    // scatter, where a skewed input can overflow a bucket and retry.
+    let cfg = random_cas();
     let light_prefix: Vec<(u64, u64)> = (0..120_000u64).map(|i| (i + 1, i)).collect();
     check(&light_prefix, &cfg);
     let mut geometric: Vec<(u64, u64)> = Vec::new();
@@ -267,47 +220,6 @@ fn blocked_strategy_survives_the_adversarial_gauntlet() {
         sentinels.push((u64::MAX - (i % 64), i));
     }
     check(&sentinels, &cfg);
-}
-
-#[test]
-fn inplace_strategy_survives_the_adversarial_gauntlet() {
-    // The structural attacks above, replayed under the in-place scatter:
-    // exact counting makes organic overflow impossible, so these exercise
-    // the permutation loop (fixed-point runs, strand/reconcile) instead.
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::InPlace,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
-    let light_prefix: Vec<(u64, u64)> = (0..120_000u64).map(|i| (i + 1, i)).collect();
-    check(&light_prefix, &cfg);
-    let mut geometric: Vec<(u64, u64)> = Vec::new();
-    let mut payload = 0u64;
-    for j in 0..17u64 {
-        for _ in 0..(1u64 << j) {
-            geometric.push((parlay::hash64(j), payload));
-            payload += 1;
-        }
-    }
-    check(&geometric, &cfg);
-    let mut sentinels: Vec<(u64, u64)> = Vec::new();
-    for i in 0..40_000u64 {
-        sentinels.push((i % 64, i));
-        sentinels.push((u64::MAX - (i % 64), i));
-    }
-    check(&sentinels, &cfg);
-    // Tiny swap buffers shrink every displacement chain to single records.
-    let tiny = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::InPlace,
-            swap_buffer: 1,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
-    check(&sentinels, &tiny);
 }
 
 #[test]

@@ -116,24 +116,20 @@ fn scatter_strategy_is_ignored() {
     let n = 100_000;
     for (name, dist) in distributions(n) {
         let items = generate(dist, n, SEED);
-        let outputs: Vec<_> = [
-            ScatterStrategy::RandomCas,
-            ScatterStrategy::Blocked,
-            ScatterStrategy::InPlace,
-        ]
-        .into_iter()
-        .map(|strategy| {
-            let cfg = SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy,
-                    ..ScatterConfig::default()
-                },
-                ..cfg()
-            };
-            let label = format!("{name} {strategy:?}");
-            parlay::with_threads(2, || check(&items, cfg, &label))
-        })
-        .collect();
+        let outputs: Vec<_> = [ScatterStrategy::Counting, ScatterStrategy::RandomCas]
+            .into_iter()
+            .map(|strategy| {
+                let cfg = SemisortConfig {
+                    scatter: ScatterConfig {
+                        strategy,
+                        ..ScatterConfig::default()
+                    },
+                    ..cfg()
+                };
+                let label = format!("{name} {strategy:?}");
+                parlay::with_threads(2, || check(&items, cfg, &label))
+            })
+            .collect();
         assert!(
             outputs.windows(2).all(|w| w[0] == w[1]),
             "{name}: strategies disagree"

@@ -4,7 +4,8 @@
 //! 1. **Equivalence** — engine calls produce output identical to the
 //!    one-shot `try_*` API, across ~100 consecutive calls over varied
 //!    sizes and key distributions (byte-identical under one thread, where
-//!    the Las Vegas scatter is deterministic for a fixed seed).
+//!    the Las Vegas scatter is deterministic for a fixed seed; the exact
+//!    distribution is deterministic at any thread count).
 //! 2. **Stabilization** — `scratch_grows` drops to zero once the pool has
 //!    seen its high-water-mark input; smaller inputs never grow it.
 //! 3. **Resilience** — reuse survives both scatter strategies and a
@@ -50,11 +51,7 @@ fn assert_valid(out: &[(u64, u64)], input: &[(u64, u64)]) {
 /// semantics" is literal equality).
 #[test]
 fn hundred_calls_match_one_shot_api() {
-    for &strategy in &[
-        ScatterStrategy::RandomCas,
-        ScatterStrategy::Blocked,
-        ScatterStrategy::InPlace,
-    ] {
+    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
         let cfg = SemisortConfig::builder()
             .seed(7)
             .scatter(ScatterConfig {
@@ -146,11 +143,7 @@ fn grows_stabilize_after_high_water_mark() {
 /// distribution and whatever scatter strategy the config names.
 #[test]
 fn count_by_key_reuses_scratch() {
-    for &strategy in &[
-        ScatterStrategy::RandomCas,
-        ScatterStrategy::Blocked,
-        ScatterStrategy::InPlace,
-    ] {
+    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
         let cfg = SemisortConfig::builder()
             .scatter(ScatterConfig {
                 strategy,
@@ -216,11 +209,7 @@ fn scratch_counters_reach_stats_json() {
 /// Reuse counters behave identically under both scatter strategies.
 #[test]
 fn reuse_holds_for_both_scatter_strategies() {
-    for &strategy in &[
-        ScatterStrategy::RandomCas,
-        ScatterStrategy::Blocked,
-        ScatterStrategy::InPlace,
-    ] {
+    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
         let cfg = SemisortConfig::builder()
             .scatter(ScatterConfig {
                 strategy,
@@ -231,54 +220,55 @@ fn reuse_holds_for_both_scatter_strategies() {
         let mut engine = Semisorter::new(cfg).unwrap();
         let recs = workload(40_000, 4);
         engine.sort_pairs(&recs).unwrap();
+        let held = engine.scratch_bytes_held();
+        assert!(held > 0, "{strategy:?}");
         for _ in 0..3 {
             let out = engine.sort_pairs(&recs).unwrap();
             assert_valid(&out, &recs);
             assert_eq!(engine.last_stats().scratch_grows, 0, "{strategy:?}");
             assert!(engine.last_stats().scratch_reuse_hits >= 1, "{strategy:?}");
+            assert_eq!(engine.scratch_bytes_held(), held, "{strategy:?}");
         }
     }
 }
 
 /// A fault-forced degraded run (retry budget exhausted ⇒ comparison-sort
 /// fallback) must return its leases: the pool stays warm and the next
-/// clean engine keeps reusing. Exercised for both arena strategies (the
-/// in-place scatter has no fallback to force) and for the
-/// injected-allocation-failure path.
+/// clean engine keeps reusing. Exercised for the arena strategy (the
+/// exact distribution has no fallback to force), through both the forced
+/// overflow and the injected-allocation-failure path.
 #[test]
 fn reuse_survives_fault_injected_fallback() {
-    for &strategy in &[ScatterStrategy::RandomCas, ScatterStrategy::Blocked] {
-        for fault in ["force-overflow:31", "fail-alloc:31"] {
-            let cfg = SemisortConfig::builder()
-                .scatter(ScatterConfig {
-                    strategy,
-                    ..ScatterConfig::default()
-                })
-                .fault(FaultPlan::parse(fault).unwrap())
-                .build()
-                .unwrap();
-            let mut engine = Semisorter::new(cfg).unwrap();
-            let recs = workload(30_000, 4);
-            // Warm the pool with a degraded run.
-            let out = engine.sort_pairs(&recs).unwrap();
-            assert_valid(&out, &recs);
-            assert!(
-                engine.last_stats().degraded,
-                "{strategy:?}/{fault}: fault plan should force the fallback"
-            );
-            let held = engine.scratch_bytes_held();
-            // Degraded again, but now on a warm pool: no new growth. (The
-            // fail-alloc plan rejects leases without freeing pooled
-            // memory, so grows stays 0 there too.)
-            let out = engine.sort_pairs(&recs).unwrap();
-            assert_valid(&out, &recs);
-            assert_eq!(
-                engine.last_stats().scratch_grows,
-                0,
-                "{strategy:?}/{fault}: fallback must return its leases"
-            );
-            assert_eq!(engine.scratch_bytes_held(), held, "{strategy:?}/{fault}");
-        }
+    for fault in ["force-overflow:31", "fail-alloc:31"] {
+        let cfg = SemisortConfig::builder()
+            .scatter(ScatterConfig {
+                strategy: ScatterStrategy::RandomCas,
+                ..ScatterConfig::default()
+            })
+            .fault(FaultPlan::parse(fault).unwrap())
+            .build()
+            .unwrap();
+        let mut engine = Semisorter::new(cfg).unwrap();
+        let recs = workload(30_000, 4);
+        // Warm the pool with a degraded run.
+        let out = engine.sort_pairs(&recs).unwrap();
+        assert_valid(&out, &recs);
+        assert!(
+            engine.last_stats().degraded,
+            "{fault}: fault plan should force the fallback"
+        );
+        let held = engine.scratch_bytes_held();
+        // Degraded again, but now on a warm pool: no new growth. (The
+        // fail-alloc plan rejects leases without freeing pooled memory,
+        // so grows stays 0 there too.)
+        let out = engine.sort_pairs(&recs).unwrap();
+        assert_valid(&out, &recs);
+        assert_eq!(
+            engine.last_stats().scratch_grows,
+            0,
+            "{fault}: fallback must return its leases"
+        );
+        assert_eq!(engine.scratch_bytes_held(), held, "{fault}");
     }
 }
 
@@ -319,14 +309,14 @@ fn builder_and_engine_reject_invalid_configs() {
 
     let bad = SemisortConfig {
         scatter: ScatterConfig {
-            block: 100, // not a power of two
+            prefetch_distance: 100, // above the cap of 64
             ..ScatterConfig::default()
         },
         ..SemisortConfig::default()
     };
     match Semisorter::new(bad) {
         Err(SemisortError::InvalidConfig { reason }) => {
-            assert!(reason.contains("power of two"), "{reason}");
+            assert!(reason.contains("prefetch_distance"), "{reason}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }

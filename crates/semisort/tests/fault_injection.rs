@@ -1,5 +1,5 @@
 //! Chaos tests: drive every escalation transition of the Las Vegas retry
-//! loop deterministically, for both arena scatter strategies, via the
+//! loop deterministically, for the arena scatter (`RandomCas`), via the
 //! config's [`FaultPlan`].
 //!
 //! The four terminal outcomes under test:
@@ -12,9 +12,9 @@
 //! 4. **budget-clamp** — `max_arena_bytes` stops the α-doubling geometry
 //!    before the retry budget is spent.
 //!
-//! The in-place scatter has no ladder: it counts exactly, holds no arena,
-//! and runs once, so the arena faults and the arena budget are inert
-//! under it.
+//! The exact distribution (`Counting`) has no ladder: it counts exactly,
+//! holds no arena, and runs once, so the arena faults and the arena
+//! budget are inert under it.
 
 use parlay::hash64;
 use semisort::{
@@ -25,8 +25,7 @@ use semisort::{
 /// The strategies that scatter into an `α`-sized slot arena, which can
 /// overflow (so they run inside the retry loop) and whose allocation
 /// geometry α-doubling and sample corruption change.
-const ARENA_STRATEGIES: [ScatterStrategy; 2] =
-    [ScatterStrategy::RandomCas, ScatterStrategy::Blocked];
+const ARENA_STRATEGIES: [ScatterStrategy; 1] = [ScatterStrategy::RandomCas];
 
 /// Half heavy (10 hot keys), half light — both bucket classes populated,
 /// so class-targeted faults have something to hit.
@@ -254,22 +253,22 @@ fn arena_budget_clamps_alpha_doubling() {
     }
 }
 
-// ─────────────────────── in-place: no ladder ────────────────────────────
+// ─────────────────────── counting: no ladder ────────────────────────────
 
 #[test]
-fn in_place_ignores_arena_faults_and_budget() {
+fn counting_ignores_arena_faults_and_budget() {
     // Under the Error policy any fault that fired would surface as `Err`;
-    // the in-place run must instead complete untouched on its first and
+    // the exact run must instead complete untouched on its first and
     // only pass.
     let recs = mixed_workload(100_000);
-    let in_place = |spec| cfg(ScatterStrategy::InPlace, spec);
+    let exact = |spec| cfg(ScatterStrategy::Counting, spec);
     let cases = [
-        ("force-overflow:31", in_place("force-overflow:31")),
-        ("fail-alloc:1", in_place("fail-alloc:1")),
-        ("corrupt-sample:1", in_place("corrupt-sample:1")),
+        ("force-overflow:31", exact("force-overflow:31")),
+        ("fail-alloc:1", exact("fail-alloc:1")),
+        ("corrupt-sample:1", exact("corrupt-sample:1")),
         (
             "max_arena_bytes: 1024",
-            in_place("none").with_max_arena_bytes(1024),
+            exact("none").with_max_arena_bytes(1024),
         ),
     ];
     for (case, c) in cases {

@@ -13,8 +13,8 @@
 //! - the `RawBuf` monotonic arena: alloc / lease / grow / trim, the
 //!   dirty-prefix re-zero boundary, and the Drop/free recursion regression
 //!   from PR 4 (`free` resets field-by-field so `Drop` cannot re-enter it);
-//! - both scatter strategies (CAS + linear/random probing, and the blocked
-//!   fetch_add-slab scatter with its CAS-fallback tail);
+//! - both scatter strategies (CAS + linear/random probing into the arena,
+//!   and the exact counting-sort distribution with its region sort);
 //! - the pack phase (interval compaction + `spare_capacity_mut` writes +
 //!   `set_len`);
 //! - the fault-injection escalation ladder (forced overflow → retry,
@@ -33,18 +33,22 @@ use semisort::verify::{is_permutation_of, is_semisorted_by};
 use semisort::{FaultClass, FaultPlan};
 
 /// Records per test input: small enough for Miri's interpreter, large
-/// enough to exercise heavy and light buckets, probe clusters, and block
-/// flushes (the blocked scatter's default block is 16 records).
+/// enough to exercise heavy and light buckets and probe clusters.
 const N: usize = if cfg!(miri) { 2_000 } else { 32_000 };
 
 /// A config whose sequential cutoff and heavy threshold sit far below
 /// [`N`], so the suite runs the real five-phase pipeline (with both bucket
-/// classes populated), not the fallback sort.
+/// classes populated), not the fallback sort. It pins the arena path
+/// (`RandomCas`), which holds most of the crate's `unsafe`.
 fn small_cfg() -> SemisortConfig {
     SemisortConfig::builder()
         .seq_threshold(64)
         .heavy_threshold(2)
         .seed(0x13_5eed)
+        .scatter(ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        })
         .build()
         .unwrap()
 }
@@ -59,20 +63,6 @@ fn mixed_records(n: usize) -> Vec<(u64, u64)> {
             let k = if i % 3 == 0 { i % 24 } else { 1_000_000 + i };
             (parlay::hash64(k), i)
         })
-        .collect()
-}
-
-/// Records for the tiny-tail test: sized so each of the 3 dominant
-/// buckets' demand lands in the upper half of its power-of-two slot array,
-/// which is what makes a half-size slab (tail = size/2) run out. Verified
-/// to produce `fallback_records > 0` at both scales.
-const N_SKEW: usize = if cfg!(miri) { 1_800 } else { 28_800 };
-
-/// A skewed workload: all records land on 3 dominant keys (the
-/// adversarial shape that forces slab pressure in the blocked scatter).
-fn skewed_records(n: usize) -> Vec<(u64, u64)> {
-    (0..n as u64)
-        .map(|i| (parlay::hash64(i % 3) | 1, i))
         .collect()
 }
 
@@ -116,31 +106,6 @@ fn rawbuf_lease_is_zeroed_then_reused_dirty() {
     }
     assert_eq!(buf.bytes(), held, "monotonic: smaller leases never shrink");
     assert_eq!((c.grows, c.reuse_hits), (1, 2));
-}
-
-#[test]
-fn rawbuf_grow_preserve_then_partial_view() {
-    // The blocked scatter's slab store interleaves grow_preserve (typed
-    // record writes) with length-bounded reads of only the written prefix;
-    // replay that sequence on one buffer.
-    let mut buf = RawBuf::new();
-    buf.grow_preserve(16 * std::mem::size_of::<(u64, u64)>(), 8);
-    for i in 0..16usize {
-        // SAFETY: the store was just grown to hold 16 (u64, u64) records.
-        unsafe { buf.write_at::<(u64, u64)>(i, (i as u64, i as u64)) };
-    }
-    buf.grow_preserve(1024 * std::mem::size_of::<(u64, u64)>(), 8);
-    // SAFETY: records 0..16 were written above; grow_preserve copies them.
-    let got: &[(u64, u64)] = unsafe { buf.as_slice(0, 16) };
-    assert!(got
-        .iter()
-        .enumerate()
-        .all(|(i, &(a, b))| a == i as u64 && b == a));
-    // Partial view over only the written prefix (length-bounded).
-    // SAFETY: records 4..16 lie inside the written prefix above.
-    let part: &[(u64, u64)] = unsafe { buf.as_slice(4, 12) };
-    assert_eq!(part.len(), 12);
-    assert_eq!(part[0], (4, 4));
 }
 
 #[test]
@@ -206,80 +171,23 @@ fn cas_scatter_random_probe_end_to_end() {
 }
 
 #[test]
-fn blocked_scatter_end_to_end() {
+fn counting_distribution_end_to_end() {
+    // The exact path: the counting sort's disjoint-range writes through
+    // its shared output pointer, then the per-region sort of split
+    // `&mut` slices.
     let recs = mixed_records(N);
     let cfg = small_cfg()
         .to_builder()
         .scatter(ScatterConfig {
-            strategy: ScatterStrategy::Blocked,
+            strategy: ScatterStrategy::Counting,
             ..ScatterConfig::default()
         })
         .build()
         .unwrap();
     let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
-    assert!(stats.blocks_flushed > 0, "blocks must flush at n = {N}");
-}
-
-#[test]
-fn blocked_scatter_tiny_tail_forces_cas_fallback() {
-    // tail = size/2 (blocked_tail_log2 = 1) halves every slab while the 3
-    // dominant buckets are sized ≈ α·count: the slab cursor must run out
-    // and spill into the per-record CAS tail — the mixed slab-store/CAS
-    // aliasing pattern Miri should scrutinize.
-    let recs = skewed_records(N_SKEW);
-    let cfg = small_cfg()
-        .to_builder()
-        .scatter(ScatterConfig {
-            strategy: ScatterStrategy::Blocked,
-            tail_log2: 1,
-            ..ScatterConfig::default()
-        })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
-    check(&out, &recs);
-    assert!(stats.fallback_records > 0, "size/2 tail must see fallbacks");
-}
-
-#[test]
-fn inplace_scatter_end_to_end() {
-    // The cursor-claim permutation: counting pass, prime/flush/strand
-    // loops through SharedOut's raw pointers, and the reconciliation
-    // zip-fill — the exact unsafe surface ISSUE 9 added.
-    let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .scatter(ScatterConfig {
-            strategy: ScatterStrategy::InPlace,
-            ..ScatterConfig::default()
-        })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
-    check(&out, &recs);
-    assert!(stats.inplace_cycles > 0, "mixed input must prime");
-    assert_eq!(stats.blocks_flushed, 0, "no arena slabs on this path");
-}
-
-#[test]
-fn inplace_scatter_tiny_swap_buffer() {
-    // swap_buffer = 1 maximizes flush/strand traffic per record: every
-    // classify flushes, every flush claims one position — the densest
-    // read/write interleave over the claimed indices.
-    let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .scatter(ScatterConfig {
-            strategy: ScatterStrategy::InPlace,
-            swap_buffer: 1,
-            ..ScatterConfig::default()
-        })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
-    check(&out, &recs);
-    assert!(stats.swap_buffer_flushes > 0, "unit buffers must flush");
+    assert!(stats.heavy_records > 0 && stats.light_records > 0);
+    assert_eq!(stats.total_slots, N, "no arena on this path");
 }
 
 #[test]
@@ -317,25 +225,19 @@ fn empty_sentinel_key_takes_fallback_path() {
 #[test]
 fn forced_overflow_retries_then_succeeds() {
     let recs = mixed_records(N);
-    for strategy in [ScatterStrategy::RandomCas, ScatterStrategy::Blocked] {
-        let cfg = small_cfg()
-            .to_builder()
-            .scatter(ScatterConfig {
-                strategy,
-                ..ScatterConfig::default()
-            })
-            .fault(FaultPlan {
-                force_overflow_attempts: 1,
-                force_overflow_class: FaultClass::Any,
-                ..FaultPlan::NONE
-            })
-            .build()
-            .unwrap();
-        let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
-        check(&out, &recs);
-        assert_eq!(stats.retries, 1, "{strategy:?}: one forced retry");
-        assert!(!stats.degraded);
-    }
+    let cfg = small_cfg()
+        .to_builder()
+        .fault(FaultPlan {
+            force_overflow_attempts: 1,
+            force_overflow_class: FaultClass::Any,
+            ..FaultPlan::NONE
+        })
+        .build()
+        .unwrap();
+    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    check(&out, &recs);
+    assert_eq!(stats.retries, 1, "one forced retry");
+    assert!(!stats.degraded);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! exercised in `crates/semisortd/tests/service.rs`; this test pins down
 //! the weaker in-place guarantee the rebuild relies on.)
 //!
-//! Every test runs on both driver paths: the arena retry loop (the default
-//! `RandomCas` scatter) and the straight-line `InPlace` run.
+//! Every test runs on both driver paths: the straight-line exact run (the
+//! default `Counting` distribution) and the arena retry loop (`RandomCas`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -21,7 +21,7 @@ use semisort::{FaultPlan, ScatterConfig, ScatterStrategy, SemisortConfig, Semiso
 
 /// One panicking config per driver path.
 fn poisoning_cfgs() -> [SemisortConfig; 2] {
-    [ScatterStrategy::RandomCas, ScatterStrategy::InPlace].map(|strategy| SemisortConfig {
+    [ScatterStrategy::Counting, ScatterStrategy::RandomCas].map(|strategy| SemisortConfig {
         seq_threshold: 64,
         scatter: ScatterConfig {
             strategy,

@@ -1,32 +1,23 @@
-//! Exhaustive race models of the three scatter slot-claim protocols.
+//! Exhaustive race models of the scatter's slot-claim protocol and the
+//! crate's other shared flags.
 //!
-//! The paper's Algorithm 1 (steps 6–7) and the two later variants rest on
-//! concurrency claims that differential tests can only sample:
-//!
-//! 1. **CAS + linear probing** (`scatter::place_linear`): no two threads
-//!    ever claim the same slot, and every record lands in exactly one slot.
-//! 2. **`fetch_add` slab reservation with CAS-fallback tail**
-//!    (`blocked_scatter`'s flush): slab ranges reserved by `fetch_add` are
-//!    exclusive, spill past the slab goes through the CAS tail, and again
-//!    every record lands exactly once with no slot claimed twice.
-//! 3. **Region cursor claiming** (`inplace_scatter`): each bucket's
-//!    `heads[b].fetch_add(1)` hands out destination indices inside the
-//!    bucket's exact region; claims are exclusive, claims past the region
-//!    end strand the record (repaid by sequential reconciliation), and
-//!    landed + stranded partition the input.
+//! The paper's Algorithm 1 (steps 6–7) rests on a concurrency claim that
+//! differential tests can only sample: under **CAS + linear probing**
+//! (`scatter::place_linear`) no two threads ever claim the same slot, and
+//! every record lands in exactly one slot. (The default exact
+//! distribution has no claim protocol: each counting-sort block writes
+//! its own precomputed, disjoint ranges.)
 //!
 //! These tests re-state each protocol over `loom` atomics (the in-tree
 //! shim, `crates/loom`) and run it under **every** interleaving of 2
 //! threads contending for the same slots — ≥ 2 contended slots each, per
 //! the verification plan in DESIGN.md §11. The protocol bodies mirror the
-//! production loops line-for-line (same probe order, same CAS, same
-//! cursor arithmetic) so a protocol-level regression in `scatter.rs` /
-//! `blocked_scatter.rs` / `inplace_scatter.rs` has to break the model too.
+//! production loops line-for-line (same probe order, same CAS) so a
+//! protocol-level regression in `scatter.rs` has to break the model too.
 //!
-//! Two injection tests replace a protocol's atomic claim with the classic
-//! torn load-then-store and assert the explorer *catches* it: a harness
-//! that cannot see the duplicate claim would vacuously pass the green
-//! models.
+//! An injection test replaces the atomic claim with the classic torn
+//! load-then-store and asserts the explorer *catches* it: a harness that
+//! cannot see the duplicate claim would vacuously pass the green model.
 //!
 //! Not run under Miri: the explorer spawns thousands of real scheduled
 //! threads, which Miri executes orders of magnitude too slowly; Miri
@@ -37,7 +28,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};
 
-use loom::sync::atomic::{AtomicU64, AtomicUsize as LoomUsize, Ordering};
+use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -124,176 +115,13 @@ fn cas_linear_probe_claims_are_exclusive() {
 }
 
 #[test]
-fn fetch_add_slab_with_cas_tail_is_exclusive() {
-    // Model mirror of `blocked_scatter`'s flush: bucket of size 4 with
-    // tail_log2 = 1 (slab = 2 slots, CAS tail = 2 slots). Each of 2
-    // threads flushes a 2-record block: one fetch_add reserves a slab
-    // range, whatever does not fit goes through the CAS tail. Both
-    // threads contend on the cursor and, for whichever loses the slab, on
-    // both tail slots.
-    loom::model(|| {
-        let size = 4usize;
-        let slab = 2usize; // slab_len(4, tail_log2 = 1)
-        let tail_mask = size - slab - 1;
-        let slots: Arc<Vec<AtomicU64>> =
-            Arc::new((0..size).map(|_| AtomicU64::new(EMPTY)).collect());
-        let claims: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..size).map(|_| AtomicUsize::new(0)).collect());
-        let cursor = Arc::new(LoomUsize::new(0));
-        let handles: Vec<_> = [[1u64, 2], [3, 4]]
-            .into_iter()
-            .map(|buf| {
-                let slots = slots.clone();
-                let claims = claims.clone();
-                let cursor = cursor.clone();
-                thread::spawn(move || {
-                    let k = buf.len();
-                    let res = cursor.fetch_add(k, Ordering::Relaxed);
-                    let fit = slab.saturating_sub(res).min(k);
-                    for (j, &key) in buf[..fit].iter().enumerate() {
-                        // The cursor reservation makes [res, res + fit)
-                        // exclusively ours — plain stores, like Slot::set.
-                        slots[res + j].store(key, Ordering::Relaxed);
-                        claims[res + j].fetch_add(1, StdOrdering::Relaxed);
-                    }
-                    for &key in &buf[fit..] {
-                        assert!(
-                            model_place_linear(
-                                &slots[slab..],
-                                &claims[slab..],
-                                res & tail_mask,
-                                tail_mask,
-                                key,
-                            ),
-                            "2 spilled records cannot overflow a 2-slot tail"
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_exactly_once(&slots, &claims, &[1, 2, 3, 4]);
-    });
-}
-
-#[test]
-fn inplace_cursor_claims_are_exclusive() {
-    // Model mirror of `inplace_scatter`'s claim step: one bucket whose
-    // region is slots [0, 4), claim cursor starting at the region base.
-    // 2 threads each try to place 3 records — 6 claims against 4 slots, so
-    // in every schedule exactly 4 claims land in-region (each index handed
-    // to exactly one thread) and exactly 2 strand. The production loop
-    // uses the same Relaxed fetch_add: data publication is ordered by the
-    // fork/join barrier, not the cursor, and the model checks only the
-    // claim exclusivity the scatter relies on.
-    loom::model(|| {
-        let end = 4usize;
-        let slots: Arc<Vec<AtomicU64>> =
-            Arc::new((0..end).map(|_| AtomicU64::new(EMPTY)).collect());
-        let claims: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..end).map(|_| AtomicUsize::new(0)).collect());
-        let head = Arc::new(LoomUsize::new(0));
-        let handles: Vec<_> = [[1u64, 2, 3], [4, 5, 6]]
-            .into_iter()
-            .map(|keys| {
-                let slots = slots.clone();
-                let claims = claims.clone();
-                let head = head.clone();
-                thread::spawn(move || {
-                    let mut stranded = Vec::new();
-                    for key in keys {
-                        let dst = head.fetch_add(1, Ordering::Relaxed);
-                        if dst < end {
-                            // The fetch_add made `dst` exclusively ours —
-                            // plain store, like `SharedOut::write`.
-                            slots[dst].store(key, Ordering::Relaxed);
-                            claims[dst].fetch_add(1, StdOrdering::Relaxed);
-                        } else {
-                            stranded.push(key);
-                        }
-                    }
-                    stranded
-                })
-            })
-            .collect();
-        let stranded: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        assert_eq!(stranded.len(), 2, "exactly 6 - 4 claims must strand");
-        let mut all: Vec<u64> = slots
-            .iter()
-            .map(AtomicU64::unsync_load)
-            .filter(|&k| k != EMPTY)
-            .chain(stranded)
-            .collect();
-        all.sort_unstable();
-        assert_eq!(
-            all,
-            vec![1, 2, 3, 4, 5, 6],
-            "landed + stranded must partition the records"
-        );
-        for (i, c) in claims.iter().enumerate() {
-            assert_eq!(
-                c.load(StdOrdering::Relaxed),
-                1,
-                "region slot {i} must be claimed exactly once"
-            );
-        }
-    });
-}
-
-#[test]
-fn broken_inplace_cursor_protocol_is_caught() {
-    // Same cursor model with the fetch_add torn into load-then-store: the
-    // explorer must find the schedule where both threads read the same
-    // cursor value and claim one index twice (one record silently
-    // overwritten). Keeps the green model above honest.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        loom::model(|| {
-            let end = 2usize;
-            let claims: Arc<Vec<AtomicUsize>> =
-                Arc::new((0..end).map(|_| AtomicUsize::new(0)).collect());
-            let head = Arc::new(LoomUsize::new(0));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let claims = claims.clone();
-                    let head = head.clone();
-                    thread::spawn(move || {
-                        // BROKEN: the read and the bump are not one
-                        // atomic step.
-                        let dst = head.load(Ordering::Relaxed);
-                        head.store(dst + 1, Ordering::Relaxed);
-                        if dst < end {
-                            claims[dst].fetch_add(1, StdOrdering::Relaxed);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            for (i, c) in claims.iter().enumerate() {
-                assert!(c.load(StdOrdering::Relaxed) <= 1, "slot {i} claimed twice");
-            }
-        });
-    }));
-    assert!(
-        result.is_err(),
-        "the explorer failed to catch the torn cursor claim"
-    );
-}
-
-#[test]
 fn broken_load_then_store_protocol_is_caught() {
     // Duplicate-claim injection: replace the CAS with the torn
     // load-then-store "claim" and the explorer MUST find the schedule
     // where both threads read EMPTY from slot 0 and both store into it —
     // one record overwrites the other. If this test ever stops failing
     // inside the model, the harness has lost its power to see races and
-    // the two green models above prove nothing.
+    // the green model above proves nothing.
     let result = catch_unwind(AssertUnwindSafe(|| {
         loom::model(|| {
             let bucket: Arc<Vec<AtomicU64>> =

@@ -34,11 +34,8 @@ fn run(n: u64, strategy: ScatterStrategy, level: TelemetryLevel) -> SemisortStat
     stats
 }
 
-const ALL_STRATEGIES: [ScatterStrategy; 3] = [
-    ScatterStrategy::RandomCas,
-    ScatterStrategy::Blocked,
-    ScatterStrategy::InPlace,
-];
+const ALL_STRATEGIES: [ScatterStrategy; 2] =
+    [ScatterStrategy::Counting, ScatterStrategy::RandomCas];
 const ALL_LEVELS: [TelemetryLevel; 3] = [
     TelemetryLevel::Off,
     TelemetryLevel::Counters,
@@ -155,11 +152,7 @@ fn json_round_trips_for_all_variants() {
             let config = back.get("config").expect("config section");
             assert_eq!(
                 config.get("scatter_strategy").and_then(Json::as_str),
-                Some(match strategy {
-                    ScatterStrategy::RandomCas => "random-cas",
-                    ScatterStrategy::Blocked => "blocked",
-                    ScatterStrategy::InPlace => "inplace",
-                })
+                Some(strategy.as_str())
             );
             assert_eq!(
                 config.get("telemetry").and_then(Json::as_str),
@@ -280,6 +273,10 @@ fn deep_probe_hist_mass_sits_low_for_uniform_input() {
     let records: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
     let cfg = SemisortConfig {
         telemetry: TelemetryLevel::Deep,
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
         ..Default::default()
     };
     let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();

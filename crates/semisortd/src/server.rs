@@ -14,7 +14,7 @@
 //!    (slot size × blowup bound) is checked against the engine's
 //!    `max_arena_bytes` budget: work that would be rejected by the engine
 //!    mid-run is cheaper to reject at the door. Requests that run without
-//!    an arena — `count-by-key`, or any op on an `InPlace` engine —
+//!    an arena — `count-by-key`, or any op on a `Counting` engine —
 //!    project zero and always pass;
 //! 4. **queue capacity** — a bounded `sync_channel` per shard; `try_send`
 //!    round-robins across shards and a full sweep means the server is
@@ -29,7 +29,7 @@
 //! them (see `crates/semisort/tests/poison_recovery.rs`).
 
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -159,7 +159,6 @@ impl Server {
         let mut server = Server::start_local(cfg).map_err(io::Error::other)?;
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         server.port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
         let inner = Arc::clone(&server.inner);
         let senders = server.senders.clone();
         server.accept_thread = Some(
@@ -246,7 +245,13 @@ impl Server {
         // ORDERING: Release pairs with the accept loop's Acquire load.
         self.inner.stop_accept.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // The accept loop blocks in `accept`; one connection of our
+            // own wakes it to see the flag. Should that connect fail, the
+            // thread is left to exit on its next connection rather than
+            // joined.
+            if TcpStream::connect(("127.0.0.1", self.port)).is_ok() {
+                let _ = t.join();
+            }
         }
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Stop);
@@ -286,13 +291,19 @@ fn stats_json(inner: &Inner) -> String {
     stats.to_json().to_string()
 }
 
+/// Accept connections until [`Server::drain_and_stop`] raises
+/// `stop_accept` and wakes the blocking `accept` with a connection of its
+/// own. Blocking (rather than polling a non-blocking listener) puts a new
+/// connection's first request in a session right away, instead of up to
+/// one poll interval later.
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>, senders: Vec<SyncSender<ShardMsg>>) {
     loop {
+        let accepted = listener.accept();
         // ORDERING: Acquire pairs with `drain_and_stop`'s Release store.
         if inner.stop_accept.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let inner = Arc::clone(&inner);
@@ -303,11 +314,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>, senders: Vec<SyncSender
                         let _ = serve_session(&mut stream, &inner, &senders);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            // Transient accept errors (e.g. the peer already hung up)
-            // must not kill the listener.
+            // Transient accept errors (e.g. the peer already hung up, or
+            // no file descriptors left) must not kill the listener; the
+            // pause keeps a persistent one from spinning.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -332,9 +341,9 @@ fn invalid_request(message: &str) -> Response {
 /// The projected scatter-arena demand of an `n`-record `op` on an engine
 /// configured as `engine`, for admission rung 3. Zero when the request
 /// runs without an arena: a `CountByKey` (the fused aggregation
-/// distributes into exact regions) or any op on an `InPlace` engine.
+/// distributes into exact regions) or any op on a `Counting` engine.
 fn estimated_arena_bytes(op: Op, n: usize, engine: &SemisortConfig) -> u64 {
-    if op == Op::CountByKey || engine.scatter.strategy == ScatterStrategy::InPlace {
+    if op == Op::CountByKey || engine.scatter.strategy == ScatterStrategy::Counting {
         return 0;
     }
     (n as u64).saturating_mul(std::mem::size_of::<Slot<u64>>() as u64 * ARENA_BLOWUP_EST)

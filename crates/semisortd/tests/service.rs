@@ -139,10 +139,12 @@ fn oversized_requests_shed_with_structured_overloaded() {
 
 #[test]
 fn arena_budget_gates_admission() {
-    // Budget below the 4-slots-per-record estimate for 4096 records: the
-    // request is rejected at the door, deterministically, without running.
+    // Budget below the 4-slots-per-record estimate for 4096 records on a
+    // RandomCas engine: the request is rejected at the door,
+    // deterministically, without running.
     let mut engine = small_engine();
     engine.max_arena_bytes = 4096; // far below estimate for 4096 records
+    engine.scatter.strategy = semisort::ScatterStrategy::RandomCas;
     let (server, mut client) = start(ServerConfig {
         engine,
         ..ServerConfig::default()
@@ -162,11 +164,13 @@ fn arena_budget_gates_admission() {
 
 #[test]
 fn arena_budget_follows_the_op_and_strategy() {
-    // Under a budget that sheds a 4096-record semisort, the same records
-    // as a count-by-key (fused aggregation, no arena) are admitted and
-    // answered; on an InPlace engine the semisort is admitted too.
+    // Under a budget that sheds a 4096-record semisort on a RandomCas
+    // engine, the same records as a count-by-key (fused aggregation, no
+    // arena) are admitted and answered; on a Counting engine the semisort
+    // is admitted too.
     let mut engine = small_engine();
     engine.max_arena_bytes = 4096;
+    engine.scatter.strategy = semisort::ScatterStrategy::RandomCas;
     let records = sample_records(4096);
     let count = Request {
         op: Op::CountByKey,
@@ -193,7 +197,7 @@ fn arena_budget_follows_the_op_and_strategy() {
     }
     server.drain_and_stop();
 
-    engine.scatter.strategy = semisort::ScatterStrategy::InPlace;
+    engine.scatter.strategy = semisort::ScatterStrategy::Counting;
     let (server, mut client) = start(ServerConfig {
         engine,
         ..ServerConfig::default()

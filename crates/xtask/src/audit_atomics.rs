@@ -57,11 +57,8 @@ pub const ATOMICS_ALLOWLIST: &[&str] = &[
     "crates/rayon/src/job.rs",
     "crates/rayon/src/registry.rs",
     "crates/rayon/src/trace.rs",
-    "crates/semisort/src/blocked_scatter.rs",
     "crates/semisort/src/cancel.rs",
-    "crates/semisort/src/inplace_scatter.rs",
     "crates/semisort/src/obs.rs",
-    "crates/semisort/src/pool.rs",
     "crates/semisort/src/scatter.rs",
     "crates/semisortd/src/bin/semisortd-load.rs",
     "crates/semisortd/src/server.rs",

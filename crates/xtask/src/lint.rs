@@ -53,19 +53,15 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/rayon/src/lib.rs",
     "crates/rayon/src/registry.rs",
     "crates/rayon/src/slice.rs",
-    "crates/semisort/src/blocked_scatter.rs",
-    "crates/semisort/src/inplace_scatter.rs",
     "crates/semisort/src/local_sort.rs",
     "crates/semisort/src/pack_phase.rs",
     "crates/semisort/src/pool.rs",
     "crates/semisort/src/scatter.rs",
-    "crates/semisort/tests/miri_suite.rs",
 ];
 
 /// Hot-path files where the `as-cast-in-index` rule applies: the scatter
 /// and pack inner loops, where index arithmetic runs per record.
 pub const HOT_PATHS: &[&str] = &[
-    "crates/semisort/src/blocked_scatter.rs",
     "crates/semisort/src/local_sort.rs",
     "crates/semisort/src/pack_phase.rs",
     "crates/semisort/src/pool.rs",

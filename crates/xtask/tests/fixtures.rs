@@ -136,10 +136,10 @@ fn index_cast_fixture_fails_with_cast_violation() {
 }
 
 #[test]
-fn inplace_allowlisted_fixture_passes() {
-    // The in-place scatter module is on the unsafe allowlist: a
-    // SAFETY-documented unsafe block there is not a violation.
-    let (out, doc) = run_lint(&fixture("inplace_allowlisted"));
+fn allowlisted_unsafe_fixture_passes() {
+    // The scatter module is on the unsafe allowlist: a SAFETY-documented
+    // unsafe block there is not a violation.
+    let (out, doc) = run_lint(&fixture("allowlisted_unsafe"));
     assert!(out.status.success(), "allowlisted unsafe must exit 0");
     assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(

@@ -78,7 +78,7 @@ fn main() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  semisort-cli generate --dist <uniform|exp|zipf>:<param> --n <count> --out <file> [--seed <u64>]\n  semisort-cli sort --input <file> --out <file> [--algo semisort|radix|sample|stdsort|seq-hash|rr] [--scatter random-cas|blocked|inplace] [--threads <k>] [--stats] [--stats-json <file>] [--telemetry off|counters|deep] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli verify --input <file>\n  semisort-cli bench [--n <count>] [--dist <spec>] [--quick] [--reuse <k>] [--threads <k>] [--seed <u64>] [--scatter random-cas|blocked|inplace] [--telemetry off|counters|deep] [--stats-json <file>] [--trajectory <file|none>] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli trace [--n <count>] [--dist <spec>] [--seed <u64>] [--threads <k>] [--scatter random-cas|blocked|inplace] [--out <file>] [--stats-json <file>]\n  semisort-cli validate-json --input <file> [--schema <name>[,<name>...]] [--require <path>[,<path>...]] [--jsonl]"
+        "usage:\n  semisort-cli generate --dist <uniform|exp|zipf>:<param> --n <count> --out <file> [--seed <u64>]\n  semisort-cli sort --input <file> --out <file> [--algo semisort|radix|sample|stdsort|seq-hash|rr] [--scatter counting|random-cas] [--threads <k>] [--stats] [--stats-json <file>] [--telemetry off|counters|deep] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli verify --input <file>\n  semisort-cli bench [--n <count>] [--dist <spec>] [--quick] [--reuse <k>] [--threads <k>] [--seed <u64>] [--scatter counting|random-cas] [--telemetry off|counters|deep] [--stats-json <file>] [--trajectory <file|none>] [--on-overflow fallback|error] [--max-retries <k>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>]\n  semisort-cli trace [--n <count>] [--dist <spec>] [--seed <u64>] [--threads <k>] [--scatter counting|random-cas] [--out <file>] [--stats-json <file>]\n  semisort-cli validate-json --input <file> [--schema <name>[,<name>...]] [--require <path>[,<path>...]] [--jsonl]"
     );
     std::process::exit(2);
 }
@@ -202,17 +202,15 @@ fn generate(flags: &Flags) {
     );
 }
 
-/// Parse `--scatter` (default `random-cas`).
+/// Parse `--scatter` (default: the library's default strategy).
 fn parse_scatter(flags: &Flags) -> ScatterStrategy {
-    match flags.get("scatter").unwrap_or("random-cas") {
-        "random-cas" | "cas" => ScatterStrategy::RandomCas,
-        "blocked" => ScatterStrategy::Blocked,
-        "inplace" | "in-place" => ScatterStrategy::InPlace,
-        other => {
-            eprintln!("unknown scatter strategy {other} (want random-cas, blocked or inplace)");
-            std::process::exit(2);
-        }
-    }
+    let Some(spelling) = flags.get("scatter") else {
+        return ScatterConfig::default().strategy;
+    };
+    ScatterStrategy::parse(spelling).unwrap_or_else(|| {
+        eprintln!("unknown scatter strategy {spelling} (want counting or random-cas)");
+        std::process::exit(2);
+    })
 }
 
 /// Apply the failure-handling flags — `--on-overflow`, `--max-retries`,
@@ -269,12 +267,13 @@ fn parse_telemetry(flags: &Flags) -> TelemetryLevel {
 }
 
 /// Print the verbose `--stats` report for one run to stderr.
-fn print_stats(stats: &semisort::SemisortStats, scatter: ScatterStrategy) {
+fn print_stats(stats: &semisort::SemisortStats) {
     for (name, d) in stats.phases() {
         eprintln!("  {name:<18} {:.4}s", d.as_secs_f64());
     }
     eprintln!(
-        "  heavy keys {} | light buckets {} | %heavy {:.1} | slots/n {:.2} | retries {}",
+        "  scatter {} | heavy keys {} | light buckets {} | %heavy {:.1} | slots/n {:.2} | retries {}",
+        stats.config.scatter.strategy.as_str(),
         stats.heavy_keys,
         stats.light_buckets,
         stats.heavy_fraction_pct(),
@@ -285,18 +284,6 @@ fn print_stats(stats: &semisort::SemisortStats, scatter: ScatterStrategy) {
         eprintln!(
             "  DEGRADED to comparison-sort fallback: {}",
             stats.degrade_reason.map_or("unknown", |r| r.as_str())
-        );
-    }
-    if scatter == ScatterStrategy::Blocked {
-        eprintln!(
-            "  blocks flushed {} | slab overflows {} | fallback records {}",
-            stats.blocks_flushed, stats.slab_overflows, stats.fallback_records
-        );
-    }
-    if scatter == ScatterStrategy::InPlace {
-        eprintln!(
-            "  inplace cycles {} | swap buffer flushes {}",
-            stats.inplace_cycles, stats.swap_buffer_flushes
         );
     }
     for rc in &stats.telemetry.retry_causes {
@@ -359,7 +346,7 @@ fn sort(flags: &Flags) {
                 );
                 let (out, stats) = run_or_exit(&records, &cfg);
                 if flags.has("stats") {
-                    print_stats(&stats, scatter);
+                    print_stats(&stats);
                 }
                 if let Some(path) = flags.get("stats-json") {
                     write_stats_json(path, &stats);
@@ -490,7 +477,7 @@ fn bench_run(flags: &Flags) {
         cfg.telemetry.as_str()
     );
     if flags.has("stats") {
-        print_stats(&stats, cfg.scatter.strategy);
+        print_stats(&stats);
     }
     if let Some(path) = flags.get("stats-json") {
         write_stats_json(path, &stats);

@@ -234,8 +234,19 @@ fn bench_appends_trajectory_records() {
 #[test]
 fn trace_emits_a_perfetto_loadable_file() {
     let trace = tmp("run.trace.json");
+    // The paper's CAS path runs all five phases (the default exact
+    // distribution has no pack).
     let status = cli()
-        .args(["trace", "--n", "200k", "--threads", "2", "--out"])
+        .args([
+            "trace",
+            "--n",
+            "200k",
+            "--threads",
+            "2",
+            "--scatter",
+            "random-cas",
+            "--out",
+        ])
         .arg(&trace)
         .status()
         .expect("trace");
@@ -385,11 +396,14 @@ fn validate_json_rejects_malformed_input() {
 fn fault_flag_with_error_policy_exits_with_structured_error() {
     // Mirrors the CI chaos smoke: persistent forced overflow with a retry
     // budget of 1 under --on-overflow error must exit nonzero and print
-    // one structured {"event":"error",...} line to stderr.
+    // one structured {"event":"error",...} line to stderr. The retry
+    // ladder belongs to the paper's CAS scatter.
     let out = cli()
         .args([
             "bench",
             "--quick",
+            "--scatter",
+            "random-cas",
             "--n",
             "50k",
             "--on-overflow",
@@ -421,6 +435,8 @@ fn fault_flag_with_fallback_policy_degrades_and_succeeds() {
         .args([
             "bench",
             "--quick",
+            "--scatter",
+            "random-cas",
             "--n",
             "50k",
             "--max-retries",
@@ -458,9 +474,11 @@ fn semisort_log_emits_span_lines() {
         .status()
         .expect("generate");
     let sorted = tmp("log_sorted.bin");
+    // The paper's CAS path logs all five phases (the default exact
+    // distribution has no pack).
     let out = cli()
         .env("SEMISORT_LOG", "1")
-        .args(["sort", "--input"])
+        .args(["sort", "--scatter", "random-cas", "--input"])
         .arg(&data)
         .arg("--out")
         .arg(&sorted)

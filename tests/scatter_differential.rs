@@ -1,8 +1,8 @@
-//! Differential tests of the three scatter strategies.
+//! Differential tests of the two scatter strategies.
 //!
 //! For every workload shape (uniform, power-law, all-equal, all-distinct)
-//! and sizes 10³ / 10⁵ / 10⁶, each of `ScatterStrategy::RandomCas`,
-//! `::Blocked`, and `::InPlace` must produce a valid semisort whose
+//! and sizes 10³ / 10⁵ / 10⁶, both `ScatterStrategy::Counting` and
+//! `::RandomCas` must produce a valid semisort whose
 //! canonical bytes (records sorted by key then payload — the unique
 //! representative of the output's multiset) are identical to the trivially
 //! correct sequential baseline ([`baselines::seq_hash_semisort`]), with
@@ -21,11 +21,7 @@ use workloads::{generate, Distribution};
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
 const DISTS: [&str; 4] = ["uniform", "power-law", "all-equal", "all-distinct"];
-const STRATEGIES: [ScatterStrategy; 3] = [
-    ScatterStrategy::RandomCas,
-    ScatterStrategy::Blocked,
-    ScatterStrategy::InPlace,
-];
+const STRATEGIES: [ScatterStrategy; 2] = [ScatterStrategy::Counting, ScatterStrategy::RandomCas];
 
 fn workload(name: &str, n: usize) -> Vec<(u64, u64)> {
     match name {
@@ -95,13 +91,8 @@ fn uniform_random_cas() {
 }
 
 #[test]
-fn uniform_blocked() {
-    check_strategy("uniform", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn uniform_inplace() {
-    check_strategy("uniform", ScatterStrategy::InPlace);
+fn uniform_counting() {
+    check_strategy("uniform", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -110,13 +101,8 @@ fn power_law_random_cas() {
 }
 
 #[test]
-fn power_law_blocked() {
-    check_strategy("power-law", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn power_law_inplace() {
-    check_strategy("power-law", ScatterStrategy::InPlace);
+fn power_law_counting() {
+    check_strategy("power-law", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -125,13 +111,8 @@ fn all_equal_random_cas() {
 }
 
 #[test]
-fn all_equal_blocked() {
-    check_strategy("all-equal", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn all_equal_inplace() {
-    check_strategy("all-equal", ScatterStrategy::InPlace);
+fn all_equal_counting() {
+    check_strategy("all-equal", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -140,13 +121,8 @@ fn all_distinct_random_cas() {
 }
 
 #[test]
-fn all_distinct_blocked() {
-    check_strategy("all-distinct", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn all_distinct_inplace() {
-    check_strategy("all-distinct", ScatterStrategy::InPlace);
+fn all_distinct_counting() {
+    check_strategy("all-distinct", ScatterStrategy::Counting);
 }
 
 /// The full strategy × distribution × thread-count matrix: canonical bytes
@@ -184,40 +160,8 @@ fn thread_matrix_matches_baseline() {
     }
 }
 
-/// Force maximal strand/reconcile traffic through the in-place scatter: a
-/// swap buffer of 1–2 records turns every displacement chain into
-/// single-record hops, and 8 workers on skewed keys maximize cross-worker
-/// stranding. Canonical bytes must still match the baseline exactly.
-#[test]
-fn inplace_tiny_swap_buffer_stress() {
-    const N: usize = 40_000;
-    for swap_buffer in [1usize, 2] {
-        let cfg = SemisortConfig {
-            scatter: ScatterConfig {
-                strategy: ScatterStrategy::InPlace,
-                swap_buffer,
-                ..ScatterConfig::default()
-            },
-            ..Default::default()
-        };
-        for dist in DISTS {
-            let records = workload(dist, N);
-            let baseline = baselines::seq_hash_semisort(&records);
-            for threads in [1usize, 2, 8] {
-                let out =
-                    parlay::with_threads(threads, || try_semisort_pairs(&records, &cfg).unwrap());
-                check_against_baseline(
-                    &out,
-                    &baseline,
-                    &format!("{dist}/swap={swap_buffer}/threads={threads}"),
-                );
-            }
-        }
-    }
-}
-
-/// Beyond all matching the baseline: the three strategies' outputs are
-/// pairwise multiset-equal with identical group structure under a
+/// Beyond both matching the baseline: the two strategies' outputs are
+/// multiset-equal with identical group structure under a
 /// non-default seed.
 #[test]
 fn strategies_agree_with_each_other() {

@@ -5,11 +5,14 @@
 //! scatter strategies, the output must be **byte-identical after
 //! canonicalization** to the sequential baseline. Canonicalization = a full
 //! `(key, value)` sort: semisort only promises key-grouping, and the one
-//! schedule-visible freedom the algorithm (deliberately — see
+//! schedule-visible freedom `RandomCas` (deliberately — see
 //! `driver.rs::valid_at_any_thread_count`) retains is the *intra*-group
 //! record order decided by CAS races. Everything else must be invariant:
 //! the canonical bytes, the key sequence (group order is seed-determined,
-//! not schedule-determined), and the group structure.
+//! not schedule-determined), and the group structure. `Counting` has no
+//! races and a stable distribution, so its raw output bytes must match
+//! across thread counts and engines too
+//! (`counting_sort_pairs_is_byte_identical_across_threads_and_engines`).
 //!
 //! Two stress tests cover the scheduler's degrade paths: a `join` binary
 //! recursion much deeper than the pool (65k tasks on 2 threads must be pure
@@ -20,7 +23,7 @@
 use std::collections::HashMap;
 
 use semisort::verify::{is_semisorted_by, runs_by};
-use semisort::{try_semisort_pairs, ScatterConfig, ScatterStrategy, SemisortConfig};
+use semisort::{try_semisort_pairs, ScatterConfig, ScatterStrategy, SemisortConfig, Semisorter};
 use workloads::{generate, Distribution};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -99,13 +102,8 @@ fn uniform_random_cas_thread_invariant() {
 }
 
 #[test]
-fn uniform_blocked_thread_invariant() {
-    check("uniform", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn uniform_inplace_thread_invariant() {
-    check("uniform", ScatterStrategy::InPlace);
+fn uniform_counting_thread_invariant() {
+    check("uniform", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -114,13 +112,8 @@ fn power_law_random_cas_thread_invariant() {
 }
 
 #[test]
-fn power_law_blocked_thread_invariant() {
-    check("power-law", ScatterStrategy::Blocked);
-}
-
-#[test]
-fn power_law_inplace_thread_invariant() {
-    check("power-law", ScatterStrategy::InPlace);
+fn power_law_counting_thread_invariant() {
+    check("power-law", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -129,8 +122,8 @@ fn all_equal_random_cas_thread_invariant() {
 }
 
 #[test]
-fn all_equal_blocked_thread_invariant() {
-    check("all-equal", ScatterStrategy::Blocked);
+fn all_equal_counting_thread_invariant() {
+    check("all-equal", ScatterStrategy::Counting);
 }
 
 #[test]
@@ -139,8 +132,41 @@ fn all_distinct_random_cas_thread_invariant() {
 }
 
 #[test]
-fn all_distinct_blocked_thread_invariant() {
-    check("all-distinct", ScatterStrategy::Blocked);
+fn all_distinct_counting_thread_invariant() {
+    check("all-distinct", ScatterStrategy::Counting);
+}
+
+#[test]
+fn counting_sort_pairs_is_byte_identical_across_threads_and_engines() {
+    // Counting's output is a function of (input, seed) alone: the same
+    // bytes at 1, 2 and 8 threads, from a fresh engine and from a warm
+    // one whose pool already holds another input's scratch. Heavy regions
+    // keep input order too, which no other backend promised.
+    let cfg = SemisortConfig::builder().seed(11).build().unwrap();
+    assert_eq!(cfg.scatter.strategy, ScatterStrategy::Counting);
+    for dist in ["uniform", "power-law", "all-equal"] {
+        let records = workload(dist, N);
+        let reference = parlay::with_threads(1, || {
+            Semisorter::new(cfg).unwrap().sort_pairs(&records).unwrap()
+        });
+        for threads in THREAD_COUNTS {
+            let (fresh, warm) = parlay::with_threads(threads, || {
+                let fresh = Semisorter::new(cfg).unwrap().sort_pairs(&records).unwrap();
+                let mut engine = Semisorter::new(cfg).unwrap();
+                engine.sort_pairs(&workload("all-distinct", N / 2)).unwrap();
+                engine.sort_pairs(&records).unwrap();
+                (fresh, engine.sort_pairs(&records).unwrap())
+            });
+            assert!(
+                fresh == reference,
+                "{dist}: fresh engine at threads={threads}"
+            );
+            assert!(
+                warm == reference,
+                "{dist}: warm engine at threads={threads}"
+            );
+        }
+    }
 }
 
 #[test]
