@@ -3,8 +3,8 @@
 //! - light-bucket merging on/off (paper: merging is worth ≤10%);
 //! - linear probing vs fresh-random-slot probing in the scatter (paper:
 //!   linear probing chosen for cache performance);
-//! - the paper's CAS scatter vs the exact counting-sort distribution (the
-//!   library default: no arena, no probing, no pack);
+//! - the paper's CAS scatter vs the engine's exact counting-sort
+//!   distribution (no arena, no probing, no pack);
 //! - the heavy threshold δ;
 //! - the sampling rate p = 1/2^shift;
 //! - the local sort algorithm (paper: the STL hybrid sort was chosen for
@@ -12,7 +12,7 @@
 //! - `--reuse`: the [`Semisorter`] engine's pooled scratch vs the one-shot
 //!   API — same records, `--reps` consecutive calls each, reporting
 //!   per-call wall time and *newly allocated* heap bytes (the engine's
-//!   steady-state calls must allocate zero new arena bytes, verified via
+//!   steady-state calls must grow no scratch, verified via
 //!   `scratch_grows`).
 
 use bench::alloc_track::{measure_total, TrackingAllocator};
@@ -21,13 +21,36 @@ use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
 use semisort::{
-    try_semisort_with_stats, LocalSortAlgo, ProbeStrategy, ScatterConfig, ScatterStrategy,
-    SemisortConfig, Semisorter,
+    paper, try_semisort_with_stats, LocalSortAlgo, PaperConfig, ProbeStrategy, SemisortConfig,
+    SemisortStats, Semisorter,
 };
 use workloads::{generate, representative_distributions, Distribution};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
+
+/// One ablation arm: a paper run, or the engine's exact distribution.
+#[derive(Clone, Copy)]
+enum Arm {
+    Paper(PaperConfig),
+    Exact(SemisortConfig),
+}
+
+impl Arm {
+    fn run(self, records: &[(u64, u64)]) -> SemisortStats {
+        match self {
+            Arm::Paper(cfg) => paper::try_semisort_with_stats(records, &cfg).unwrap().1,
+            Arm::Exact(cfg) => try_semisort_with_stats(records, &cfg).unwrap().1,
+        }
+    }
+}
+
+/// The paper run of `cfg` with its shared settings changed by `f`.
+fn with_base(cfg: PaperConfig, f: impl FnOnce(&mut SemisortConfig)) -> Arm {
+    let mut cfg = cfg;
+    f(&mut cfg.base);
+    Arm::Paper(cfg)
+}
 
 /// The `--reuse` arm: warm engine vs one-shot API, `reps` consecutive
 /// calls on the same records. Panics if a steady-state engine call grows
@@ -132,31 +155,22 @@ fn main() {
         println!("{}:", dist.label());
         let records = generate(dist, args.n, args.seed);
         // The paper's algorithm: every knob below is ablated against it.
-        let base_cfg = SemisortConfig {
-            scatter: ScatterConfig {
-                strategy: ScatterStrategy::RandomCas,
-                ..ScatterConfig::default()
-            },
-            ..SemisortConfig::default()
+        let base_cfg = PaperConfig::new(
+            SemisortConfig::default()
                 .with_seed(args.seed)
-                .with_telemetry(args.telemetry)
-        };
+                .with_telemetry(args.telemetry),
+        );
         let ((base_stats, base), eff) = with_threads(threads, || {
-            let timed = time_best_of(args.reps, || {
-                try_semisort_with_stats(&records, &base_cfg).unwrap().1
-            });
+            let timed = time_best_of(args.reps, || Arm::Paper(base_cfg).run(&records));
             (timed, bench::trajectory::effective_threads())
         });
         let base_s = base.as_secs_f64();
         bench::trajectory::emit(&args, "ablation", threads, eff, base_s, &base_stats);
 
         let mut table = Table::new(["variant", "time (s)", "vs default", "slots/n"]);
-        let mut run = |name: &str, cfg: SemisortConfig| {
-            let (stats, t) = with_threads(threads, || {
-                time_best_of(args.reps, || {
-                    try_semisort_with_stats(&records, &cfg).unwrap().1
-                })
-            });
+        let mut run = |name: &str, arm: Arm| {
+            let (stats, t) =
+                with_threads(threads, || time_best_of(args.reps, || arm.run(&records)));
             table.row([
                 name.to_string(),
                 s3(t),
@@ -165,72 +179,45 @@ fn main() {
             ]);
         };
 
-        run("default (paper constants)", base_cfg);
+        run("default (paper constants)", Arm::Paper(base_cfg));
         run(
             "no light-bucket merging",
-            SemisortConfig {
-                merge_light_buckets: false,
-                ..base_cfg
-            },
+            with_base(base_cfg, |b| b.merge_light_buckets = false),
         );
         run(
             "random-slot probing",
-            SemisortConfig {
+            Arm::Paper(PaperConfig {
                 probe_strategy: ProbeStrategy::Random,
                 ..base_cfg
-            },
+            }),
         );
-        run(
-            "counting distribution",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy: ScatterStrategy::Counting,
-                    ..base_cfg.scatter
-                },
-                ..base_cfg
-            },
-        );
+        run("counting distribution", Arm::Exact(base_cfg.base));
         run(
             "prefetch off",
-            SemisortConfig {
-                scatter: ScatterConfig {
-                    prefetch_distance: 0,
-                    ..base_cfg.scatter
-                },
+            Arm::Paper(PaperConfig {
+                prefetch_distance: 0,
                 ..base_cfg
-            },
+            }),
         );
         for delta in [4usize, 8, 32, 64] {
             run(
                 &format!("δ = {delta}"),
-                SemisortConfig {
-                    heavy_threshold: delta,
-                    ..base_cfg
-                },
+                with_base(base_cfg, |b| b.heavy_threshold = delta),
             );
         }
         for shift in [2u32, 3, 5, 6] {
             run(
                 &format!("p = 1/{}", 1 << shift),
-                SemisortConfig {
-                    sample_shift: shift,
-                    ..base_cfg
-                },
+                with_base(base_cfg, |b| b.sample_shift = shift),
             );
         }
         run(
             "local sort: stable",
-            SemisortConfig {
-                local_sort_algo: LocalSortAlgo::StdStable,
-                ..base_cfg
-            },
+            with_base(base_cfg, |b| b.local_sort_algo = LocalSortAlgo::StdStable),
         );
         run(
             "local sort: naming+counting",
-            SemisortConfig {
-                local_sort_algo: LocalSortAlgo::Counting,
-                ..base_cfg
-            },
+            with_base(base_cfg, |b| b.local_sort_algo = LocalSortAlgo::Counting),
         );
         table.print();
         println!();
@@ -238,11 +225,10 @@ fn main() {
 
     // Head-to-head scatter comparison on the three shapes that stress it
     // differently: all-light (uniform), skewed (Zipfian power law), and
-    // single-bucket (all keys equal). RandomCas also runs with prefetching
-    // disabled (the only strategy that reads it), and every run appends a
-    // trajectory record so the strategy (± prefetch) ablation lands in
-    // `BENCH_semisort.json`.
-    println!("Scatter strategy (RandomCas vs Counting), t_scatter isolated:");
+    // single-bucket (all keys equal). The paper's CAS scatter also runs
+    // with prefetching disabled, and every run appends a trajectory record
+    // so the strategy (± prefetch) ablation lands in `BENCH_semisort.json`.
+    println!("Scatter strategy (random-cas vs counting), t_scatter isolated:");
     let scatter_dists = [
         Distribution::Uniform { n: args.n as u64 },
         Distribution::Zipfian { m: 1_000_000 },
@@ -258,25 +244,24 @@ fn main() {
     ]);
     for dist in scatter_dists {
         let records = generate(dist, args.n, args.seed);
-        let default_prefetch = ScatterConfig::default().prefetch_distance;
-        for (strategy, prefetch_distance) in [
-            (ScatterStrategy::RandomCas, default_prefetch),
-            (ScatterStrategy::RandomCas, 0),
-            (ScatterStrategy::Counting, default_prefetch),
+        let cas = PaperConfig::new(
+            SemisortConfig::default()
+                .with_seed(args.seed)
+                .with_telemetry(args.telemetry),
+        );
+        for (name, arm) in [
+            ("random-cas", Arm::Paper(cas)),
+            (
+                "random-cas (no prefetch)",
+                Arm::Paper(PaperConfig {
+                    prefetch_distance: 0,
+                    ..cas
+                }),
+            ),
+            ("counting", Arm::Exact(cas.base)),
         ] {
-            let name = strategy.as_str();
-            let cfg = SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy,
-                    prefetch_distance,
-                },
-                telemetry: args.telemetry,
-                ..SemisortConfig::default().with_seed(args.seed)
-            };
             let ((stats, t), eff) = with_threads(threads, || {
-                let timed = time_best_of(args.reps, || {
-                    try_semisort_with_stats(&records, &cfg).unwrap().1
-                });
+                let timed = time_best_of(args.reps, || arm.run(&records));
                 (timed, bench::trajectory::effective_threads())
             });
             bench::trajectory::emit(
@@ -289,11 +274,7 @@ fn main() {
             );
             table.row([
                 dist.label(),
-                if prefetch_distance == 0 {
-                    format!("{name} (no prefetch)")
-                } else {
-                    name.to_string()
-                },
+                name.to_string(),
                 s3(t),
                 format!("{:.3}", stats.t_scatter.as_secs_f64()),
                 format!("{:.2}", stats.space_blowup()),

@@ -11,7 +11,7 @@ use bench::fmt::{pct1, s3, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::try_semisort_with_stats;
+use semisort::paper::try_semisort_with_stats;
 use workloads::{generate, paper_distributions, Distribution};
 
 fn main() {

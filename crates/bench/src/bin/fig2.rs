@@ -11,7 +11,7 @@ use bench::timing::time_best_of;
 use bench::Args;
 use parlay::radix_sort::radix_sort_pairs;
 use parlay::with_threads;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, representative_distributions};
 
 fn main() {
@@ -40,7 +40,10 @@ fn main() {
         for &t in &args.threads {
             let (_, semi) = with_threads(t, || {
                 time_best_of(args.reps, || {
-                    try_semisort_pairs(&records, &cfg).unwrap().len()
+                    paper::try_semisort_with_stats(&records, &cfg)
+                        .unwrap()
+                        .0
+                        .len()
                 })
             });
             let (_, radix) = with_threads(t, || {

@@ -95,8 +95,9 @@ fn main() {
             .count()
     });
     bench("semisort (end to end)", &|| {
-        semisort::try_semisort_pairs(&pairs, &bench::paper_config(args.seed))
+        semisort::paper::try_semisort_with_stats(&pairs, &bench::paper_config(args.seed))
             .unwrap()
+            .0
             .len()
     });
 
@@ -104,10 +105,13 @@ fn main() {
 
     // The stats-carrying run for --stats-json and the trajectory file
     // (the closure-driven rows above only keep wall times).
-    let cfg = bench::paper_config(args.seed).with_telemetry(args.telemetry);
+    let mut cfg = bench::paper_config(args.seed);
+    cfg.base.telemetry = args.telemetry;
     let ((stats, dt), eff) = with_threads(threads, || {
         let timed = time_best_of(args.reps, || {
-            semisort::try_semisort_with_stats(&pairs, &cfg).unwrap().1
+            semisort::paper::try_semisort_with_stats(&pairs, &cfg)
+                .unwrap()
+                .1
         });
         (timed, bench::trajectory::effective_threads())
     });

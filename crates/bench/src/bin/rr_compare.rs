@@ -13,7 +13,7 @@ use bench::fmt::{s3, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, paper_distributions, representative_distributions};
 
 fn main() {
@@ -43,7 +43,10 @@ fn main() {
         let records = generate(dist, args.n, args.seed);
         let (_, t_semi) = with_threads(threads, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&records, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&records, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         let (timing, _) = with_threads(threads, || {

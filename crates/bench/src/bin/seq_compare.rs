@@ -12,7 +12,7 @@ use bench::fmt::{s3, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, representative_distributions};
 
 fn main() {
@@ -32,7 +32,10 @@ fn main() {
 
         let (_, t_semi) = with_threads(1, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&records, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&records, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         let entries: Vec<(&str, std::time::Duration)> = vec![

@@ -12,7 +12,7 @@ use baselines::{seq_hash_semisort, seq_two_phase_semisort};
 use bench::alloc_track::{measure_peak, TrackingAllocator};
 use bench::fmt::{x2, Table};
 use bench::Args;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, representative_distributions, Distribution};
 
 #[global_allocator]
@@ -46,7 +46,12 @@ fn main() {
             ]);
         };
 
-        let (_, peak) = measure_peak(|| try_semisort_pairs(&records, &cfg).unwrap().len());
+        let (_, peak) = measure_peak(|| {
+            paper::try_semisort_with_stats(&records, &cfg)
+                .unwrap()
+                .0
+                .len()
+        });
         row("parallel semisort", peak);
         let (_, peak) = measure_peak(|| seq_hash_semisort(&records).len());
         row("seq chained hash", peak);

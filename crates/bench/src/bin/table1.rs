@@ -14,7 +14,7 @@ use bench::timing::time_best_of;
 use bench::Args;
 use parlay::radix_sort::radix_sort_pairs;
 use parlay::with_threads;
-use semisort::try_semisort_with_stats;
+use semisort::paper::try_semisort_with_stats;
 use workloads::{generate, paper_distributions};
 
 fn main() {

@@ -15,12 +15,14 @@ use bench::fmt::{pct1, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::{try_semisort_with_stats, SemisortStats};
+use semisort::paper::try_semisort_with_stats;
+use semisort::SemisortStats;
 use workloads::{generate, representative_distributions};
 
 fn main() {
     let Some(args) = Args::parse() else { return };
-    let cfg = bench::paper_config(args.seed).with_telemetry(args.telemetry);
+    let mut cfg = bench::paper_config(args.seed);
+    cfg.base.telemetry = args.telemetry;
     let (exp_dist, uni_dist) = representative_distributions(args.n);
     let par_threads = args.max_threads();
 

@@ -12,7 +12,7 @@ use bench::fmt::{s3, x2, Table};
 use bench::timing::time_best_of;
 use bench::Args;
 use parlay::with_threads;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, representative_distributions};
 
 fn main() {
@@ -48,22 +48,34 @@ fn main() {
 
         let (_, exp_seq) = with_threads(1, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&exp_recs, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&exp_recs, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         let (_, exp_par) = with_threads(par_threads, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&exp_recs, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&exp_recs, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         let (_, uni_seq) = with_threads(1, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&uni_recs, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&uni_recs, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         let (_, uni_par) = with_threads(par_threads, || {
             time_best_of(args.reps, || {
-                try_semisort_pairs(&uni_recs, &cfg).unwrap().len()
+                paper::try_semisort_with_stats(&uni_recs, &cfg)
+                    .unwrap()
+                    .0
+                    .len()
             })
         });
         // Scatter + pack on the uniform input (the paper's baseline column).

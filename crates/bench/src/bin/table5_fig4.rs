@@ -15,7 +15,7 @@ use bench::Args;
 use parlay::radix_sort::radix_sort_pairs;
 use parlay::sample_sort::sample_sort_pairs;
 use parlay::with_threads;
-use semisort::try_semisort_pairs;
+use semisort::paper;
 use workloads::{generate, representative_distributions, Distribution};
 
 fn main() {
@@ -65,7 +65,8 @@ fn main() {
                 radix_sort_pairs(&mut v);
                 v.len()
             };
-            let semi = |recs: &[(u64, u64)]| try_semisort_pairs(recs, &cfg).unwrap().len();
+            let semi =
+                |recs: &[(u64, u64)]| paper::try_semisort_with_stats(recs, &cfg).unwrap().0.len();
 
             let t_stl_seq = run_seq(&|| stl(&records));
             let t_stl_par = run_par(&|| stl_par(&records));

@@ -16,18 +16,12 @@ pub use cli::Args;
 pub use fmt::Table;
 pub use timing::{time, time_best_of};
 
-use semisort::{ScatterConfig, ScatterStrategy, SemisortConfig};
+use semisort::{PaperConfig, SemisortConfig};
 
 /// The configuration the paper-reproduction binaries measure: the paper's
-/// constants with its CAS scatter ([`ScatterStrategy::RandomCas`]) pinned,
-/// rather than the library's default exact distribution, so the tables
-/// keep measuring the paper's algorithm.
-pub fn paper_config(seed: u64) -> SemisortConfig {
-    SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
-            ..ScatterConfig::default()
-        },
-        ..SemisortConfig::default().with_seed(seed)
-    }
+/// constants, CAS scatter included, run through
+/// [`semisort::paper::try_semisort_with_stats`] rather than the engine's
+/// exact distribution, so the tables keep measuring the paper's algorithm.
+pub fn paper_config(seed: u64) -> PaperConfig {
+    PaperConfig::new(SemisortConfig::default().with_seed(seed))
 }

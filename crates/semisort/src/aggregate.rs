@@ -11,7 +11,7 @@
 //!    in the driver;
 //! 3. distribute the pairs into **exact** bucket regions with
 //!    [`BucketPlan::distribute_into`](crate::buckets::BucketPlan::distribute_into),
-//!    the driver's default Phase 3 — exact counts mean no slot arena, no
+//!    the driver's Phase 3 — exact counts mean no slot arena, no
 //!    CAS, no overflow, no Las Vegas retry and no pack;
 //! 4. fold all regions in parallel. A heavy region holds a single hash and
 //!    is folded as it stands; a light region (`O(log² n)` records) is first

@@ -20,7 +20,8 @@
 use parlay::random::Rng;
 
 use crate::buckets::{build_plan, BucketPlan};
-use crate::config::SemisortConfig;
+use crate::config::PaperConfig;
+use crate::paper::arena_layout;
 use crate::sample::strided_sample_by;
 
 /// Operation counts from one instrumented replay of Algorithm 1.
@@ -82,8 +83,9 @@ impl CostModel {
 }
 
 /// Replay Algorithm 1 on `records` with operation counting (sequential and
-/// deterministic; no timing, no concurrency).
-pub fn analyze(records: &[(u64, u64)], cfg: &SemisortConfig) -> CostModel {
+/// deterministic; no timing, no concurrency), with the paper's CAS scatter
+/// and slot arena as `cfg` sizes them.
+pub fn analyze(records: &[(u64, u64)], cfg: &PaperConfig) -> CostModel {
     let n = records.len();
     let mut cost = CostModel {
         n,
@@ -92,29 +94,30 @@ pub fn analyze(records: &[(u64, u64)], cfg: &SemisortConfig) -> CostModel {
     if n == 0 {
         return cost;
     }
-    let rng = Rng::new(cfg.seed);
+    let rng = Rng::new(cfg.base.seed);
 
     // Phase 1: sample (one visit per record) + radix sort of the sample
     // (8 passes of 2 visits each over |S| for 64-bit keys).
-    let mut sample = strided_sample_by(n, cfg.sample_shift, rng.fork(1), |i| records[i].0);
+    let mut sample = strided_sample_by(n, cfg.base.sample_shift, rng.fork(1), |i| records[i].0);
     sample.sort_unstable();
     cost.sample_size = sample.len();
     cost.sample_work = n + 16 * sample.len();
 
     // Phase 2: distinct scan over the sample + prefix accounting.
-    let plan: BucketPlan = build_plan(&sample, n, cfg);
+    let plan: BucketPlan = build_plan(&sample, n, &cfg.base);
+    let layout = arena_layout(&plan, n, cfg);
     cost.bucket_work = sample.len() + (1usize << (64 - plan.prefix_shift));
-    cost.total_slots = plan.total_slots;
+    cost.total_slots = layout.total_slots;
 
     // Phase 3: simulate the scatter probe-for-probe.
-    let mut occupied = vec![false; plan.total_slots];
+    let mut occupied = vec![false; layout.total_slots];
     let mut bucket_records = vec![0usize; plan.num_buckets()];
     let scatter_rng = rng.fork(2);
     for (i, &(key, _)) in records.iter().enumerate() {
         let b = plan.bucket_of(key) as usize;
         bucket_records[b] += 1;
-        let base = plan.bucket_offset[b];
-        let size = plan.bucket_size[b];
+        let base = layout.bucket_offset[b];
+        let size = layout.bucket_size[b];
         let mask = size - 1;
         let mut s = (scatter_rng.at(i as u64) as usize) & mask;
         let mut probes = 1usize;
@@ -130,7 +133,7 @@ pub fn analyze(records: &[(u64, u64)], cfg: &SemisortConfig) -> CostModel {
 
     // Phases 4–5: compaction visits every slot once; local sorts cost
     // c·log₂c per light bucket.
-    cost.pack_work = plan.total_slots;
+    cost.pack_work = layout.total_slots;
     for (b, &c) in bucket_records.iter().enumerate().take(plan.num_buckets()) {
         cost.max_bucket = cost.max_bucket.max(c);
         if b >= plan.num_heavy {
@@ -165,13 +168,13 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let c = analyze(&[], &SemisortConfig::default());
+        let c = analyze(&[], &PaperConfig::default());
         assert_eq!(c.total_work(), 0);
     }
 
     #[test]
     fn work_is_linear_uniform() {
-        let cfg = SemisortConfig::default();
+        let cfg = PaperConfig::default();
         let small = analyze(&uniform(50_000), &cfg);
         let large = analyze(&uniform(400_000), &cfg);
         // O(n) work: per-record work must not grow with n (allow noise).
@@ -189,7 +192,7 @@ mod tests {
 
     #[test]
     fn probe_runs_are_logarithmic() {
-        let cfg = SemisortConfig::default();
+        let cfg = PaperConfig::default();
         for n in [50_000usize, 200_000, 800_000] {
             let c = analyze(&uniform(n), &cfg);
             assert!(
@@ -203,7 +206,7 @@ mod tests {
 
     #[test]
     fn light_buckets_are_polylog() {
-        let cfg = SemisortConfig::default();
+        let cfg = PaperConfig::default();
         for n in [50_000usize, 400_000] {
             let c = analyze(&uniform(n), &cfg);
             assert!(
@@ -218,14 +221,14 @@ mod tests {
     fn expected_probes_near_one() {
         // With α·f(s) slack, the load factor stays low enough that the
         // average probe count is close to 1 (§4: expected O(1) insertion).
-        let c = analyze(&uniform(300_000), &SemisortConfig::default());
+        let c = analyze(&uniform(300_000), &PaperConfig::default());
         let avg = c.scatter_probes as f64 / c.n as f64;
         assert!(avg < 2.0, "average probes {avg:.3} should be ≈1");
     }
 
     #[test]
     fn skewed_inputs_keep_linear_work() {
-        let cfg = SemisortConfig::default();
+        let cfg = PaperConfig::default();
         let c = analyze(&zipf_like(300_000), &cfg);
         assert!(c.work_per_record() < 40.0);
         assert!(c.probe_depth_ratio() < 6.0);
@@ -233,7 +236,7 @@ mod tests {
 
     #[test]
     fn space_matches_driver_lemma_3_5() {
-        let cfg = SemisortConfig::default();
+        let cfg = PaperConfig::default();
         let c = analyze(&uniform(200_000), &cfg);
         assert!(c.total_slots < 10 * c.n);
     }

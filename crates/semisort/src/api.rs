@@ -11,11 +11,9 @@
 //! (see [`crate::aggregate`]).
 //!
 //! The surface is Result-first: every entry point is a `try_*`
-//! function returning `Result<_, `[`SemisortError`]`>` — which, under the
-//! default
-//! [`OverflowPolicy::Fallback`](crate::config::OverflowPolicy::Fallback),
-//! is never `Err` on valid input (overflow degrades to the comparison
-//! sort). Since the [`Semisorter`] engine became the primary surface,
+//! function returning `Result<_, `[`SemisortError`]`>` — which is never
+//! `Err` on a valid configuration (the exact distribution cannot
+//! overflow). Since the [`Semisorter`] engine became the primary surface,
 //! every `try_*` function here is a thin one-shot wrapper: it builds a
 //! transient engine for the call and drops it (and its scratch) on
 //! return, so one-shot and engine calls are behaviorally identical.

@@ -38,9 +38,8 @@ pub fn semisort_bounded<V: Copy + Send + Sync>(records: &[(u64, V)], m: usize) -
 /// otherwise.
 ///
 /// The range scan costs one parallel pass — noise next to either sort.
-/// The counting-sort path is deterministic and
-/// cannot fail; errors can only come from the general algorithm under
-/// [`OverflowPolicy::Error`](crate::config::OverflowPolicy::Error).
+/// The counting-sort path is deterministic and cannot fail; errors can
+/// only come from the general algorithm's config validation.
 pub fn try_semisort_auto<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,

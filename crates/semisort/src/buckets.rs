@@ -1,31 +1,30 @@
-//! Phase 2: heavy/light classification and bucket allocation.
+//! Phase 2: heavy/light classification.
 //!
-//! From the *sorted* sample this module derives the whole memory layout of
-//! the scatter:
+//! From the *sorted* sample this module derives the bucket structure every
+//! distribution routes records through:
 //!
 //! - **Heavy keys** — hashed keys appearing at least δ times in the sample
 //!   ("If the count for a key is greater than δ = 16, we insert the key
-//!   into a hash table" — §4 Phase 2). Each heavy key gets its own bucket
-//!   sized `α·f(count)`, and the phase-concurrent hash table `T` maps the
-//!   key to its bucket id so the scatter can route heavy records in O(1).
+//!   into a hash table" — §4 Phase 2). Each heavy key gets its own bucket,
+//!   and the phase-concurrent hash table `T` maps the key to its bucket id
+//!   so a distribution can route heavy records in O(1).
 //! - **Light keys** — everything else. The 64-bit hash range is split into
 //!   `2^16` equal prefix classes; adjacent classes are merged until each
-//!   bucket holds at least δ sample records (the ≤10% optimization of §4),
-//!   and each merged bucket is sized `α·f(s)` from its sample count `s`.
+//!   bucket holds at least δ sample records (the ≤10% optimization of §4).
 //!
-//! All buckets live in one big slot array — heavy buckets first, then light
-//! ("To allow for efficient packing later, we use a single large array for
-//! all of the buckets"), with each bucket's offset recorded. Sizes are
-//! powers of two so the scatter's wraparound is a mask.
+//! Heavy buckets come first, then light. The plan records each bucket's
+//! sample count; the engine's exact distribution needs nothing more, and
+//! the paper's CAS scatter sizes its slot arena from those counts
+//! ([`crate::paper::arena_layout`]).
 
 use parlay::counting_sort::{counting_sort_into_with, CountingScratch};
 use parlay::hash_table::PhaseConcurrentMap;
 use rayon::prelude::*;
 
 use crate::config::SemisortConfig;
-use crate::estimate::bucket_capacity;
 
-/// The memory layout for one semisort run, produced from the sorted sample.
+/// The bucket structure of one semisort run, produced from the sorted
+/// sample.
 pub struct BucketPlan {
     /// Heavy-key table `T`: hashed key → heavy bucket id (dense, `0..num_heavy`).
     pub heavy_table: PhaseConcurrentMap<u32>,
@@ -33,14 +32,9 @@ pub struct BucketPlan {
     pub num_heavy: usize,
     /// Number of sample records classified heavy (for the heavy-% stat).
     pub heavy_sample_records: usize,
-    /// Per bucket (heavy buckets then light buckets): first slot index.
-    pub bucket_offset: Vec<usize>,
-    /// Per bucket: capacity in slots (a power of two).
-    pub bucket_size: Vec<usize>,
-    /// Total slots across heavy buckets (the heavy region is `[0, heavy_slots)`).
-    pub heavy_slots: usize,
-    /// Total slots overall.
-    pub total_slots: usize,
+    /// Per bucket (heavy buckets then light buckets): how many sample
+    /// records it received — what the paper's estimator sizes it from.
+    pub sample_counts: Vec<usize>,
     /// Hash-prefix → light bucket id (*global* id, i.e. already offset by
     /// `num_heavy`); length `2^light_bucket_log2`.
     pub prefix_to_bucket: Vec<u32>,
@@ -92,11 +86,10 @@ impl BucketPlan {
     /// `dst[starts[b]..starts[b + 1]]`, heavy buckets first; the slice
     /// lives in `scratch` until its next use).
     ///
-    /// The counts are exact, so unlike the slot arena nothing can
+    /// The counts are exact, so unlike the paper's slot arena nothing can
     /// overflow and nothing needs packing. The sort is stable, so `dst`
     /// is a function of `src` and the plan alone, at any thread count.
-    /// Both the driver's default path and the by-key aggregation
-    /// distribute through here.
+    /// Both the driver and the by-key aggregation distribute through here.
     ///
     /// # Panics
     ///
@@ -119,12 +112,10 @@ impl BucketPlan {
 
 /// Build the [`BucketPlan`] from the sorted sample (Steps 4, 5, 6a, 7a).
 ///
-/// `n` is the input size (the estimator needs `ln n`); `sorted_sample` is
-/// the Phase 1 output.
+/// `n` is the input size (it sets the light-bucket count);
+/// `sorted_sample` is the Phase 1 output.
 pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> BucketPlan {
     let s_len = sorted_sample.len();
-    let p = cfg.sample_probability();
-    let ln_n = (n.max(2) as f64).ln();
     // Θ(n/log²n) light buckets (§3, Step 7a), capped at the paper's 2^16
     // (their tuned constant for n = 10⁸, where n/log²n ≈ 2^17). At smaller
     // n the scaled count keeps per-bucket sample density — and therefore
@@ -159,7 +150,7 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
     let num_heavy = heavy.len();
     let heavy_sample_records: usize = heavy.iter().map(|h| h.1).sum();
 
-    // Heavy table and bucket sizes.
+    // Heavy table and per-bucket sample counts.
     let heavy_table = PhaseConcurrentMap::with_seed(num_heavy.max(1), cfg.seed ^ TABLE_SEED);
     heavy
         .par_iter()
@@ -169,12 +160,8 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
             let inserted = heavy_table.insert(key, b as u32);
             debug_assert!(inserted, "heavy keys are distinct by construction");
         });
-    let mut sizes: Vec<usize> = Vec::with_capacity(num_heavy + 64);
-    sizes.extend(
-        heavy
-            .iter()
-            .map(|&(_, count)| bucket_capacity(count, p, cfg.c, ln_n, cfg.alpha)),
-    );
+    let mut sample_counts: Vec<usize> = Vec::with_capacity(num_heavy + 64);
+    sample_counts.extend(heavy.iter().map(|&(_, count)| count));
 
     // Light sample count per prefix class. The sample is sorted, so each
     // prefix class is a contiguous run: count it by binary search, then
@@ -198,9 +185,6 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
     {
         let mut acc = 0usize;
         let mut bucket_start_pfx = 0usize;
-        let close = |sizes: &mut Vec<usize>, acc: usize| {
-            sizes.push(bucket_capacity(acc, p, cfg.c, ln_n, cfg.alpha));
-        };
         for pfx in 0..num_prefixes {
             prefix_to_bucket[pfx] = (num_heavy + num_light) as u32;
             acc += light_count[pfx];
@@ -210,7 +194,7 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
                 true
             };
             if done {
-                close(&mut sizes, acc);
+                sample_counts.push(acc);
                 num_light += 1;
                 acc = 0;
                 bucket_start_pfx = pfx + 1;
@@ -218,28 +202,16 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
         }
         if acc > 0 || bucket_start_pfx < num_prefixes {
             // Trailing prefixes that never reached δ form a final bucket.
-            close(&mut sizes, acc);
+            sample_counts.push(acc);
             num_light += 1;
         }
     }
-
-    // Offsets: exclusive scan over sizes; heavy region first.
-    let mut bucket_offset = sizes.clone();
-    let total_slots = parlay::scan_add_exclusive(&mut bucket_offset);
-    let heavy_slots = if num_heavy < bucket_offset.len() {
-        bucket_offset[num_heavy]
-    } else {
-        total_slots
-    };
 
     BucketPlan {
         heavy_table,
         num_heavy,
         heavy_sample_records,
-        bucket_offset,
-        bucket_size: sizes,
-        heavy_slots,
-        total_slots,
+        sample_counts,
         prefix_to_bucket,
         num_light,
         prefix_shift,
@@ -299,7 +271,7 @@ mod tests {
         assert_eq!(plan.num_heavy, 0);
         assert_eq!(plan.heavy_sample_records, 0);
         assert!(plan.num_light > 0);
-        assert_eq!(plan.heavy_slots, 0);
+        assert_eq!(layout(&plan, 16_000).heavy_slots, 0);
     }
 
     #[test]
@@ -327,18 +299,26 @@ mod tests {
         }
     }
 
+    /// The paper's slot arena for `plan` at its default constants.
+    fn layout(plan: &BucketPlan, n: usize) -> crate::scatter::ArenaLayout {
+        crate::paper::arena_layout(plan, n, &crate::config::PaperConfig::default())
+    }
+
     #[test]
     fn offsets_tile_total_slots() {
         let keys: Vec<u64> = (0..5000u64).map(|i| hash64(i % 300)).collect();
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 80_000, &cfg());
+        assert_eq!(plan.sample_counts.len(), plan.num_buckets());
+        assert_eq!(plan.sample_counts.iter().sum::<usize>(), sample.len());
+        let layout = layout(&plan, 80_000);
         let mut expect = 0usize;
         for b in 0..plan.num_buckets() {
-            assert_eq!(plan.bucket_offset[b], expect);
-            assert!(plan.bucket_size[b].is_power_of_two());
-            expect += plan.bucket_size[b];
+            assert_eq!(layout.bucket_offset[b], expect);
+            assert!(layout.bucket_size[b].is_power_of_two());
+            expect += layout.bucket_size[b];
         }
-        assert_eq!(expect, plan.total_slots);
+        assert_eq!(expect, layout.total_slots);
     }
 
     #[test]
@@ -398,7 +378,7 @@ mod tests {
         let plan = build_plan(&[], 10, &cfg());
         assert_eq!(plan.num_heavy, 0);
         assert!(plan.num_light >= 1);
-        assert!(plan.total_slots > 0);
+        assert!(layout(&plan, 10).total_slots > 0);
         let b = plan.bucket_of(hash64(3));
         assert!((b as usize) < plan.num_buckets());
     }
@@ -412,7 +392,7 @@ mod tests {
         let c = cfg();
         let plan = build_plan(&sample, 2624, &c);
         assert_eq!(plan.num_heavy, 1);
-        assert!(plan.bucket_size[0] >= 64 * c.sample_stride());
+        assert!(layout(&plan, 2624).bucket_size[0] >= 64 * c.sample_stride());
     }
 
     /// The plan the driver would build for `records` (strided sample,
@@ -497,7 +477,7 @@ mod tests {
         let mut scratch = CountingScratch::default();
         let mut out = vec![(0, 0); records.len()];
         parlay::with_threads(2, || plan.distribute_into(&records, &mut out, &mut scratch));
-        let arena = crate::scatter::arena_bytes::<u64>(&plan);
+        let arena = crate::scatter::arena_bytes::<u64>(&layout(&plan, records.len()));
         let held = scratch.bytes();
         assert!(
             held * 4 <= arena,

@@ -5,21 +5,23 @@
 //! be 2^16", with the estimator constant `c = 1.25` and the slack factor
 //! `1.1` from Phase 2 ("each bucket with s samples allocates an array of
 //! size 1.1·f(s) with c = 1.25, and rounded up to the nearest power of 2").
-//! The one default that departs from the paper is Phase 3: the exact
-//! distribution ([`ScatterStrategy::Counting`]) replaces its CAS scatter,
-//! which stays selectable as [`ScatterStrategy::RandomCas`].
+//! The one default that departs from the paper is Phase 3: the engine
+//! ([`SemisortConfig`]) runs the exact distribution, one stable counting
+//! sort by bucket, in place of the paper's CAS scatter. The CAS scatter
+//! and its constants (`α`, `c`, the probe strategy, the Las Vegas retry
+//! budget) live in [`PaperConfig`], read only by the one-shot
+//! [`crate::paper`] entry point.
 
 pub use crate::fault::FaultPlan;
 pub use crate::obs::TelemetryLevel;
 
 use crate::error::SemisortError;
 
-/// What the driver does once the Las Vegas machinery of the arena
-/// strategies gives up — the retry budget is exhausted, the arena memory
-/// budget is exceeded, or the arena allocation fails. Retries always happen
-/// first; the policy governs only the terminal step. The exact
-/// distribution ([`ScatterStrategy::Counting`]) has no terminal step, so
-/// the policy never applies to it.
+/// What [`crate::paper`] does once its Las Vegas machinery gives up — the
+/// retry budget is exhausted, the arena memory budget is exceeded, or the
+/// arena allocation fails. Retries always happen first; the policy governs
+/// only the terminal step. The engine's exact distribution has no terminal
+/// step, so no policy applies to it.
 ///
 /// `#[non_exhaustive]`: future versions may add policies; match with a
 /// wildcard arm.
@@ -68,68 +70,6 @@ pub enum ProbeStrategy {
     Random,
 }
 
-/// How Phase 3 moves records into their buckets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScatterStrategy {
-    /// The exact distribution, and the default: one stable counting sort
-    /// keyed by each record's bucket moves every record straight into its
-    /// bucket's region of the output, then each light region is sorted.
-    /// Exact counts mean no slot arena, no CAS, no overflow, no Las Vegas
-    /// retry and no pack, and stability makes the output a function of
-    /// the input and the seed alone, at any thread count. See
-    /// [`BucketPlan::distribute_into`](crate::buckets::BucketPlan::distribute_into).
-    Counting,
-    /// The paper's Phase 3, kept as the reference that reproduces its
-    /// tables: every record CASes into a random slot of its bucket's
-    /// `α`-sized arena, probing on collision (see [`ProbeStrategy`]); a
-    /// full bucket retries the run with doubled α.
-    RandomCas,
-}
-
-impl ScatterStrategy {
-    /// Parse a CLI spelling (`counting`, `random-cas`, or its alias `cas`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "counting" => Some(ScatterStrategy::Counting),
-            "random-cas" | "cas" => Some(ScatterStrategy::RandomCas),
-            _ => None,
-        }
-    }
-
-    /// The CLI (and stats JSON) spelling of this strategy.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScatterStrategy::Counting => "counting",
-            ScatterStrategy::RandomCas => "random-cas",
-        }
-    }
-}
-
-/// Phase 3 backend selection plus the knob it reads, grouped so that
-/// adding a knob is not a breaking change to [`SemisortConfig`]
-/// construction via `..Default::default()`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScatterConfig {
-    /// Which Phase 3 implementation to run; default the exact
-    /// [`ScatterStrategy::Counting`].
-    pub strategy: ScatterStrategy,
-    /// [`ScatterStrategy::RandomCas`] only: how many records ahead of the
-    /// store the scatter computes the hash→slot mapping and issues a
-    /// software prefetch for the target cache line; default 8, `0`
-    /// disables prefetching. Capped at 64 — beyond that the lines fall out
-    /// of the fill buffers before use.
-    pub prefetch_distance: usize,
-}
-
-impl Default for ScatterConfig {
-    fn default() -> Self {
-        ScatterConfig {
-            strategy: ScatterStrategy::Counting,
-            prefetch_distance: 8,
-        }
-    }
-}
-
 /// Which algorithm sorts each light bucket in Phase 4.
 ///
 /// The paper "tried several versions including a bucket sort, some
@@ -148,8 +88,11 @@ pub enum LocalSortAlgo {
     StdStable,
 }
 
-/// Configuration for the semisort. `Default::default()` reproduces the
-/// paper's shipped constants, with the exact distribution as Phase 3.
+/// Configuration for the semisort engine. `Default::default()` reproduces
+/// the paper's shipped constants for every phase the engine runs (sampling,
+/// heavy/light classification, light buckets, local sort); Phase 3 is the
+/// exact distribution, which needs no slack or retry constants. The paper's
+/// CAS scatter takes its extra knobs from [`PaperConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfig {
     /// Sampling probability is `1/2^sample_shift`; default 4 (p = 1/16).
@@ -162,19 +105,10 @@ pub struct SemisortConfig {
     /// theoretical Θ(n/log²n) rule, capped here — see
     /// `buckets::effective_prefix_bits`.
     pub light_bucket_log2: u32,
-    /// Slack multiplier α on the size estimate; default 1.1.
-    pub alpha: f64,
-    /// Estimator constant c in `f(s)`; default 1.25.
-    pub c: f64,
     /// Merge adjacent light buckets until each holds at least δ samples
     /// ("reduces the overall running time by at most 10%" — §4 Phase 2).
     /// Default true.
     pub merge_light_buckets: bool,
-    /// Collision handling in the scatter; default linear probing.
-    pub probe_strategy: ProbeStrategy,
-    /// Phase 3 backend and its prefetch distance, grouped in one validated
-    /// sub-struct (see [`ScatterConfig`]).
-    pub scatter: ScatterConfig,
     /// Light-bucket sorting algorithm; default `StdUnstable`.
     pub local_sort_algo: LocalSortAlgo,
     /// Seed for sampling jitter and scatter randomness. Runs with equal
@@ -183,31 +117,11 @@ pub struct SemisortConfig {
     /// Inputs at or below this size skip the machinery and sort directly
     /// (a semisorted order trivially); default 2^13.
     pub seq_threshold: usize,
-    /// Maximum Las Vegas restarts on bucket overflow (Corollary 3.4 failure)
-    /// before growing α; default 3, must be < 32 (α growth is `2^attempt`).
-    /// Each retry re-randomizes scatter positions and doubles the
-    /// overflowing run's slack. What happens when the budget runs out is
-    /// governed by `overflow_policy`. [`ScatterStrategy::RandomCas`] only:
-    /// the exact distribution cannot overflow and never retries.
-    pub max_retries: u32,
-    /// What to do when retries are exhausted, the arena budget is
-    /// exceeded, or the arena allocation fails; default
-    /// [`OverflowPolicy::Fallback`] (degrade, never crash).
-    pub overflow_policy: OverflowPolicy,
-    /// Upper bound in bytes on the scatter arena (slot array) of
-    /// [`ScatterStrategy::RandomCas`]. α-doubling across retries grows the
-    /// arena; a plan whose arena would exceed this budget triggers early
-    /// degradation per `overflow_policy` instead of an oversized
-    /// allocation. The exact distribution holds no arena and ignores it.
-    /// Default `usize::MAX` (unlimited).
-    pub max_arena_bytes: usize,
     /// Upper bound in bytes on the scratch memory a
     /// [`Semisorter`](crate::engine::Semisorter) *retains between calls*
-    /// (see [`ScratchPool::bytes_held`](crate::pool::ScratchPool::bytes_held)).
-    /// Unlike `max_arena_bytes` — which caps what a single run may
-    /// allocate — this caps what the pool keeps warm afterwards: a call
-    /// that leaves the pool over budget trims it back to empty on the way
-    /// out. Default `usize::MAX` (retain everything).
+    /// (see [`ScratchPool::bytes_held`](crate::pool::ScratchPool::bytes_held)):
+    /// a call that leaves the pool over budget trims it back to empty on
+    /// the way out. Default `usize::MAX` (retain everything).
     pub max_scratch_bytes: usize,
     /// Deterministic fault-injection schedule (dev/chaos-testing only);
     /// default inert. See [`crate::fault`].
@@ -232,17 +146,10 @@ impl Default for SemisortConfig {
             sample_shift: 4,
             heavy_threshold: 16,
             light_bucket_log2: 16,
-            alpha: 1.1,
-            c: 1.25,
             merge_light_buckets: true,
-            probe_strategy: ProbeStrategy::Linear,
-            scatter: ScatterConfig::default(),
             local_sort_algo: LocalSortAlgo::StdUnstable,
             seed: 0x5eed_0f5e_u64,
             seq_threshold: 1 << 13,
-            max_retries: 3,
-            overflow_policy: OverflowPolicy::Fallback,
-            max_arena_bytes: usize::MAX,
             max_scratch_bytes: usize::MAX,
             fault: FaultPlan::NONE,
             telemetry: TelemetryLevel::Off,
@@ -300,16 +207,6 @@ impl SemisortConfig {
         self.to_builder().telemetry(level).cfg
     }
 
-    /// Builder-style setter for the overflow policy.
-    pub fn with_overflow_policy(self, policy: OverflowPolicy) -> Self {
-        self.to_builder().overflow_policy(policy).cfg
-    }
-
-    /// Builder-style setter for the arena memory budget.
-    pub fn with_max_arena_bytes(self, bytes: usize) -> Self {
-        self.to_builder().max_arena_bytes(bytes).cfg
-    }
-
     /// Builder-style setter for the retained-scratch budget.
     pub fn with_max_scratch_bytes(self, bytes: usize) -> Self {
         self.to_builder().max_scratch_bytes(bytes).cfg
@@ -325,13 +222,6 @@ impl SemisortConfig {
     /// by [`SemisortConfigBuilder::build`].
     #[must_use = "the Err carries the validation failure"]
     pub fn try_validate(&self) -> Result<(), SemisortError> {
-        fn check(ok: bool, reason: &'static str) -> Result<(), SemisortError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(SemisortError::InvalidConfig { reason })
-            }
-        }
         check(
             self.sample_shift >= 1 && self.sample_shift <= 16,
             "sample_shift must be in 1..=16",
@@ -341,11 +231,91 @@ impl SemisortConfig {
             self.light_bucket_log2 >= 1 && self.light_bucket_log2 <= 24,
             "light_bucket_log2 must be in 1..=24",
         )?;
+        check(
+            self.max_scratch_bytes > 0,
+            "max_scratch_bytes must be nonzero (usize::MAX = unlimited)",
+        )
+    }
+}
+
+/// `Err(InvalidConfig { reason })` unless `ok`.
+fn check(ok: bool, reason: &'static str) -> Result<(), SemisortError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SemisortError::InvalidConfig { reason })
+    }
+}
+
+/// Configuration of the paper's reference run ([`crate::paper`]): an engine
+/// [`SemisortConfig`] for the phases both share, plus the seven knobs only
+/// the CAS scatter and its Las Vegas loop read. `Default::default()` is the
+/// paper's §4 setup: `α = 1.1`, `c = 1.25`, linear probing.
+#[derive(Clone, Copy, Debug)]
+pub struct PaperConfig {
+    /// Sampling, bucket, local-sort, seed, fault and telemetry settings,
+    /// read exactly as the engine reads them. Its `max_scratch_bytes` has
+    /// nothing to bound: a paper run keeps no scratch.
+    pub base: SemisortConfig,
+    /// Slack multiplier α on each bucket's size estimate; default 1.1.
+    pub alpha: f64,
+    /// Estimator constant c in `f(s)`; default 1.25.
+    pub c: f64,
+    /// Collision handling in the scatter; default linear probing.
+    pub probe_strategy: ProbeStrategy,
+    /// How many records ahead of the store the scatter computes the
+    /// hash→slot mapping and issues a software prefetch for the target
+    /// cache line; default 8, `0` disables prefetching. Capped at 64 —
+    /// beyond that the lines fall out of the fill buffers before use.
+    pub prefetch_distance: usize,
+    /// Maximum Las Vegas restarts on bucket overflow (Corollary 3.4
+    /// failure); default 3, must be < 32 (α growth is `2^attempt`). Each
+    /// retry re-randomizes scatter positions and doubles the slack. What
+    /// happens when the budget runs out is governed by `overflow_policy`.
+    pub max_retries: u32,
+    /// What to do when retries are exhausted, the arena budget is
+    /// exceeded, or the arena allocation fails; default
+    /// [`OverflowPolicy::Fallback`] (degrade, never crash).
+    pub overflow_policy: OverflowPolicy,
+    /// Upper bound in bytes on one attempt's slot arena. α-doubling across
+    /// retries grows the arena; a plan whose arena would exceed this budget
+    /// triggers early degradation per `overflow_policy` instead of an
+    /// oversized allocation. Default `usize::MAX` (unlimited).
+    pub max_arena_bytes: usize,
+}
+
+impl Default for PaperConfig {
+    fn default() -> Self {
+        PaperConfig::new(SemisortConfig::default())
+    }
+}
+
+impl PaperConfig {
+    /// The paper's scatter constants on top of `base`.
+    pub fn new(base: SemisortConfig) -> Self {
+        PaperConfig {
+            base,
+            alpha: 1.1,
+            c: 1.25,
+            probe_strategy: ProbeStrategy::Linear,
+            prefetch_distance: 8,
+            max_retries: 3,
+            overflow_policy: OverflowPolicy::Fallback,
+            max_arena_bytes: usize::MAX,
+        }
+    }
+
+    /// Validate `base` and the seven scatter knobs without panicking; the
+    /// error's `reason` names the offending parameter. Called once per run
+    /// by [`crate::paper::try_semisort_with_stats`].
+    #[must_use = "the Err carries the validation failure"]
+    pub fn try_validate(&self) -> Result<(), SemisortError> {
+        self.base.try_validate()?;
         check(self.alpha > 1.0, "α must exceed 1 for scatter termination")?;
         check(self.c > 0.0, "estimator constant c must be positive")?;
         check(
-            self.scatter.prefetch_distance <= 64,
-            "scatter.prefetch_distance must be <= 64 (0 disables)",
+            self.prefetch_distance <= 64,
+            "prefetch_distance must be <= 64 (0 disables)",
         )?;
         // α grows as 2^attempt across retries; 32 doublings already
         // overflows any conceivable arena budget, and an unbounded retry
@@ -357,10 +327,6 @@ impl SemisortConfig {
         check(
             self.max_arena_bytes > 0,
             "max_arena_bytes must be nonzero (usize::MAX = unlimited)",
-        )?;
-        check(
-            self.max_scratch_bytes > 0,
-            "max_scratch_bytes must be nonzero (usize::MAX = unlimited)",
         )
     }
 }
@@ -377,11 +343,11 @@ impl SemisortConfig {
 /// use semisort::SemisortConfig;
 /// let cfg = SemisortConfig::builder()
 ///     .seed(42)
-///     .max_arena_bytes(1 << 30)
+///     .max_scratch_bytes(1 << 30)
 ///     .build()
 ///     .expect("valid config");
 /// assert_eq!(cfg.seed, 42);
-/// assert!(SemisortConfig::builder().max_retries(32).build().is_err());
+/// assert!(SemisortConfig::builder().heavy_threshold(1).build().is_err());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfigBuilder {
@@ -409,29 +375,14 @@ impl SemisortConfigBuilder {
         heavy_threshold: usize,
         /// Set the light-bucket prefix-bit cap.
         light_bucket_log2: u32,
-        /// Set the slack multiplier α.
-        alpha: f64,
-        /// Set the estimator constant c.
-        c: f64,
         /// Set whether adjacent light buckets are merged.
         merge_light_buckets: bool,
-        /// Set the scatter collision-probe strategy.
-        probe_strategy: ProbeStrategy,
-        /// Set the whole Phase 3 scatter sub-config (strategy + prefetch
-        /// distance) in one call; see [`ScatterConfig`].
-        scatter: ScatterConfig,
         /// Set the light-bucket sorting algorithm.
         local_sort_algo: LocalSortAlgo,
         /// Set the seed for sampling jitter and scatter randomness.
         seed: u64,
         /// Set the sequential-cutoff input size.
         seq_threshold: usize,
-        /// Set the Las Vegas retry budget (must be < 32).
-        max_retries: u32,
-        /// Set the terminal overflow policy.
-        overflow_policy: OverflowPolicy,
-        /// Set the per-run arena memory budget in bytes.
-        max_arena_bytes: usize,
         /// Set the retained-scratch budget in bytes (see
         /// [`SemisortConfig::max_scratch_bytes`]).
         max_scratch_bytes: usize,
@@ -456,7 +407,7 @@ mod tests {
     use super::*;
 
     /// The validation message `cfg` is rejected with.
-    fn rejection(cfg: SemisortConfig) -> &'static str {
+    fn rejection(cfg: PaperConfig) -> &'static str {
         match cfg.try_validate() {
             Err(SemisortError::InvalidConfig { reason }) => reason,
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -470,52 +421,38 @@ mod tests {
         assert_eq!(c.sample_probability(), 1.0 / 16.0);
         assert_eq!(c.heavy_threshold, 16);
         assert_eq!(c.num_prefixes(), 65536);
-        assert!((c.alpha - 1.1).abs() < 1e-12);
-        assert!((c.c - 1.25).abs() < 1e-12);
         assert!(c.merge_light_buckets);
-        assert_eq!(c.probe_strategy, ProbeStrategy::Linear);
-        assert_eq!(c.scatter.strategy, ScatterStrategy::Counting);
-        assert_eq!(c.scatter.prefetch_distance, 8);
         assert_eq!(c.telemetry, TelemetryLevel::Off);
         assert!(c.try_validate().is_ok());
     }
 
     #[test]
-    fn scatter_knobs_validated() {
-        let from = |scatter: ScatterConfig| SemisortConfig {
-            scatter,
-            ..Default::default()
-        };
-        assert!(from(ScatterConfig {
-            prefetch_distance: 65,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            prefetch_distance: 0,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_ok());
+    fn paper_defaults_match_paper() {
+        let p = PaperConfig::default();
+        assert!((p.alpha - 1.1).abs() < 1e-12);
+        assert!((p.c - 1.25).abs() < 1e-12);
+        assert_eq!(p.probe_strategy, ProbeStrategy::Linear);
+        assert_eq!(p.prefetch_distance, 8);
+        assert_eq!(p.max_retries, 3);
+        assert_eq!(p.base.sample_stride(), 16);
+        assert_eq!(p.base.heavy_threshold, 16);
+        assert_eq!(p.base.num_prefixes(), 65536);
+        assert!(p.try_validate().is_ok());
     }
 
     #[test]
-    fn strategy_spellings_round_trip() {
-        for st in [ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
-            assert_eq!(ScatterStrategy::parse(st.as_str()), Some(st));
-        }
-        assert_eq!(
-            ScatterStrategy::parse("cas"),
-            Some(ScatterStrategy::RandomCas)
-        );
-        assert_eq!(ScatterStrategy::parse("blocked"), None);
-        assert_eq!(ScatterStrategy::parse("inplace"), None);
+    fn scatter_knobs_validated() {
+        let with = |prefetch_distance| PaperConfig {
+            prefetch_distance,
+            ..Default::default()
+        };
+        assert!(rejection(with(65)).contains("prefetch_distance must be <= 64"));
+        assert!(with(0).try_validate().is_ok());
     }
 
     #[test]
     fn alpha_one_rejected() {
-        let cfg = SemisortConfig {
+        let cfg = PaperConfig {
             alpha: 1.0,
             ..Default::default()
         };
@@ -524,10 +461,11 @@ mod tests {
 
     #[test]
     fn failure_handling_defaults_are_safe() {
-        let c = SemisortConfig::default();
-        assert_eq!(c.overflow_policy, OverflowPolicy::Fallback);
-        assert_eq!(c.max_arena_bytes, usize::MAX);
-        assert!(c.fault.is_inert());
+        let p = PaperConfig::default();
+        assert_eq!(p.overflow_policy, OverflowPolicy::Fallback);
+        assert_eq!(p.max_arena_bytes, usize::MAX);
+        assert!(p.base.fault.is_inert());
+        assert!(SemisortConfig::default().fault.is_inert());
     }
 
     #[test]
@@ -541,7 +479,7 @@ mod tests {
 
     #[test]
     fn huge_retry_budget_rejected() {
-        let cfg = SemisortConfig {
+        let cfg = PaperConfig {
             max_retries: 32,
             ..Default::default()
         };
@@ -550,11 +488,20 @@ mod tests {
 
     #[test]
     fn zero_arena_budget_rejected() {
-        let cfg = SemisortConfig {
+        let cfg = PaperConfig {
             max_arena_bytes: 0,
             ..Default::default()
         };
         assert!(rejection(cfg).contains("max_arena_bytes must be nonzero"));
+    }
+
+    #[test]
+    fn paper_config_validates_its_base() {
+        let cfg = PaperConfig::new(SemisortConfig {
+            heavy_threshold: 1,
+            ..Default::default()
+        });
+        assert!(rejection(cfg).contains("δ must be at least 2"));
     }
 
     #[test]
@@ -569,38 +516,32 @@ mod tests {
     fn builder_accepts_defaults_and_overrides() {
         let cfg = SemisortConfig::builder()
             .seed(7)
-            .alpha(1.5)
-            .scatter(ScatterConfig {
-                strategy: ScatterStrategy::RandomCas,
-                ..Default::default()
-            })
+            .heavy_threshold(8)
+            .local_sort_algo(LocalSortAlgo::Counting)
             .max_scratch_bytes(1 << 20)
             .build()
             .unwrap();
         assert_eq!(cfg.seed, 7);
-        assert!((cfg.alpha - 1.5).abs() < 1e-12);
-        assert_eq!(cfg.scatter.strategy, ScatterStrategy::RandomCas);
+        assert_eq!(cfg.heavy_threshold, 8);
+        assert_eq!(cfg.local_sort_algo, LocalSortAlgo::Counting);
         assert_eq!(cfg.max_scratch_bytes, 1 << 20);
     }
 
     #[test]
     fn builder_rejects_invalid_without_panicking() {
         let err = SemisortConfig::builder()
-            .max_retries(32)
+            .heavy_threshold(1)
             .build()
             .unwrap_err();
         match err {
             crate::SemisortError::InvalidConfig { reason } => {
-                assert!(reason.contains("max_retries must be < 32"), "{reason}");
+                assert!(reason.contains("δ must be at least 2"), "{reason}");
             }
             other => panic!("unexpected error {other:?}"),
         }
-        assert!(SemisortConfig::builder().alpha(1.0).build().is_err());
+        assert!(SemisortConfig::builder().sample_shift(0).build().is_err());
         assert!(SemisortConfig::builder()
-            .scatter(ScatterConfig {
-                prefetch_distance: 65,
-                ..Default::default()
-            })
+            .light_bucket_log2(25)
             .build()
             .is_err());
         assert!(SemisortConfig::builder()

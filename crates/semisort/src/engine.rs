@@ -1,15 +1,15 @@
 //! The reusable semisort engine: [`Semisorter`].
 //!
 //! The free functions in [`crate::api`] are *one-shot*: each call allocates
-//! its scatter arena, hashed-record buffer, sample buffer and per-worker
-//! scatter state, uses them once, and frees them. For a caller that
+//! its hashed-record buffer, sample buffer and the distribution's count
+//! matrices, uses them once, and frees them. For a caller that
 //! semisorts in a loop — a shuffle stage, a `GROUP BY` executor, a graph
 //! algorithm iterating over edge buckets — that allocation traffic is pure
 //! overhead: the buffers wanted on call *k+1* are exactly the ones call *k*
 //! just released.
 //!
 //! [`Semisorter`] owns a [`ScratchPool`] and keeps it warm across calls.
-//! Leases grow monotonically to the high-water mark of the inputs seen, so
+//! Buffers grow monotonically to the high-water mark of the inputs seen, so
 //! a steady-state workload reaches `scratch_grows == 0` after its first
 //! call at the largest `n` (observable via
 //! [`SemisortStats::scratch_grows`] /
@@ -17,10 +17,9 @@
 //! [`SemisortConfig::max_scratch_bytes`] and can be released eagerly with
 //! [`Semisorter::trim`].
 //!
-//! Every method returns `Result<_, SemisortError>`; the engine has no
-//! panicking twins (use the [`crate::api`] wrappers if you want those).
-//! With the default [`OverflowPolicy::Fallback`](crate::config::OverflowPolicy::Fallback)
-//! a method can only fail on an invalid configuration — and
+//! Every method returns `Result<_, SemisortError>`. The engine's exact
+//! distribution cannot overflow, so a method fails only when its
+//! [`CancelToken`] trips or on an invalid configuration — and
 //! [`Semisorter::new`] already rejects those.
 //!
 //! ```
@@ -135,7 +134,7 @@ impl Semisorter {
     /// counterpart of [`crate::try_semisort_with_stats`] (whose output and
     /// semantics this matches exactly; stats land in
     /// [`Self::last_stats`]).
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn sort_pairs<V: Copy + Send + Sync>(
         &mut self,
         records: &[(u64, V)],
@@ -179,7 +178,7 @@ impl Semisorter {
     /// Semisort `items` by an arbitrary `Hash + Eq` key, with exact 64-bit
     /// hash-collision repair — the pooled counterpart of
     /// [`crate::api::try_semisort_by_key`].
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn sort_by_key<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<T>, SemisortError>
     where
         T: Clone + Send + Sync,
@@ -223,7 +222,7 @@ impl Semisorter {
     /// The permutation a semisort would apply (`perm[j] = i` ⇒ output `j`
     /// takes input `i`) — the pooled counterpart of
     /// [`crate::api::try_semisort_permutation`].
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn permutation<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<usize>, SemisortError>
     where
         T: Sync,
@@ -237,7 +236,7 @@ impl Semisorter {
 
     /// Stable semisort (input order survives within each group) — the
     /// pooled counterpart of [`crate::api::try_semisort_stable_by_key`].
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn stable_by_key<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<T>, SemisortError>
     where
         T: Clone + Send + Sync,
@@ -281,7 +280,7 @@ impl Semisorter {
     /// the only by-key path that allocates nothing at steady state.
     ///
     /// On `Err` the items are untouched.
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn in_place<T, K, F>(&mut self, items: &mut [T], key: F) -> Result<(), SemisortError>
     where
         T: Sync,
@@ -300,7 +299,7 @@ impl Semisorter {
 
     /// Group `items` by key — the pooled counterpart of
     /// [`crate::api::try_group_by`].
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn group_by<T, K, F>(&mut self, items: &[T], key: F) -> Result<Groups<T>, SemisortError>
     where
         T: Clone + Send + Sync,
@@ -331,13 +330,12 @@ impl Semisorter {
     /// This never builds the semisorted array: it samples, plans the
     /// buckets, distributes `(hash, index)` pairs into exact bucket
     /// regions with a stable counting sort, and folds the regions in
-    /// parallel (see [`crate::aggregate`]). With exact regions there is no
-    /// arena and nothing to retry, so the reduction ignores
-    /// [`SemisortConfig::scatter`], `alpha`, `c`, `probe_strategy`,
-    /// `local_sort_algo`, `max_retries`, `overflow_policy`,
-    /// `max_arena_bytes` and `telemetry` (it has no scatter counters to
-    /// collect), and of [`SemisortConfig::fault`] only the `panic` fault
-    /// applies. It honours `seed`, `sample_shift`,
+    /// parallel (see [`crate::aggregate`]). The regions are folded, not
+    /// sorted by `local_sort_algo`, and there are no distribution counters
+    /// to collect, so the reduction ignores
+    /// [`SemisortConfig::local_sort_algo`] and `telemetry`; of
+    /// [`SemisortConfig::fault`] only the `panic` fault applies (as on
+    /// every engine call). It honours `seed`, `sample_shift`,
     /// `heavy_threshold`, `light_bucket_log2`, `merge_light_buckets`,
     /// `seq_threshold`, `max_scratch_bytes` and `capture_scheduler`.
     ///
@@ -358,7 +356,7 @@ impl Semisorter {
     /// assert_eq!(firsts.len(), 7);
     /// assert!(firsts.iter().all(|&(user, first)| first == Some(user)));
     /// ```
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn reduce_by_key<T, K, A, F, G>(
         &mut self,
         items: &[T],
@@ -390,7 +388,7 @@ impl Semisorter {
     /// Histogram of items per distinct key — the pooled counterpart of
     /// [`crate::api::try_count_by_key`]. A [`Self::reduce_by_key`] that
     /// counts, with the same contract.
-    #[must_use = "the Err carries the failure that the config asked to surface"]
+    #[must_use = "the Err carries the cancellation"]
     pub fn count_by_key<T, K, F>(
         &mut self,
         items: &[T],
@@ -421,7 +419,7 @@ mod tests {
     #[test]
     fn new_rejects_invalid_config() {
         let bad = SemisortConfig {
-            alpha: 1.0,
+            heavy_threshold: 1,
             ..Default::default()
         };
         assert!(matches!(

@@ -1,18 +1,24 @@
 //! Failure handling: the error type of the `try_*` entry points and the
 //! degradation vocabulary shared by the driver, stats, and CLI.
 //!
-//! The arena scatters are Las Vegas: Corollary 3.4 bounds the probability
-//! that a bucket overflows to `O(1/n^c)`, but *bounded* is not *zero*, and
-//! an adversarial (hash-flooded) input can push the tail probability up.
-//! The library therefore never treats overflow as fatal. Every terminal
-//! failure — retry budget exhausted, arena memory budget exceeded, arena
-//! allocation failed — is routed through the configured
+//! The engine's exact distribution cannot overflow, so an engine call
+//! fails only on an invalid configuration, a tripped
+//! [`CancelToken`](crate::cancel::CancelToken), or — in `semisortd` — an
+//! admission shed or a poisoned shard.
+//!
+//! The paper's CAS scatter ([`crate::paper`]) is Las Vegas: Corollary 3.4
+//! bounds the probability that a bucket overflows to `O(1/n^c)`, but
+//! *bounded* is not *zero*, and an adversarial (hash-flooded) input can
+//! push the tail probability up. A paper run therefore never treats
+//! overflow as fatal. Every terminal failure — retry budget exhausted,
+//! arena memory budget exceeded, arena allocation failed — is routed
+//! through the configured
 //! [`OverflowPolicy`](crate::config::OverflowPolicy):
 //!
 //! - **Fallback** (default): degrade to the guaranteed `fallback_sort`
 //!   comparison path. Still a correct semisort — `O(n log n)` work instead
 //!   of `O(n)`, never a crash.
-//! - **Error**: return a [`SemisortError`] from the `try_*` entry points.
+//! - **Error**: return a [`SemisortError`].
 //!
 //! [`DegradeReason`] records *why* a run degraded; it rides on
 //! [`SemisortStats`](crate::stats::SemisortStats) and the stats JSON so a
@@ -22,9 +28,8 @@ use std::fmt;
 
 /// Why a semisort run could not complete on the linear-work path.
 ///
-/// Returned by the `try_*` entry points when
-/// [`OverflowPolicy::Error`](crate::config::OverflowPolicy::Error) is
-/// selected.
+/// The three arena failures are returned only by [`crate::paper`] runs
+/// under [`OverflowPolicy::Error`](crate::config::OverflowPolicy::Error).
 ///
 /// `#[non_exhaustive]`: future versions may add failure kinds (as this one
 /// added [`SemisortError::InvalidConfig`]); match with a wildcard arm.
@@ -50,7 +55,7 @@ pub enum SemisortError {
         n: usize,
     },
     /// The bucket plan of the next attempt would need an arena larger than
-    /// [`SemisortConfig::max_arena_bytes`](crate::config::SemisortConfig::max_arena_bytes).
+    /// [`PaperConfig::max_arena_bytes`](crate::config::PaperConfig::max_arena_bytes).
     ArenaBudgetExceeded {
         /// Bytes the attempt's slot array would have needed.
         required_bytes: usize,
@@ -68,29 +73,25 @@ pub enum SemisortError {
         attempt: u32,
     },
     /// A service refused the request because accepting it would exceed a
-    /// resource budget (admission control: shard queues full, request too
-    /// large, or the estimated arena over
-    /// [`SemisortConfig::max_arena_bytes`](crate::config::SemisortConfig::max_arena_bytes)).
-    /// Shedding load with this error — instead of queueing unboundedly —
-    /// is what keeps an overloaded `semisortd` answering.
+    /// resource budget (admission control: server draining, request too
+    /// large, or shard queues full). Shedding load with this error —
+    /// instead of queueing unboundedly — is what keeps an overloaded
+    /// `semisortd` answering.
     Overloaded {
-        /// What was over budget (a static admission-check label, e.g.
-        /// `"queue-full"`, `"arena-estimate"`, `"request-records"`,
-        /// `"draining"`).
+        /// What was over budget: the admission rung's label, one of
+        /// `"draining"`, `"request-too-large"` or `"queue-full"`.
         reason: &'static str,
         /// The demand that was measured against the limit (units depend on
-        /// `reason`: bytes, records, or queued requests).
+        /// `reason`: records or queued requests; `"draining"` reports 1
+        /// over 0).
         required: u64,
         /// The configured limit the demand exceeded.
         limit: u64,
     },
     /// The run's [`CancelToken`](crate::cancel::CancelToken) deadline
-    /// passed before the run completed. Checked at phase boundaries, so
-    /// the caller's buffers are either untouched or fully semisorted —
-    /// never partially permuted. Surfaced under **every**
-    /// [`OverflowPolicy`](crate::config::OverflowPolicy): falling back to
-    /// a comparison sort would burn *more* time, which is exactly what a
-    /// deadline forbids.
+    /// passed before the run completed. Checked at the engine's phase
+    /// boundaries, so the caller's buffers are either untouched or fully
+    /// semisorted — never partially permuted.
     DeadlineExceeded {
         /// The deadline, µs since the process epoch
         /// (see [`crate::obs::epoch_micros`]).
@@ -100,8 +101,7 @@ pub enum SemisortError {
     },
     /// The run's [`CancelToken`](crate::cancel::CancelToken) was cancelled
     /// explicitly (client disconnect, shutdown drain). Same
-    /// phase-boundary / policy-independent semantics as
-    /// [`SemisortError::DeadlineExceeded`].
+    /// phase-boundary semantics as [`SemisortError::DeadlineExceeded`].
     Cancelled,
     /// The engine shard serving this request was poisoned by a panic and
     /// has been (or is being) rebuilt. The request did not complete; a

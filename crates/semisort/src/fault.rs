@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the Las Vegas machinery.
 //!
 //! Corollary 3.4 makes bucket overflow an `O(1/n^c)` event, which means the
-//! escalation ladder in the driver — retry, degrade to the comparison
-//! fallback, error — is essentially unreachable by feeding the
+//! escalation ladder of a [`crate::paper`] run — retry, degrade to the
+//! comparison fallback, error — is essentially unreachable by feeding the
 //! library ordinary inputs. Code that only runs when the adversary shows up
 //! is code that has never run at all, so this module makes every failure
 //! path a first-class, deterministically testable input:
@@ -18,14 +18,14 @@
 //!   planning, simulating the sample badly underestimating bucket sizes;
 //!   unlike the forced overflow this triggers a *natural* overflow
 //!   downstream, end-to-end through estimate/buckets/scatter.
-//! - **Forced panic** — the driver panics mid-scatter, exercising the
+//! - **Forced panic** — the run panics mid-scatter, exercising the
 //!   `catch_unwind` poison/rebuild containment in the `semisortd` service
-//!   layer (DESIGN.md §14) and the no-dangling-leases guarantee of
+//!   layer (DESIGN.md §14) and the no-dangling-borrows guarantee of
 //!   [`crate::pool::ScratchPool`].
 //!
-//! The first three faults target the arena path (`RandomCas`) and are
-//! inert under `Counting`, which has no arena, no overflow and no retry
-//! ladder; the forced panic fires on both paths.
+//! The first three faults target the paper's arena ([`crate::paper`]) and
+//! are inert on the engine, whose exact distribution has no arena, no
+//! overflow and no retry ladder; the forced panic fires on both.
 //!
 //! Faults are armed per attempt: each knob fires on the first *k* attempts
 //! of a run (attempts are 0-based internally; `k = 1` faults only the

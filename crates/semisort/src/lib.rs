@@ -12,9 +12,10 @@
 //! slice of the hash range for light keys (sizes from the high-probability
 //! estimator [`estimate::f_estimate`]), scatter every record into a random
 //! slot of its bucket with CAS + linear probing, locally sort the light
-//! buckets, and pack. By default this crate replaces the last three steps
-//! with an exact distribution (one stable counting sort by bucket) and a
-//! sort of each light region; the paper's CAS scatter stays selectable.
+//! buckets, and pack. The engine replaces the last three steps with an
+//! exact distribution (one stable counting sort by bucket) and a sort of
+//! each light region; the paper's CAS scatter stays available as the
+//! one-shot reference run [`paper::try_semisort_with_stats`].
 //!
 //! # Quick start
 //!
@@ -53,20 +54,22 @@
 //!
 //! # Failure handling
 //!
-//! The default Phase 3 ([`ScatterStrategy::Counting`]) distributes
-//! records into exact bucket regions with one stable counting sort: it
-//! cannot overflow and runs once with no retry ladder, as does the fused
-//! by-key aggregation behind `reduce_by_key` / `count_by_key`
-//! ([`aggregate`]), which shares it. The paper's CAS scatter
-//! ([`ScatterStrategy::RandomCas`], kept to reproduce the paper) is Las
+//! The engine's Phase 3 distributes records into exact bucket regions
+//! with one stable counting sort: it cannot overflow and runs once with no
+//! retry ladder, as does the fused by-key aggregation behind
+//! `reduce_by_key` / `count_by_key` ([`aggregate`]), which shares it. An
+//! engine call fails only on an invalid configuration or a tripped
+//! [`CancelToken`].
+//!
+//! The paper's CAS scatter, kept to reproduce the paper, runs only through
+//! [`paper::try_semisort_with_stats`] with a [`PaperConfig`]. It is Las
 //! Vegas: a bucket can overflow its allocated slots, in which case the run
 //! retries with doubled slack α. What happens when the retry budget (or
-//! the optional [`SemisortConfig::max_arena_bytes`] memory budget) is
+//! the optional [`PaperConfig::max_arena_bytes`] memory budget) is
 //! exhausted is governed by [`OverflowPolicy`]: degrade to the
 //! deterministic comparison-sort fallback (default) or return a
-//! [`SemisortError`] from the `try_*` entry points.
-//! The [`fault`] module injects deterministic failures into each phase so
-//! the whole escalation ladder is testable.
+//! [`SemisortError`]. The [`fault`] module injects deterministic failures
+//! into each phase so the whole escalation ladder is testable.
 //!
 //! The surface is Result-first everywhere; the [`prelude`] holds it.
 //! Error enums ([`SemisortError`]), [`OverflowPolicy`] and
@@ -97,6 +100,7 @@ pub mod json;
 pub mod local_sort;
 pub mod obs;
 pub mod pack_phase;
+pub mod paper;
 pub mod pool;
 pub mod sample;
 pub mod scatter;
@@ -111,7 +115,7 @@ pub use api::{
 pub use bounded::{semisort_bounded, try_semisort_auto};
 pub use cancel::CancelToken;
 pub use config::{
-    LocalSortAlgo, OverflowPolicy, ProbeStrategy, ScatterConfig, ScatterStrategy, SemisortConfig,
+    LocalSortAlgo, OverflowPolicy, PaperConfig, ProbeStrategy, SemisortConfig,
     SemisortConfigBuilder,
 };
 pub use driver::{try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable};
@@ -139,10 +143,7 @@ pub mod prelude {
         try_semisort_stable_by_key, Groups,
     };
     pub use crate::cancel::CancelToken;
-    pub use crate::config::{
-        LocalSortAlgo, OverflowPolicy, ProbeStrategy, ScatterConfig, ScatterStrategy,
-        SemisortConfig, SemisortConfigBuilder,
-    };
+    pub use crate::config::{LocalSortAlgo, SemisortConfig, SemisortConfigBuilder};
     pub use crate::driver::{
         try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable,
     };

@@ -1,4 +1,6 @@
-//! Phase 4: compact and locally sort each light bucket.
+//! Phase 4: locally sort each light bucket — the exact regions of the
+//! engine's distribution ([`sort_light_regions`]), or the slot ranges of
+//! the paper's CAS scatter ([`local_sort_light_buckets`]).
 //!
 //! "After all the records are inserted into the buckets, a pack followed by
 //! a local sort is executed on each bucket. … the local sort in each array
@@ -8,18 +10,20 @@
 //! cache, which is why this phase shows the highest speedups in Tables 2–3.
 //!
 //! Heavy buckets are untouched here: all their records share one key, so
-//! compaction alone (Phase 5) semisorts them.
+//! the distribution (or the paper's compaction, Phase 5) alone semisorts
+//! them.
 
 use rayon::prelude::*;
 
 use crate::buckets::BucketPlan;
 use crate::config::LocalSortAlgo;
 use crate::obs::ObsSink;
-use crate::scatter::Slot;
+use crate::scatter::{ArenaLayout, Slot};
 
 /// Compact each light bucket's occupied slots to the bucket front, sort
 /// them by key with `algo`, and return the per-light-bucket record counts.
-/// `slots` is the scattered slot array (see [`crate::scatter::scatter`]).
+/// `slots` is the scattered slot array laid out as `layout` (see
+/// [`crate::scatter::scatter`]).
 ///
 /// At `Deep` telemetry, each light bucket's occupancy (its record count —
 /// already computed here for free) is recorded into `sink`'s occupancy
@@ -27,6 +31,7 @@ use crate::scatter::Slot;
 /// is just that key's multiplicity, visible in the heavy-records stat.
 pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
     plan: &BucketPlan,
+    layout: &ArenaLayout,
     slots: &[Slot<V>],
     algo: LocalSortAlgo,
     sink: &ObsSink,
@@ -34,8 +39,8 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
     (plan.num_heavy..plan.num_buckets())
         .into_par_iter()
         .map(|b| {
-            let base = plan.bucket_offset[b];
-            let size = plan.bucket_size[b];
+            let base = layout.bucket_offset[b];
+            let size = layout.bucket_size[b];
             let bucket = &slots[base..base + size];
 
             // Pack: gather occupied records.
@@ -63,8 +68,8 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
 
 /// Sort every light-bucket region of `out` by key, in parallel (heavy
 /// regions hold a single key and need no sort). `starts` are the region
-/// bounds from [`BucketPlan::distribute_into`]. This is Phase 4 of the
-/// exact path, which has no slots to compact and no pack.
+/// bounds from [`BucketPlan::distribute_into`]. This is the engine's
+/// Phase 4, which has no slots to compact and no pack.
 pub fn sort_light_regions<V: Copy + Send + Sync>(
     out: &mut [(u64, V)],
     plan: &BucketPlan,
@@ -154,7 +159,8 @@ fn counting_group<V: Copy>(records: &mut [(u64, V)]) {
 mod tests {
     use super::*;
     use crate::buckets::build_plan;
-    use crate::config::SemisortConfig;
+    use crate::config::{PaperConfig, SemisortConfig};
+    use crate::paper::arena_layout;
     use crate::sample::strided_sample;
     use crate::scatter::{allocate_arena, scatter, ScatterArena};
     use parlay::hash64;
@@ -163,27 +169,29 @@ mod tests {
     fn run_through_phase4(
         records: &[(u64, u64)],
         algo: LocalSortAlgo,
-    ) -> (BucketPlan, ScatterArena<u64>, Vec<usize>) {
-        let cfg = SemisortConfig::default();
+    ) -> (BucketPlan, ArenaLayout, ScatterArena<u64>, Vec<usize>) {
+        let cfg = PaperConfig::default();
         let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
+        let mut sample = strided_sample(&keys, cfg.base.sample_shift, Rng::new(1));
         sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
-        let arena = allocate_arena::<u64>(&plan);
+        let plan = build_plan(&sample, records.len(), &cfg.base);
+        let layout = arena_layout(&plan, records.len(), &cfg);
+        let arena = allocate_arena::<u64>(&layout);
         let sink = crate::obs::ObsSink::disabled();
         let out = scatter(
             records,
             &plan,
+            &layout,
             &arena.slots,
             cfg.probe_strategy,
-            cfg.scatter.prefetch_distance,
+            cfg.prefetch_distance,
             Rng::new(2),
             &sink,
             None,
         );
         assert!(!out.overflowed);
-        let counts = local_sort_light_buckets(&plan, &arena.slots, algo, &sink);
-        (plan, arena, counts)
+        let counts = local_sort_light_buckets(&plan, &layout, &arena.slots, algo, &sink);
+        (plan, layout, arena, counts)
     }
 
     #[test]
@@ -211,7 +219,7 @@ mod tests {
     #[test]
     fn counts_cover_all_light_records() {
         let records: Vec<(u64, u64)> = (0..40_000u64).map(|i| (hash64(i), i)).collect();
-        let (plan, _, counts) = run_through_phase4(&records, LocalSortAlgo::StdUnstable);
+        let (plan, _, _, counts) = run_through_phase4(&records, LocalSortAlgo::StdUnstable);
         assert_eq!(counts.len(), plan.num_light);
         // All-distinct keys: every record is light.
         assert_eq!(counts.iter().sum::<usize>(), records.len());
@@ -220,10 +228,11 @@ mod tests {
     #[test]
     fn bucket_fronts_are_sorted_runs() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 2000), i)).collect();
-        let (plan, arena, counts) = run_through_phase4(&records, LocalSortAlgo::StdUnstable);
+        let (plan, layout, arena, counts) =
+            run_through_phase4(&records, LocalSortAlgo::StdUnstable);
         for (li, &c) in counts.iter().enumerate() {
             let b = plan.num_heavy + li;
-            let base = plan.bucket_offset[b];
+            let base = layout.bucket_offset[b];
             let keys: Vec<u64> = (0..c).map(|i| arena.slots[base + i].key()).collect();
             assert!(
                 keys.windows(2).all(|w| w[0] <= w[1]),
@@ -236,10 +245,10 @@ mod tests {
     #[test]
     fn counting_algo_groups_equal_keys() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 2000), i)).collect();
-        let (plan, arena, counts) = run_through_phase4(&records, LocalSortAlgo::Counting);
+        let (plan, layout, arena, counts) = run_through_phase4(&records, LocalSortAlgo::Counting);
         for (li, &c) in counts.iter().enumerate() {
             let b = plan.num_heavy + li;
-            let base = plan.bucket_offset[b];
+            let base = layout.bucket_offset[b];
             let keys: Vec<u64> = (0..c).map(|i| arena.slots[base + i].key()).collect();
             // Grouped: each key appears as one contiguous run.
             let mut seen = std::collections::HashSet::new();

@@ -282,8 +282,8 @@ impl ObsSink {
 }
 
 /// Per-run counters describing how the [`ScratchPool`](crate::pool::ScratchPool)
-/// behaved: whether the arena lease was served from pooled capacity or had
-/// to grow. Carried into
+/// behaved: whether the run's scratch was served from pooled capacity or
+/// had to grow. Carried into
 /// [`SemisortStats::scratch_reuse_hits`](crate::stats::SemisortStats::scratch_reuse_hits)
 /// / [`SemisortStats::scratch_grows`](crate::stats::SemisortStats::scratch_grows);
 /// a steady-state engine shows `grows == 0` from the second same-size call
@@ -291,9 +291,9 @@ impl ObsSink {
 /// `{"event":"scratch",…}` line per run that grew.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
-    /// Arena leases satisfied entirely from already-pooled capacity.
+    /// Runs whose scratch fit entirely in already-pooled capacity.
     pub reuse_hits: u32,
-    /// Arena leases that had to (re)allocate backing memory.
+    /// Runs that had to (re)allocate pooled memory.
     pub grows: u32,
 }
 

@@ -1,4 +1,5 @@
-//! Phase 5: pack everything into the contiguous output.
+//! The paper's Phase 5: pack the slot arena into the contiguous output
+//! (run by [`crate::paper`]; the engine's exact distribution has no pack).
 //!
 //! "The algorithm that we use to pack the portion of the array for the
 //! heavy key buckets consists of 3 steps: first, the array is divided into
@@ -18,41 +19,31 @@ use parlay::shared::SendPtr;
 use rayon::prelude::*;
 
 use crate::buckets::BucketPlan;
-use crate::scatter::Slot;
+use crate::scatter::{ArenaLayout, Slot};
 
 /// Number of heavy-region intervals (the paper's constant).
 const INTERVALS: usize = 1000;
 
-/// Assemble the semisorted output from the slot array: packed heavy region
-/// first, then the light buckets' sorted fronts.
+/// Assemble the semisorted output from the slot array laid out as
+/// `layout`: packed heavy region first, then the light buckets' sorted
+/// fronts.
 pub fn pack_output<V: Copy + Send + Sync>(
     plan: &BucketPlan,
+    layout: &ArenaLayout,
     slots: &[Slot<V>],
     light_counts: &[usize],
 ) -> Vec<(u64, V)> {
-    let mut out = Vec::new();
-    pack_output_into(plan, slots, light_counts, &mut out);
-    out
-}
-
-/// [`pack_output`] writing into a caller-owned buffer (cleared first), so
-/// the engine's pooled output vector keeps its capacity across calls.
-pub fn pack_output_into<V: Copy + Send + Sync>(
-    plan: &BucketPlan,
-    slots: &[Slot<V>],
-    light_counts: &[usize],
-    out: &mut Vec<(u64, V)>,
-) {
     debug_assert_eq!(light_counts.len(), plan.num_light);
-    let heavy_region = &slots[..plan.heavy_slots];
+    let heavy_slots = layout.heavy_slots;
+    let heavy_region = &slots[..heavy_slots];
 
     // Step 1: pack each interval in place, sequentially per interval.
-    let intervals = INTERVALS.min(plan.heavy_slots.max(1));
+    let intervals = INTERVALS.min(heavy_slots.max(1));
     let mut interval_counts: Vec<usize> = (0..intervals)
         .into_par_iter()
         .map(|t| {
-            let lo = (plan.heavy_slots * t) / intervals;
-            let hi = (plan.heavy_slots * (t + 1)) / intervals;
+            let lo = (heavy_slots * t) / intervals;
+            let hi = (heavy_slots * (t + 1)) / intervals;
             let mut w = lo;
             for i in lo..hi {
                 if heavy_region[i].occupied() {
@@ -79,14 +70,13 @@ pub fn pack_output_into<V: Copy + Send + Sync>(
     let n_out = heavy_total + light_total;
 
     // Step 3: parallel copies into the output.
-    out.clear();
-    out.reserve(n_out);
+    let mut out = Vec::with_capacity(n_out);
     let out_ptr = SendPtr(out.spare_capacity_mut().as_mut_ptr());
 
     // Heavy intervals.
     (0..intervals).into_par_iter().for_each(|t| {
-        let lo = (plan.heavy_slots * t) / intervals;
-        let hi = (plan.heavy_slots * (t + 1)) / intervals;
+        let lo = (heavy_slots * t) / intervals;
+        let hi = (heavy_slots * (t + 1)) / intervals;
         let count = if t + 1 < intervals {
             interval_offsets[t + 1] - interval_offsets[t]
         } else {
@@ -105,7 +95,7 @@ pub fn pack_output_into<V: Copy + Send + Sync>(
     // Light buckets.
     (0..plan.num_light).into_par_iter().for_each(|li| {
         let b = plan.num_heavy + li;
-        let base = plan.bucket_offset[b];
+        let base = layout.bucket_offset[b];
         let dst = heavy_total + light_offsets[li];
         let ptr = out_ptr;
         for i in 0..light_counts[li] {
@@ -119,41 +109,60 @@ pub fn pack_output_into<V: Copy + Send + Sync>(
     // SAFETY: heavy intervals wrote [0, heavy_total) and light buckets wrote
     // [heavy_total, n_out), jointly initializing every slot.
     unsafe { out.set_len(n_out) };
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buckets::build_plan;
-    use crate::config::SemisortConfig;
+    use crate::config::PaperConfig;
     use crate::local_sort::local_sort_light_buckets;
+    use crate::paper::arena_layout;
     use crate::sample::strided_sample;
-    use crate::scatter::{allocate_arena, scatter};
+    use crate::scatter::{allocate_arena, scatter, ScatterArena};
     use crate::verify::is_semisorted_by;
     use parlay::hash64;
     use parlay::random::Rng;
 
-    fn full_pipeline(records: &[(u64, u64)]) -> Vec<(u64, u64)> {
-        let cfg = SemisortConfig::default();
+    /// Phases 1–4 of a paper run on `records`: the plan, its layout, the
+    /// scattered arena and the light buckets' record counts.
+    fn through_phase4(
+        records: &[(u64, u64)],
+    ) -> (BucketPlan, ArenaLayout, ScatterArena<u64>, Vec<usize>) {
+        let cfg = PaperConfig::default();
         let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(3));
+        let mut sample = strided_sample(&keys, cfg.base.sample_shift, Rng::new(3));
         sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
-        let arena = allocate_arena::<u64>(&plan);
+        let plan = build_plan(&sample, records.len(), &cfg.base);
+        let layout = arena_layout(&plan, records.len(), &cfg);
+        let arena = allocate_arena::<u64>(&layout);
         let sink = crate::obs::ObsSink::disabled();
         let out = scatter(
             records,
             &plan,
+            &layout,
             &arena.slots,
             cfg.probe_strategy,
-            cfg.scatter.prefetch_distance,
+            cfg.prefetch_distance,
             Rng::new(4),
             &sink,
             None,
         );
         assert!(!out.overflowed);
-        let counts = local_sort_light_buckets(&plan, &arena.slots, cfg.local_sort_algo, &sink);
-        pack_output(&plan, &arena.slots, &counts)
+        let counts = local_sort_light_buckets(
+            &plan,
+            &layout,
+            &arena.slots,
+            cfg.base.local_sort_algo,
+            &sink,
+        );
+        (plan, layout, arena, counts)
+    }
+
+    fn full_pipeline(records: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let (plan, layout, arena, counts) = through_phase4(records);
+        pack_output(&plan, &layout, &arena.slots, &counts)
     }
 
     #[test]
@@ -193,28 +202,9 @@ mod tests {
     fn pack_ignores_slots_beyond_light_bucket_counts() {
         // Regression: pack must read exactly `light_counts[li]` slots per
         // light bucket — records past the count fence (e.g. stale slots a
-        // re-zeroing bug would leave behind in a reused arena) must never
-        // reach the output.
-        let cfg = SemisortConfig::default();
+        // local-sort bug would leave behind) must never reach the output.
         let records: Vec<(u64, u64)> = (0..40_000u64).map(|i| (hash64(i), i)).collect();
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(3));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
-        let arena = allocate_arena::<u64>(&plan);
-        let sink = crate::obs::ObsSink::disabled();
-        let out = scatter(
-            &records,
-            &plan,
-            &arena.slots,
-            cfg.probe_strategy,
-            cfg.scatter.prefetch_distance,
-            Rng::new(4),
-            &sink,
-            None,
-        );
-        assert!(!out.overflowed);
-        let counts = local_sort_light_buckets(&plan, &arena.slots, cfg.local_sort_algo, &sink);
+        let (plan, layout, arena, counts) = through_phase4(&records);
 
         // Poison the last slot of every light bucket with slack. (Heavy
         // buckets are excluded: the heavy pack legitimately scans occupancy.)
@@ -222,8 +212,8 @@ mod tests {
         let mut poisoned = 0usize;
         for (li, &cnt) in counts.iter().enumerate() {
             let b = plan.num_heavy + li;
-            let base = plan.bucket_offset[b];
-            let size = plan.bucket_size[b];
+            let base = layout.bucket_offset[b];
+            let size = layout.bucket_size[b];
             if cnt < size {
                 arena.slots[base + size - 1].set(POISON, POISON);
                 poisoned += 1;
@@ -231,7 +221,7 @@ mod tests {
         }
         assert!(poisoned > 0, "need at least one bucket with slack");
 
-        let got = pack_output(&plan, &arena.slots, &counts);
+        let got = pack_output(&plan, &layout, &arena.slots, &counts);
         assert!(
             got.iter().all(|&(k, _)| k != POISON),
             "a poisoned slot beyond the count fence leaked into the output"

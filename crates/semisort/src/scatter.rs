@@ -1,4 +1,6 @@
-//! Phase 3: scatter every record into a random slot of its bucket.
+//! The paper's Phase 3: scatter every record into a random slot of its
+//! bucket. Only [`crate::paper`] runs it; the engine distributes by exact
+//! counts instead.
 //!
 //! "Every record is scattered to a random location in the array of its
 //! bucket … we perform the insertions using a compare-and-swap … On a
@@ -13,7 +15,7 @@
 //! cell; values are read only after the phase's fork-join barrier, so the
 //! plain value write never races.
 //!
-//! Keys may not equal the [`EMPTY`] sentinel; the driver screens for that
+//! Keys may not equal the [`EMPTY`] sentinel; the run screens for that
 //! (one parallel pass) and falls back to a sort-based semisort in the
 //! astronomically unlikely hit case, keeping the algorithm Las Vegas
 //! rather than silently wrong.
@@ -40,7 +42,7 @@ const MIN_CHUNK: usize = 4096;
 ///
 /// The scatter's write targets are random cache lines (that is the point
 /// of the random-slot placement), so every CAS starts with a demand miss.
-/// Routing records [`ScatterConfig::prefetch_distance`] ahead of the write
+/// Routing records [`PaperConfig::prefetch_distance`] ahead of the write
 /// cursor and hinting their destination lines overlaps those misses with
 /// useful work. A prefetch is a hint, not an access — it cannot fault and
 /// has no architectural effect — so there is nothing unsafe to get wrong
@@ -48,7 +50,7 @@ const MIN_CHUNK: usize = 4096;
 ///
 /// Compiles to `prefetcht0` on x86-64 and to nothing elsewhere.
 ///
-/// [`ScatterConfig::prefetch_distance`]: crate::config::ScatterConfig::prefetch_distance
+/// [`PaperConfig::prefetch_distance`]: crate::config::PaperConfig::prefetch_distance
 #[inline(always)]
 fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -143,9 +145,44 @@ impl<V> Slot<V> {
     }
 }
 
-/// The slot array for one run, plus scatter telemetry.
+/// Where each bucket of a [`BucketPlan`] lives in the slot array: one
+/// power-of-two slot range per bucket, heavy buckets first ("To allow for
+/// efficient packing later, we use a single large array for all of the
+/// buckets" — §4 Phase 2). Power-of-two sizes make the probe wraparound a
+/// mask. [`crate::paper::arena_layout`] sizes it from the plan's sample
+/// counts.
+pub struct ArenaLayout {
+    /// Per bucket: first slot index.
+    pub bucket_offset: Vec<usize>,
+    /// Per bucket: capacity in slots (a power of two).
+    pub bucket_size: Vec<usize>,
+    /// Total slots across heavy buckets (the heavy region is
+    /// `[0, heavy_slots)`).
+    pub heavy_slots: usize,
+    /// Total slots overall.
+    pub total_slots: usize,
+}
+
+impl ArenaLayout {
+    /// Lay out buckets of the given power-of-two `sizes` back to back; the
+    /// first `num_heavy` are the heavy buckets.
+    pub fn from_sizes(bucket_size: Vec<usize>, num_heavy: usize) -> Self {
+        debug_assert!(bucket_size.iter().all(|s| s.is_power_of_two()));
+        let mut bucket_offset = bucket_size.clone();
+        let total_slots = parlay::scan_add_exclusive(&mut bucket_offset);
+        let heavy_slots = bucket_offset.get(num_heavy).copied().unwrap_or(total_slots);
+        ArenaLayout {
+            bucket_offset,
+            bucket_size,
+            heavy_slots,
+            total_slots,
+        }
+    }
+}
+
+/// The slot array for one run.
 pub struct ScatterArena<V> {
-    /// All buckets' slots, heavy region first (see `BucketPlan`).
+    /// All buckets' slots, heavy region first (see [`ArenaLayout`]).
     pub slots: Vec<Slot<V>>,
 }
 
@@ -180,30 +217,32 @@ pub(crate) struct Placed {
     pub cas_lost: u32,
 }
 
-/// The arena byte footprint of `plan` for payload type `V` (what
-/// [`try_allocate_arena`] will request and what the driver charges against
-/// [`SemisortConfig::max_arena_bytes`](crate::config::SemisortConfig::max_arena_bytes)).
-pub fn arena_bytes<V>(plan: &BucketPlan) -> usize {
-    plan.total_slots
+/// The arena byte footprint of `layout` for payload type `V` (what
+/// [`try_allocate_arena`] will request and what a paper run charges against
+/// [`PaperConfig::max_arena_bytes`](crate::config::PaperConfig::max_arena_bytes)).
+pub fn arena_bytes<V>(layout: &ArenaLayout) -> usize {
+    layout
+        .total_slots
         .saturating_mul(std::mem::size_of::<Slot<V>>())
 }
 
-/// Allocate the slot array (all vacant) for `plan`.
+/// Allocate the slot array (all vacant) for `layout`.
 ///
 /// Uses `alloc_zeroed`: a zeroed `Slot<V>` is a valid vacant slot
 /// (`AtomicU64(0) == EMPTY`; the value cell is `MaybeUninit`), so the OS's
 /// lazily zeroed pages make allocation O(1) page-table work instead of an
 /// O(total_slots) initialization sweep.
 ///
-/// Aborts the process on allocator refusal (`handle_alloc_error`); the
-/// driver uses [`try_allocate_arena`], which reports refusal instead so the
-/// escalation policy can degrade gracefully.
-pub fn allocate_arena<V: Send + Sync>(plan: &BucketPlan) -> ScatterArena<V> {
-    match try_allocate_arena(plan, false) {
+/// Aborts the process on allocator refusal (`handle_alloc_error`); a
+/// paper run uses [`try_allocate_arena`], which reports refusal instead so
+/// the escalation policy can degrade gracefully.
+pub fn allocate_arena<V: Send + Sync>(layout: &ArenaLayout) -> ScatterArena<V> {
+    match try_allocate_arena(layout, false) {
         Ok(arena) => arena,
         Err(_) => {
-            let layout = Layout::array::<Slot<V>>(plan.total_slots).expect("arena layout overflow");
-            handle_alloc_error(layout)
+            let bytes =
+                Layout::array::<Slot<V>>(layout.total_slots).expect("arena layout overflow");
+            handle_alloc_error(bytes)
         }
     }
 }
@@ -213,34 +252,33 @@ pub fn allocate_arena<V: Send + Sync>(plan: &BucketPlan) -> ScatterArena<V> {
 /// `fail_injected` simulates that refusal
 /// ([`FaultPlan::fail_alloc_attempts`](crate::fault::FaultPlan::fail_alloc_attempts)).
 pub fn try_allocate_arena<V: Send + Sync>(
-    plan: &BucketPlan,
+    layout: &ArenaLayout,
     fail_injected: bool,
 ) -> Result<ScatterArena<V>, usize> {
-    let len = plan.total_slots;
+    let len = layout.total_slots;
     if fail_injected {
-        return Err(arena_bytes::<V>(plan));
+        return Err(arena_bytes::<V>(layout));
     }
     if len == 0 {
         return Ok(ScatterArena { slots: Vec::new() });
     }
-    let layout = Layout::array::<Slot<V>>(len).map_err(|_| usize::MAX)?;
+    let bytes = Layout::array::<Slot<V>>(len).map_err(|_| usize::MAX)?;
     // SAFETY: all-zero bytes are a valid Slot<V> (see above); the pointer
     // comes from the global allocator with exactly the layout Vec expects.
     let slots = unsafe {
-        let ptr = alloc_zeroed(layout) as *mut Slot<V>;
+        let ptr = alloc_zeroed(bytes) as *mut Slot<V>;
         if ptr.is_null() {
-            return Err(layout.size());
+            return Err(bytes.size());
         }
         Vec::from_raw_parts(ptr, len, len)
     };
     Ok(ScatterArena { slots })
 }
 
-/// Scatter all records into `slots` — `plan.total_slots` vacant slots,
-/// either a fresh [`ScatterArena`]'s `slots` or a zeroed
-/// [`ScratchPool`](crate::pool::ScratchPool) lease. Returns telemetry; on
-/// `overflowed == true` the slot contents are garbage and the caller must
-/// retry (the Las Vegas loop in the driver).
+/// Scatter all records into `slots` — the `layout.total_slots` vacant slots
+/// of a fresh [`ScatterArena`]. Returns telemetry; on `overflowed == true`
+/// the slot contents are garbage and the caller must retry (the Las Vegas
+/// loop in [`crate::paper`]).
 ///
 /// Workers walk fixed chunks of the input with a private [`WorkerCell`]
 /// and merge it into `sink` once per chunk, so telemetry adds no shared
@@ -251,7 +289,7 @@ pub fn try_allocate_arena<V: Send + Sync>(
 /// ([`FaultPlan::forced_overflow`](crate::fault::FaultPlan::forced_overflow)):
 /// when set, the first record routed to a bucket of the given class reports
 /// a Corollary 3.4 overflow through the real [`OverflowCapture`] path, so
-/// the driver's retry/escalation machinery is exercised exactly as by a
+/// the retry/escalation machinery is exercised exactly as by a
 /// genuine overflow. Pass `None` in production.
 ///
 /// `prefetch_distance` routes records that many positions ahead of the
@@ -263,6 +301,7 @@ pub fn try_allocate_arena<V: Send + Sync>(
 pub fn scatter<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     plan: &BucketPlan,
+    layout: &ArenaLayout,
     slots: &[Slot<V>],
     strategy: ProbeStrategy,
     prefetch_distance: usize,
@@ -287,7 +326,7 @@ pub fn scatter<V: Copy + Send + Sync>(
             let route = |j: usize| {
                 let (bucket, is_heavy) = plan.bucket_of_tagged(chunk_recs[j].0);
                 let b = bucket as usize;
-                let mask = plan.bucket_size[b] - 1; // sizes are powers of two
+                let mask = layout.bucket_size[b] - 1; // sizes are powers of two
                 let start = (rng.at((ci * chunk + j) as u64) as usize) & mask;
                 (bucket, is_heavy, start)
             };
@@ -296,7 +335,7 @@ pub fn scatter<V: Copy + Send + Sync>(
                 .map(|j| {
                     let r = route(j);
                     let b = r.0 as usize;
-                    prefetch(&slots[plan.bucket_offset[b] + r.2]);
+                    prefetch(&slots[layout.bucket_offset[b] + r.2]);
                     r
                 })
                 .collect();
@@ -310,7 +349,7 @@ pub fn scatter<V: Copy + Send + Sync>(
                     if j + d < chunk_recs.len() {
                         let next = route(j + d);
                         let b = next.0 as usize;
-                        prefetch(&slots[plan.bucket_offset[b] + next.2]);
+                        prefetch(&slots[layout.bucket_offset[b] + next.2]);
                         ring[j % d] = next;
                     }
                     r
@@ -318,8 +357,8 @@ pub fn scatter<V: Copy + Send + Sync>(
                     route(j)
                 };
                 let b = bucket as usize;
-                let base = plan.bucket_offset[b];
-                let size = plan.bucket_size[b];
+                let base = layout.bucket_offset[b];
+                let size = layout.bucket_size[b];
                 if let Some(class) = forced_overflow {
                     if class.matches(is_heavy) {
                         // Injected Corollary 3.4 failure: report this bucket
@@ -486,30 +525,41 @@ fn place_random<V: Copy>(
 mod tests {
     use super::*;
     use crate::buckets::build_plan;
-    use crate::config::SemisortConfig;
+    use crate::config::{PaperConfig, SemisortConfig};
+    use crate::paper::arena_layout;
     use parlay::hash64;
+
+    /// The plan for `records` (strided sample, sorted) and its slot layout
+    /// at `cfg`'s constants.
+    fn plan_and_layout(records: &[(u64, u64)], cfg: &PaperConfig) -> (BucketPlan, ArenaLayout) {
+        let base = &cfg.base;
+        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
+        let mut sample =
+            crate::sample::strided_sample(&keys, base.sample_shift, Rng::new(base.seed));
+        sample.sort_unstable();
+        let plan = build_plan(&sample, records.len(), base);
+        let layout = arena_layout(&plan, records.len(), cfg);
+        (plan, layout)
+    }
 
     fn scatter_all(
         records: &[(u64, u64)],
-        cfg: &SemisortConfig,
-        strategy: ProbeStrategy,
-    ) -> (BucketPlan, ScatterArena<u64>, ScatterOutcome) {
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = crate::sample::strided_sample(&keys, cfg.sample_shift, Rng::new(cfg.seed));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), cfg);
-        let arena = allocate_arena::<u64>(&plan);
+        cfg: &PaperConfig,
+    ) -> (BucketPlan, ArenaLayout, ScatterArena<u64>, ScatterOutcome) {
+        let (plan, layout) = plan_and_layout(records, cfg);
+        let arena = allocate_arena::<u64>(&layout);
         let out = scatter(
             records,
             &plan,
+            &layout,
             &arena.slots,
-            strategy,
-            cfg.scatter.prefetch_distance,
-            Rng::new(cfg.seed).fork(99),
+            cfg.probe_strategy,
+            cfg.prefetch_distance,
+            Rng::new(cfg.base.seed).fork(99),
             &ObsSink::disabled(),
             None,
         );
-        (plan, arena, out)
+        (plan, layout, arena, out)
     }
 
     fn collect_placed(arena: &ScatterArena<u64>) -> Vec<(u64, u64)> {
@@ -526,8 +576,7 @@ mod tests {
     #[test]
     fn every_record_is_placed_exactly_once() {
         let records: Vec<(u64, u64)> = (0..50_000u64).map(|i| (hash64(i % 777), i)).collect();
-        let cfg = SemisortConfig::default();
-        let (_, arena, out) = scatter_all(&records, &cfg, ProbeStrategy::Linear);
+        let (_, _, arena, out) = scatter_all(&records, &PaperConfig::default());
         assert!(!out.overflowed);
         let mut placed = collect_placed(&arena);
         assert_eq!(placed.len(), records.len());
@@ -540,14 +589,13 @@ mod tests {
     #[test]
     fn records_land_in_their_bucket_range() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 100), i)).collect();
-        let cfg = SemisortConfig::default();
-        let (plan, arena, out) = scatter_all(&records, &cfg, ProbeStrategy::Linear);
+        let (plan, layout, arena, out) = scatter_all(&records, &PaperConfig::default());
         assert!(!out.overflowed);
         for (i, slot) in arena.slots.iter().enumerate() {
             if slot.occupied() {
                 let b = plan.bucket_of(slot.key()) as usize;
-                let lo = plan.bucket_offset[b];
-                let hi = lo + plan.bucket_size[b];
+                let lo = layout.bucket_offset[b];
+                let hi = lo + layout.bucket_size[b];
                 assert!(
                     (lo..hi).contains(&i),
                     "slot {i} outside bucket {b} range {lo}..{hi}"
@@ -565,8 +613,7 @@ mod tests {
                 (hash64(k), i)
             })
             .collect();
-        let cfg = SemisortConfig::default();
-        let (plan, _, out) = scatter_all(&records, &cfg, ProbeStrategy::Linear);
+        let (plan, _, _, out) = scatter_all(&records, &PaperConfig::default());
         assert!(plan.num_heavy >= 1);
         let expected_heavy = records
             .iter()
@@ -579,11 +626,11 @@ mod tests {
     #[test]
     fn random_probe_strategy_also_places_everything() {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 555), i)).collect();
-        let cfg = SemisortConfig {
+        let cfg = PaperConfig {
             probe_strategy: ProbeStrategy::Random,
             ..Default::default()
         };
-        let (_, arena, out) = scatter_all(&records, &cfg, ProbeStrategy::Random);
+        let (_, _, arena, out) = scatter_all(&records, &cfg);
         assert!(!out.overflowed);
         assert_eq!(collect_placed(&arena).len(), records.len());
     }
@@ -592,14 +639,15 @@ mod tests {
     fn overflow_is_detected_not_hung() {
         // Force overflow: a plan built from an empty sample (tiny bucket
         // estimates) receiving far more records than slots.
-        let cfg = SemisortConfig::default();
-        let plan = build_plan(&[], 64, &cfg);
-        let arena = allocate_arena::<u64>(&plan);
-        let n_over = plan.total_slots + 1_000;
+        let plan = build_plan(&[], 64, &SemisortConfig::default());
+        let layout = arena_layout(&plan, 64, &PaperConfig::default());
+        let arena = allocate_arena::<u64>(&layout);
+        let n_over = layout.total_slots + 1_000;
         let records: Vec<(u64, u64)> = (0..n_over as u64).map(|i| (hash64(i), i)).collect();
         let out = scatter(
             &records,
             &plan,
+            &layout,
             &arena.slots,
             ProbeStrategy::Linear,
             8,
@@ -623,17 +671,14 @@ mod tests {
                 (hash64(k), i)
             })
             .collect();
-        let cfg = SemisortConfig::default();
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = crate::sample::strided_sample(&keys, cfg.sample_shift, Rng::new(cfg.seed));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
+        let (plan, layout) = plan_and_layout(&records, &PaperConfig::default());
         assert!(plan.num_heavy > 0 && plan.num_light > 0);
         for (class, want_heavy) in [(FaultClass::Heavy, true), (FaultClass::Light, false)] {
-            let arena = allocate_arena::<u64>(&plan);
+            let arena = allocate_arena::<u64>(&layout);
             let out = scatter(
                 &records,
                 &plan,
+                &layout,
                 &arena.slots,
                 ProbeStrategy::Linear,
                 8,
@@ -655,11 +700,16 @@ mod tests {
     #[test]
     fn try_allocate_reports_injected_failure() {
         let plan = build_plan(&[], 64, &SemisortConfig::default());
-        let bytes = arena_bytes::<u64>(&plan);
+        let layout = arena_layout(&plan, 64, &PaperConfig::default());
+        let bytes = arena_bytes::<u64>(&layout);
         assert!(bytes > 0);
-        assert_eq!(try_allocate_arena::<u64>(&plan, true).err(), Some(bytes));
-        let arena = try_allocate_arena::<u64>(&plan, false).expect("real alloc succeeds");
-        assert_eq!(arena.slots.len(), plan.total_slots);
+        assert_eq!(try_allocate_arena::<u64>(&layout, true).err(), Some(bytes));
+        let arena = try_allocate_arena::<u64>(&layout, false).expect("real alloc succeeds");
+        assert_eq!(arena.slots.len(), layout.total_slots);
+        assert!(
+            arena.slots.iter().all(|s| !s.occupied()),
+            "zeroed is vacant"
+        );
     }
 
     #[test]

@@ -27,14 +27,15 @@
 //!   "n": 1000000,
 //!   "config": {
 //!     "sample_shift": 4, "heavy_threshold": 16, "light_bucket_log2": 16,
-//!     "alpha": 1.1, "c": 1.25, "merge_light_buckets": true,
-//!     "probe_strategy": "linear", "scatter_strategy": "random-cas",
-//!     "prefetch_distance": 8,
+//!     "merge_light_buckets": true, "scatter_strategy": "random-cas",
 //!     "local_sort_algo": "std-unstable", "seed": 42,
-//!     "seq_threshold": 8192, "max_retries": 3, "telemetry": "deep",
-//!     "overflow_policy": "fallback", "max_arena_bytes": null,
+//!     "seq_threshold": 8192, "telemetry": "deep",
 //!     "max_scratch_bytes": null, "fault": "none",
-//!     "capture_scheduler": true
+//!     "capture_scheduler": true,
+//!     // paper runs only (`scatter_strategy` "random-cas"):
+//!     "alpha": 1.1, "c": 1.25, "probe_strategy": "linear",
+//!     "prefetch_distance": 8, "max_retries": 3,
+//!     "overflow_policy": "fallback", "max_arena_bytes": null
 //!   },
 //!   "phases": {
 //!     "sample_sort_s": 0.01, "construct_buckets_s": 0.001,
@@ -49,8 +50,8 @@
 //!     "scratch_grows": 0
 //!   },
 //!   "outcome": {
-//!     "policy": "fallback", "degraded": false, "reason": null,
-//!     "faults_injected": 0
+//!     "policy": "fallback", // null for engine runs
+//!     "degraded": false, "reason": null, "faults_injected": 0
 //!   },
 //!   "telemetry": {
 //!     "level": "deep", "cas_attempts": 1010000, "cas_failures": 10000,
@@ -97,9 +98,11 @@
 //!
 //! Histograms are arrays of [`crate::obs::HIST_BUCKETS`] counts; bucket 0
 //! holds value 0, bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`. The
-//! `config` member echoes the configuration the run *started* with (Las
-//! Vegas retries grow `alpha` internally; `retries`/`retry_causes` record
-//! that). The bench harness wraps this object in a run record that adds
+//! `config` member echoes the configuration the run *started* with. Its
+//! `scatter_strategy` names the Phase 3 that ran: `"counting"` for the
+//! engine's exact distribution, `"random-cas"` for a [`crate::paper`] run,
+//! which alone adds the [`PaperConfig`] members (Las Vegas retries grow
+//! `alpha` internally; `retries`/`retry_causes` record that). The bench harness wraps this object in a run record that adds
 //! `git`, `ts_unix`, `bin`, `threads` and wall time — see
 //! `bench::trajectory`.
 
@@ -107,7 +110,7 @@ use std::time::Duration;
 
 use rayon::trace::SchedulerStats;
 
-use crate::config::{LocalSortAlgo, ProbeStrategy, SemisortConfig};
+use crate::config::{LocalSortAlgo, PaperConfig, ProbeStrategy, SemisortConfig};
 use crate::error::DegradeReason;
 use crate::json::Json;
 use crate::obs::{ServiceSnapshot, SpanRecord, Telemetry};
@@ -121,11 +124,11 @@ pub struct SemisortStats {
     pub t_sample_sort: Duration,
     /// Phase 2: heavy/light classification and bucket allocation.
     pub t_construct_buckets: Duration,
-    /// Phase 3: the CAS scatter.
+    /// Phase 3: the exact distribution, or a paper run's CAS scatter.
     pub t_scatter: Duration,
     /// Phase 4: local sort of light buckets.
     pub t_local_sort: Duration,
-    /// Phase 5: packing into the output.
+    /// Phase 5: packing into the output (paper runs only).
     pub t_pack: Duration,
     /// Size of the sample |S|.
     pub sample_size: usize,
@@ -138,9 +141,11 @@ pub struct SemisortStats {
     /// Records not routed to heavy buckets (light buckets, or the sort
     /// fallback's output). `heavy_records + light_records == n` always.
     pub light_records: usize,
-    /// Total slots allocated (Lemma 3.5 says the expected total is Θ(n)).
+    /// Total slots allocated (Lemma 3.5 says the expected total is Θ(n)):
+    /// `n` for the engine's exact regions, the arena size for a paper run.
     pub total_slots: usize,
-    /// Las Vegas restarts that were needed (almost always 0).
+    /// Las Vegas restarts a paper run needed (almost always 0; always 0 for
+    /// the engine).
     pub retries: u32,
     /// Always 0: counted the flushes of a block-buffered scatter that no
     /// strategy runs any more. Kept (and left out of the JSON) only so
@@ -156,15 +161,15 @@ pub struct SemisortStats {
     /// One-shot entry points drop the pool on return, so this reports what
     /// *was* held; engine calls report what stays warm for the next call.
     pub scratch_bytes_held: usize,
-    /// Arena leases this call satisfied from already-held pool memory (see
+    /// 1 when this call's scratch fit in already-held pool memory (see
     /// [`ScratchCounters`](crate::obs::ScratchCounters)). Steady-state
     /// engine reuse shows `scratch_grows == 0` with this nonzero.
     pub scratch_reuse_hits: u32,
-    /// Arena leases this call satisfied by (re)allocating pool memory.
-    /// First call on an engine: ≥ 1; steady state at the high-water mark: 0.
+    /// 1 when this call had to (re)allocate pool memory. First call on an
+    /// engine: ≥ 1; steady state at the high-water mark: 0.
     pub scratch_grows: u32,
-    /// Whether the run degraded to the comparison-sort fallback because the
-    /// Las Vegas machinery gave up (retries exhausted, arena budget
+    /// Whether a paper run degraded to the comparison-sort fallback because
+    /// the Las Vegas machinery gave up (retries exhausted, arena budget
     /// exceeded, or allocation failed) under
     /// [`OverflowPolicy::Fallback`](crate::config::OverflowPolicy::Fallback).
     /// The by-construction fallbacks
@@ -177,8 +182,11 @@ pub struct SemisortStats {
     /// attempts (0 in production).
     pub faults_injected: u32,
     /// The configuration the run started with (echoed into the JSON export
-    /// so a stats file is self-describing).
+    /// so a stats file is self-describing); a paper run's `base`.
     pub config: SemisortConfig,
+    /// The whole configuration of a [`crate::paper`] run; `None` for engine
+    /// runs, which have no scatter knobs to echo.
+    pub paper: Option<PaperConfig>,
     /// Merged fine-grained telemetry (empty when the run's
     /// [`crate::obs::TelemetryLevel`] was `Off`, except `retry_causes`).
     pub telemetry: Telemetry,
@@ -188,7 +196,7 @@ pub struct SemisortStats {
     /// plus *when* — what the Chrome-trace exporter lays on the timeline.
     pub spans: Vec<SpanRecord>,
     /// What the work-stealing pool did during this run: the delta between
-    /// scheduler snapshots taken around the driver's attempt loop. `None`
+    /// scheduler snapshots taken around the run. `None`
     /// when no real pool ran (single-thread path, Miri, or
     /// [`SemisortConfig::capture_scheduler`] off).
     pub scheduler: Option<SchedulerStats>,
@@ -228,6 +236,17 @@ impl SemisortStats {
         }
     }
 
+    /// The Phase 3 that ran, by its CLI and stats-JSON spelling:
+    /// `"random-cas"` for a [`crate::paper`] run, else `"counting"` (the
+    /// engine's exact distribution).
+    pub fn scatter_strategy(&self) -> &'static str {
+        if self.paper.is_some() {
+            "random-cas"
+        } else {
+            "counting"
+        }
+    }
+
     /// The five phase durations with their paper-table labels, in table order.
     pub fn phases(&self) -> [(&'static str, Duration); 5] {
         [
@@ -243,7 +262,14 @@ impl SemisortStats {
     /// `semisort-stats-v2` schema documented at the top of this module.
     pub fn to_json(&self) -> Json {
         let cfg = &self.config;
-        let config = Json::Obj(vec![
+        let bytes_or_null = |b: usize| {
+            if b == usize::MAX {
+                Json::Null
+            } else {
+                Json::num(b as u64)
+            }
+        };
+        let mut config = vec![
             ("sample_shift".into(), Json::num(cfg.sample_shift as u64)),
             (
                 "heavy_threshold".into(),
@@ -253,26 +279,13 @@ impl SemisortStats {
                 "light_bucket_log2".into(),
                 Json::num(cfg.light_bucket_log2 as u64),
             ),
-            ("alpha".into(), Json::Num(cfg.alpha)),
-            ("c".into(), Json::Num(cfg.c)),
             (
                 "merge_light_buckets".into(),
                 Json::Bool(cfg.merge_light_buckets),
             ),
             (
-                "probe_strategy".into(),
-                Json::str(match cfg.probe_strategy {
-                    ProbeStrategy::Linear => "linear",
-                    ProbeStrategy::Random => "random",
-                }),
-            ),
-            (
                 "scatter_strategy".into(),
-                Json::str(cfg.scatter.strategy.as_str()),
-            ),
-            (
-                "prefetch_distance".into(),
-                Json::num(cfg.scatter.prefetch_distance as u64),
+                Json::str(self.scatter_strategy()),
             ),
             (
                 "local_sort_algo".into(),
@@ -284,34 +297,41 @@ impl SemisortStats {
             ),
             ("seed".into(), Json::num(cfg.seed)),
             ("seq_threshold".into(), Json::num(cfg.seq_threshold as u64)),
-            ("max_retries".into(), Json::num(cfg.max_retries as u64)),
             ("telemetry".into(), Json::str(cfg.telemetry.as_str())),
             (
-                "overflow_policy".into(),
-                Json::str(cfg.overflow_policy.as_str()),
-            ),
-            (
-                "max_arena_bytes".into(),
-                if cfg.max_arena_bytes == usize::MAX {
-                    Json::Null
-                } else {
-                    Json::num(cfg.max_arena_bytes as u64)
-                },
-            ),
-            (
                 "max_scratch_bytes".into(),
-                if cfg.max_scratch_bytes == usize::MAX {
-                    Json::Null
-                } else {
-                    Json::num(cfg.max_scratch_bytes as u64)
-                },
+                bytes_or_null(cfg.max_scratch_bytes),
             ),
             ("fault".into(), Json::Str(cfg.fault.spec())),
             (
                 "capture_scheduler".into(),
                 Json::Bool(cfg.capture_scheduler),
             ),
-        ]);
+        ];
+        if let Some(p) = &self.paper {
+            config.extend([
+                ("alpha".into(), Json::Num(p.alpha)),
+                ("c".into(), Json::Num(p.c)),
+                (
+                    "probe_strategy".into(),
+                    Json::str(match p.probe_strategy {
+                        ProbeStrategy::Linear => "linear",
+                        ProbeStrategy::Random => "random",
+                    }),
+                ),
+                (
+                    "prefetch_distance".into(),
+                    Json::num(p.prefetch_distance as u64),
+                ),
+                ("max_retries".into(), Json::num(p.max_retries as u64)),
+                (
+                    "overflow_policy".into(),
+                    Json::str(p.overflow_policy.as_str()),
+                ),
+                ("max_arena_bytes".into(), bytes_or_null(p.max_arena_bytes)),
+            ]);
+        }
+        let config = Json::Obj(config);
         let phases = Json::Obj(vec![
             (
                 "sample_sort_s".into(),
@@ -381,7 +401,10 @@ impl SemisortStats {
         let outcome = Json::Obj(vec![
             (
                 "policy".into(),
-                Json::str(self.config.overflow_policy.as_str()),
+                match &self.paper {
+                    Some(p) => Json::str(p.overflow_policy.as_str()),
+                    None => Json::Null,
+                },
             ),
             ("degraded".into(), Json::Bool(self.degraded)),
             (
@@ -590,20 +613,26 @@ mod tests {
         assert_eq!(outcome.get("degraded"), Some(&Json::Bool(false)));
         assert_eq!(outcome.get("reason"), Some(&Json::Null));
         assert_eq!(
-            outcome.get("policy").and_then(Json::as_str),
-            Some("fallback")
+            outcome.get("policy"),
+            Some(&Json::Null),
+            "an engine run has no overflow policy"
         );
 
         let degraded = SemisortStats {
             degraded: true,
             degrade_reason: Some(DegradeReason::RetriesExhausted),
             faults_injected: 2,
+            paper: Some(PaperConfig::default()),
             ..Default::default()
         }
         .to_json()
         .to_string();
         let degraded = Json::parse(&degraded).unwrap();
         let outcome = degraded.get("outcome").unwrap();
+        assert_eq!(
+            outcome.get("policy").and_then(Json::as_str),
+            Some("fallback")
+        );
         assert_eq!(outcome.get("degraded"), Some(&Json::Bool(true)));
         assert_eq!(
             outcome.get("reason").and_then(Json::as_str),
@@ -616,6 +645,65 @@ mod tests {
         let cfg = degraded.get("config").unwrap();
         assert_eq!(cfg.get("max_arena_bytes"), Some(&Json::Null));
         assert_eq!(cfg.get("fault").and_then(Json::as_str), Some("none"));
+    }
+
+    #[test]
+    fn scatter_strategy_names_the_path_that_ran() {
+        let recs: Vec<(u64, u64)> = (0..20_000u64)
+            .map(|i| (parlay::hash64(i % 300), i))
+            .collect();
+        let (_, engine) =
+            crate::driver::try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
+        let paper_cfg = PaperConfig {
+            max_arena_bytes: 1 << 30,
+            ..Default::default()
+        };
+        let (_, paper) = crate::paper::try_semisort_with_stats(&recs, &paper_cfg).unwrap();
+        let paper_members = [
+            "alpha",
+            "c",
+            "probe_strategy",
+            "prefetch_distance",
+            "max_retries",
+            "overflow_policy",
+            "max_arena_bytes",
+        ];
+        for (stats, strategy) in [(&engine, "counting"), (&paper, "random-cas")] {
+            let back = Json::parse(&stats.to_json().to_string()).expect("self-parse");
+            assert_eq!(
+                back.get("schema").and_then(Json::as_str),
+                Some("semisort-stats-v2")
+            );
+            let cfg = back.get("config").unwrap();
+            assert_eq!(
+                cfg.get("scatter_strategy").and_then(Json::as_str),
+                Some(strategy)
+            );
+            for member in paper_members {
+                assert_eq!(
+                    cfg.get(member).is_some(),
+                    strategy == "random-cas",
+                    "{strategy}: {member}"
+                );
+            }
+        }
+        let back = Json::parse(&paper.to_json().to_string()).unwrap();
+        let cfg = back.get("config").unwrap();
+        assert_eq!(cfg.get("alpha").and_then(Json::as_f64), Some(1.1));
+        assert_eq!(cfg.get("c").and_then(Json::as_f64), Some(1.25));
+        assert_eq!(
+            cfg.get("probe_strategy").and_then(Json::as_str),
+            Some("linear")
+        );
+        assert_eq!(cfg.get("max_retries").and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            cfg.get("overflow_policy").and_then(Json::as_str),
+            Some("fallback")
+        );
+        assert_eq!(
+            cfg.get("max_arena_bytes").and_then(Json::as_u64),
+            Some(1 << 30)
+        );
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! structural assumption (via retries or fallbacks, never wrong output).
 
 use semisort::verify::{is_permutation_of, is_semisorted_by};
-use semisort::{
-    try_semisort_core, try_semisort_with_stats, ScatterConfig, ScatterStrategy, SemisortConfig,
-};
+use semisort::{paper, try_semisort_core, try_semisort_with_stats, PaperConfig, SemisortConfig};
 
 fn check(records: &[(u64, u64)], cfg: &SemisortConfig) {
     let out = try_semisort_core(records, cfg).unwrap();
@@ -13,18 +11,15 @@ fn check(records: &[(u64, u64)], cfg: &SemisortConfig) {
     assert!(is_permutation_of(&out, records), "not a permutation");
 }
 
-fn cfg() -> SemisortConfig {
-    SemisortConfig::default()
+/// [`check`] through the paper's CAS scatter.
+fn check_paper(records: &[(u64, u64)], cfg: &PaperConfig) {
+    let (out, _) = paper::try_semisort_with_stats(records, cfg).unwrap();
+    assert!(is_semisorted_by(&out, |r| r.0), "not semisorted");
+    assert!(is_permutation_of(&out, records), "not a permutation");
 }
 
-fn random_cas() -> SemisortConfig {
-    SemisortConfig {
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    }
+fn cfg() -> SemisortConfig {
+    SemisortConfig::default()
 }
 
 #[test]
@@ -125,15 +120,15 @@ fn saw_tooth_arrangement_defeats_strided_sampling_bias() {
 
 #[test]
 fn tiny_alpha_large_skew_converges_via_retries() {
-    // α is the RandomCas arena's slack; the exact distribution ignores it.
-    let cfg = SemisortConfig {
+    // α is the paper arena's slack; the engine has none.
+    let cfg = PaperConfig {
         alpha: 1.001,
-        ..random_cas()
+        ..Default::default()
     };
     let recs: Vec<(u64, u64)> = (0..100_000u64)
         .map(|i| (parlay::hash64(i % 31) | 1, i))
         .collect();
-    check(&recs, &cfg);
+    check_paper(&recs, &cfg);
 }
 
 #[test]
@@ -202,9 +197,9 @@ fn config_extremes() {
 fn random_cas_survives_the_adversarial_gauntlet() {
     // The structural attacks above, replayed under the paper's CAS
     // scatter, where a skewed input can overflow a bucket and retry.
-    let cfg = random_cas();
+    let cfg = PaperConfig::default();
     let light_prefix: Vec<(u64, u64)> = (0..120_000u64).map(|i| (i + 1, i)).collect();
-    check(&light_prefix, &cfg);
+    check_paper(&light_prefix, &cfg);
     let mut geometric: Vec<(u64, u64)> = Vec::new();
     let mut payload = 0u64;
     for j in 0..17u64 {
@@ -213,13 +208,13 @@ fn random_cas_survives_the_adversarial_gauntlet() {
             payload += 1;
         }
     }
-    check(&geometric, &cfg);
+    check_paper(&geometric, &cfg);
     let mut sentinels: Vec<(u64, u64)> = Vec::new();
     for i in 0..40_000u64 {
         sentinels.push((i % 64, i));
         sentinels.push((u64::MAX - (i % 64), i));
     }
-    check(&sentinels, &cfg);
+    check_paper(&sentinels, &cfg);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! `count_by_key` and `reduce_by_key` are checked against a sequential
 //! `HashMap` reference across key distributions, thread counts, input
-//! sizes on both sides of the sequential cutoff, and every scatter
-//! strategy (which the fused path ignores). A key type whose `Hash` maps
+//! sizes on both sides of the sequential cutoff, and the engine settings
+//! the fused path ignores. A key type whose `Hash` maps
 //! many keys to one hash drives the exact collision regroup through heavy
 //! regions, light regions and the sequential path. A fold that records
 //! input indices pins the input-order contract.
@@ -112,27 +112,30 @@ fn matches_hashmap_reference() {
 }
 
 #[test]
-fn scatter_strategy_is_ignored() {
+fn ignored_settings_do_not_change_output() {
+    // The regions are folded, not sorted by `local_sort_algo`, and the
+    // fused path collects no distribution counters.
     let n = 100_000;
     for (name, dist) in distributions(n) {
         let items = generate(dist, n, SEED);
-        let outputs: Vec<_> = [ScatterStrategy::Counting, ScatterStrategy::RandomCas]
-            .into_iter()
-            .map(|strategy| {
-                let cfg = SemisortConfig {
-                    scatter: ScatterConfig {
-                        strategy,
-                        ..ScatterConfig::default()
-                    },
-                    ..cfg()
-                };
-                let label = format!("{name} {strategy:?}");
-                parlay::with_threads(2, || check(&items, cfg, &label))
-            })
-            .collect();
+        let outputs: Vec<_> = [
+            cfg(),
+            SemisortConfig {
+                local_sort_algo: LocalSortAlgo::Counting,
+                ..cfg()
+            },
+            cfg().with_telemetry(TelemetryLevel::Deep),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, cfg)| {
+            let label = format!("{name} config {i}");
+            parlay::with_threads(2, || check(&items, cfg, &label))
+        })
+        .collect();
         assert!(
             outputs.windows(2).all(|w| w[0] == w[1]),
-            "{name}: strategies disagree"
+            "{name}: an ignored setting changed the output"
         );
     }
 }

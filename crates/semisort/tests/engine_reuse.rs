@@ -3,17 +3,15 @@
 //! Pins the three contract points of the pooled engine:
 //! 1. **Equivalence** — engine calls produce output identical to the
 //!    one-shot `try_*` API, across ~100 consecutive calls over varied
-//!    sizes and key distributions (byte-identical under one thread, where
-//!    the Las Vegas scatter is deterministic for a fixed seed; the exact
-//!    distribution is deterministic at any thread count).
+//!    sizes and key distributions (the exact distribution is
+//!    deterministic for a fixed seed at any thread count).
 //! 2. **Stabilization** — `scratch_grows` drops to zero once the pool has
 //!    seen its high-water-mark input; smaller inputs never grow it.
-//! 3. **Resilience** — reuse survives both scatter strategies and a
-//!    fault-injected degraded run: the fallback path returns its leases
-//!    and the next clean call reuses them.
+//! 3. **Resilience** — reuse holds on every repeated call, and the
+//!    retention budget and `trim()` leave the engine fully functional.
 
 use semisort::prelude::*;
-use semisort::{FaultPlan, Json};
+use semisort::{Json, PaperConfig};
 
 /// Distribution `d` of size `n`: cycles through uniform-random keys,
 /// a few hot keys, all-equal, all-distinct, and a skewed mix.
@@ -47,31 +45,22 @@ fn assert_valid(out: &[(u64, u64)], input: &[(u64, u64)]) {
 
 /// 100 consecutive engine calls over varied sizes and distributions,
 /// each compared byte-for-byte against the one-shot API under one
-/// thread (fixed seed ⇒ the scatter is deterministic, so "identical
+/// thread (fixed seed ⇒ the distribution is deterministic, so "identical
 /// semantics" is literal equality).
 #[test]
 fn hundred_calls_match_one_shot_api() {
-    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
-        let cfg = SemisortConfig::builder()
-            .seed(7)
-            .scatter(ScatterConfig {
-                strategy,
-                ..ScatterConfig::default()
-            })
-            .build()
-            .unwrap();
-        let mut engine = Semisorter::new(cfg).unwrap();
-        parlay::with_threads(1, || {
-            for call in 0..100u64 {
-                let n = 500 + (call * 977) % 20_000;
-                let recs = workload(n, call);
-                let pooled = engine.sort_pairs(&recs).unwrap();
-                let (one_shot, _) = try_semisort_with_stats(&recs, &cfg).unwrap();
-                assert_eq!(pooled, one_shot, "call {call} (n={n}, {strategy:?})");
-                assert_valid(&pooled, &recs);
-            }
-        });
-    }
+    let cfg = SemisortConfig::builder().seed(7).build().unwrap();
+    let mut engine = Semisorter::new(cfg).unwrap();
+    parlay::with_threads(1, || {
+        for call in 0..100u64 {
+            let n = 500 + (call * 977) % 20_000;
+            let recs = workload(n, call);
+            let pooled = engine.sort_pairs(&recs).unwrap();
+            let (one_shot, _) = try_semisort_with_stats(&recs, &cfg).unwrap();
+            assert_eq!(pooled, one_shot, "call {call} (n={n})");
+            assert_valid(&pooled, &recs);
+        }
+    });
 }
 
 /// The by-key surface agrees with its one-shot wrappers too (same
@@ -115,8 +104,8 @@ fn grows_stabilize_after_high_water_mark() {
     let held = engine.scratch_bytes_held();
     assert!(held > 0);
     for call in 0..20u64 {
-        // Above seq_threshold (so the parallel path leases the arena),
-        // never above the 60k high-water mark.
+        // Above seq_threshold (so the parallel path uses the pool), never
+        // above the 60k high-water mark.
         let n = 9_000 + (call * 2_711) % 50_000;
         let recs = workload(n, call);
         let out = engine.sort_pairs(&recs).unwrap();
@@ -129,8 +118,8 @@ fn grows_stabilize_after_high_water_mark() {
         assert!(engine.last_stats().scratch_reuse_hits >= 1, "call {call}");
         assert_eq!(engine.scratch_bytes_held(), held, "call {call}");
     }
-    // A much larger input (4×: beyond any power-of-two rounding of the
-    // 60k arena) raises the mark exactly once more.
+    // A much larger input (4×: beyond any rounding of the 60k buffers)
+    // raises the mark exactly once more.
     let bigger = workload(240_000, 1);
     engine.sort_pairs(&bigger).unwrap();
     assert!(engine.last_stats().scratch_grows >= 1);
@@ -140,38 +129,29 @@ fn grows_stabilize_after_high_water_mark() {
 
 /// The fused `count_by_key` path keeps its scratch pooled too: a second
 /// identical call grows nothing and holds the same bytes, for every
-/// distribution and whatever scatter strategy the config names.
+/// distribution.
 #[test]
 fn count_by_key_reuses_scratch() {
-    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
-        let cfg = SemisortConfig::builder()
-            .scatter(ScatterConfig {
-                strategy,
-                ..ScatterConfig::default()
-            })
-            .build()
-            .unwrap();
-        for d in 0..5u64 {
-            let mut engine = Semisorter::new(cfg).unwrap();
-            let recs = workload(40_000, d);
-            let first = engine.count_by_key(&recs, |r| r.0).unwrap();
-            assert!(engine.last_stats().scratch_grows >= 1, "cold pool grows");
-            let held = engine.scratch_bytes_held();
-            let second = engine.count_by_key(&recs, |r| r.0).unwrap();
-            assert_eq!(first, second, "deterministic output ({strategy:?}, d={d})");
-            let st = engine.last_stats();
-            assert_eq!(st.scratch_grows, 0, "{strategy:?}, d={d}");
-            assert_eq!(st.scratch_reuse_hits, 1, "{strategy:?}, d={d}");
-            assert_eq!(engine.scratch_bytes_held(), held, "{strategy:?}, d={d}");
-            assert_eq!(st.n, recs.len());
-            assert_eq!(st.heavy_records + st.light_records, recs.len());
-            assert_eq!(st.retries, 0, "no retry ladder on the fused path");
-            let names: Vec<&str> = st.spans.iter().map(|s| s.name).collect();
-            assert_eq!(
-                names,
-                ["sample_sort", "construct_buckets", "scatter", "local_sort"]
-            );
-        }
+    for d in 0..5u64 {
+        let mut engine = Semisorter::new(SemisortConfig::default()).unwrap();
+        let recs = workload(40_000, d);
+        let first = engine.count_by_key(&recs, |r| r.0).unwrap();
+        assert!(engine.last_stats().scratch_grows >= 1, "cold pool grows");
+        let held = engine.scratch_bytes_held();
+        let second = engine.count_by_key(&recs, |r| r.0).unwrap();
+        assert_eq!(first, second, "deterministic output (d={d})");
+        let st = engine.last_stats();
+        assert_eq!(st.scratch_grows, 0, "d={d}");
+        assert_eq!(st.scratch_reuse_hits, 1, "d={d}");
+        assert_eq!(engine.scratch_bytes_held(), held, "d={d}");
+        assert_eq!(st.n, recs.len());
+        assert_eq!(st.heavy_records + st.light_records, recs.len());
+        assert_eq!(st.retries, 0, "no retry ladder on the fused path");
+        let names: Vec<&str> = st.spans.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            ["sample_sort", "construct_buckets", "scatter", "local_sort"]
+        );
     }
 }
 
@@ -204,71 +184,22 @@ fn scratch_counters_reach_stats_json() {
     );
 }
 
-// ─────────────── 3. both strategies + post-fault reuse ────────────────────
+// ───────────────────────── 3. repeated-call reuse ─────────────────────────
 
-/// Reuse counters behave identically under both scatter strategies.
+/// Reuse counters hold steady over repeated identical calls.
 #[test]
 fn reuse_holds_for_both_scatter_strategies() {
-    for &strategy in &[ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
-        let cfg = SemisortConfig::builder()
-            .scatter(ScatterConfig {
-                strategy,
-                ..ScatterConfig::default()
-            })
-            .build()
-            .unwrap();
-        let mut engine = Semisorter::new(cfg).unwrap();
-        let recs = workload(40_000, 4);
-        engine.sort_pairs(&recs).unwrap();
-        let held = engine.scratch_bytes_held();
-        assert!(held > 0, "{strategy:?}");
-        for _ in 0..3 {
-            let out = engine.sort_pairs(&recs).unwrap();
-            assert_valid(&out, &recs);
-            assert_eq!(engine.last_stats().scratch_grows, 0, "{strategy:?}");
-            assert!(engine.last_stats().scratch_reuse_hits >= 1, "{strategy:?}");
-            assert_eq!(engine.scratch_bytes_held(), held, "{strategy:?}");
-        }
-    }
-}
-
-/// A fault-forced degraded run (retry budget exhausted ⇒ comparison-sort
-/// fallback) must return its leases: the pool stays warm and the next
-/// clean engine keeps reusing. Exercised for the arena strategy (the
-/// exact distribution has no fallback to force), through both the forced
-/// overflow and the injected-allocation-failure path.
-#[test]
-fn reuse_survives_fault_injected_fallback() {
-    for fault in ["force-overflow:31", "fail-alloc:31"] {
-        let cfg = SemisortConfig::builder()
-            .scatter(ScatterConfig {
-                strategy: ScatterStrategy::RandomCas,
-                ..ScatterConfig::default()
-            })
-            .fault(FaultPlan::parse(fault).unwrap())
-            .build()
-            .unwrap();
-        let mut engine = Semisorter::new(cfg).unwrap();
-        let recs = workload(30_000, 4);
-        // Warm the pool with a degraded run.
+    let mut engine = Semisorter::new(SemisortConfig::default()).unwrap();
+    let recs = workload(40_000, 4);
+    engine.sort_pairs(&recs).unwrap();
+    let held = engine.scratch_bytes_held();
+    assert!(held > 0);
+    for _ in 0..3 {
         let out = engine.sort_pairs(&recs).unwrap();
         assert_valid(&out, &recs);
-        assert!(
-            engine.last_stats().degraded,
-            "{fault}: fault plan should force the fallback"
-        );
-        let held = engine.scratch_bytes_held();
-        // Degraded again, but now on a warm pool: no new growth. (The
-        // fail-alloc plan rejects leases without freeing pooled memory,
-        // so grows stays 0 there too.)
-        let out = engine.sort_pairs(&recs).unwrap();
-        assert_valid(&out, &recs);
-        assert_eq!(
-            engine.last_stats().scratch_grows,
-            0,
-            "{fault}: fallback must return its leases"
-        );
-        assert_eq!(engine.scratch_bytes_held(), held, "{fault}");
+        assert_eq!(engine.last_stats().scratch_grows, 0);
+        assert!(engine.last_stats().scratch_reuse_hits >= 1);
+        assert_eq!(engine.scratch_bytes_held(), held);
     }
 }
 
@@ -298,26 +229,44 @@ fn retention_budget_and_trim() {
     assert_valid(&out, &recs);
 }
 
-/// The builder reports invalid configurations as `Err` (not a panic), and
-/// `Semisorter::new` re-checks whatever config it is handed.
+/// The builder reports invalid configurations as `Err` (not a panic),
+/// `Semisorter::new` re-checks whatever config it is handed, and a
+/// `PaperConfig` checks its scatter knobs the same way.
 #[test]
 fn builder_and_engine_reject_invalid_configs() {
-    let err = SemisortConfig::builder().max_retries(40).build();
+    let err = SemisortConfig::builder().sample_shift(17).build();
     assert!(matches!(err, Err(SemisortError::InvalidConfig { .. })));
-    let err = SemisortConfig::builder().alpha(0.5).build();
+    let err = SemisortConfig::builder().heavy_threshold(1).build();
     assert!(matches!(err, Err(SemisortError::InvalidConfig { .. })));
 
     let bad = SemisortConfig {
-        scatter: ScatterConfig {
-            prefetch_distance: 100, // above the cap of 64
-            ..ScatterConfig::default()
-        },
+        light_bucket_log2: 30, // above the cap of 24
         ..SemisortConfig::default()
     };
     match Semisorter::new(bad) {
         Err(SemisortError::InvalidConfig { reason }) => {
-            assert!(reason.contains("prefetch_distance"), "{reason}");
+            assert!(reason.contains("light_bucket_log2"), "{reason}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+
+    for bad in [
+        PaperConfig {
+            max_retries: 40,
+            ..PaperConfig::default()
+        },
+        PaperConfig {
+            alpha: 0.5,
+            ..PaperConfig::default()
+        },
+        PaperConfig {
+            prefetch_distance: 100, // above the cap of 64
+            ..PaperConfig::default()
+        },
+    ] {
+        assert!(matches!(
+            bad.try_validate(),
+            Err(SemisortError::InvalidConfig { .. })
+        ));
     }
 }

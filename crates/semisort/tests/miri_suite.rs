@@ -9,12 +9,12 @@
 //! violations, out-of-bounds accesses, and leaks that differential tests
 //! cannot see.
 //!
-//! Coverage map (ISSUE 5 tentpole):
-//! - the `RawBuf` monotonic arena: alloc / lease / grow / trim, the
-//!   dirty-prefix re-zero boundary, and the Drop/free recursion regression
-//!   from PR 4 (`free` resets field-by-field so `Drop` cannot re-enter it);
-//! - both scatter strategies (CAS + linear/random probing into the arena,
-//!   and the exact counting-sort distribution with its region sort);
+//! Coverage map:
+//! - the paper run's slot arena: the zeroed allocation and its injected
+//!   failure;
+//! - both Phase 3s: the paper's CAS + linear/random probing into the
+//!   arena, and the engine's exact counting-sort distribution with its
+//!   region sort, including the engine's pooled scratch across calls;
 //! - the pack phase (interval compaction + `spare_capacity_mut` writes +
 //!   `set_len`);
 //! - the fault-injection escalation ladder (forced overflow → retry,
@@ -26,11 +26,10 @@
 //! small inputs still take the full five-phase machinery — heavy buckets,
 //! light buckets, scatter, local sort, pack — instead of the sort fallback.
 
-use semisort::pool::RawBuf;
 use semisort::prelude::*;
-use semisort::scatter::Slot;
+use semisort::scatter::{arena_bytes, try_allocate_arena, ArenaLayout};
 use semisort::verify::{is_permutation_of, is_semisorted_by};
-use semisort::{FaultClass, FaultPlan};
+use semisort::{paper, FaultClass, FaultPlan, OverflowPolicy, PaperConfig, ProbeStrategy};
 
 /// Records per test input: small enough for Miri's interpreter, large
 /// enough to exercise heavy and light buckets and probe clusters.
@@ -38,19 +37,25 @@ const N: usize = if cfg!(miri) { 2_000 } else { 32_000 };
 
 /// A config whose sequential cutoff and heavy threshold sit far below
 /// [`N`], so the suite runs the real five-phase pipeline (with both bucket
-/// classes populated), not the fallback sort. It pins the arena path
-/// (`RandomCas`), which holds most of the crate's `unsafe`.
-fn small_cfg() -> SemisortConfig {
-    SemisortConfig::builder()
-        .seq_threshold(64)
-        .heavy_threshold(2)
-        .seed(0x13_5eed)
-        .scatter(ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
-            ..ScatterConfig::default()
-        })
-        .build()
-        .unwrap()
+/// classes populated), not the fallback sort. It configures a paper run,
+/// whose slot arena holds most of the crate's `unsafe`; its `base` is the
+/// matching engine config.
+fn small_cfg() -> PaperConfig {
+    PaperConfig::new(
+        SemisortConfig::builder()
+            .seq_threshold(64)
+            .heavy_threshold(2)
+            .seed(0x13_5eed)
+            .build()
+            .unwrap(),
+    )
+}
+
+/// `small_cfg` with `fault` armed.
+fn faulted(fault: FaultPlan) -> PaperConfig {
+    let mut cfg = small_cfg();
+    cfg.base.fault = fault;
+    cfg
 }
 
 /// A mixed workload: every third record carries one of 8 hot keys (heavy
@@ -72,67 +77,25 @@ fn check(out: &[(u64, u64)], input: &[(u64, u64)]) {
 }
 
 // ---------------------------------------------------------------------------
-// RawBuf: the monotonic arena under the slot leases.
+// The paper run's slot arena and the engine's scratch pool.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn rawbuf_lease_is_zeroed_then_reused_dirty() {
-    let mut buf = RawBuf::new();
-    let mut c = ScratchCounters::default();
-    {
-        let slots = buf.lease_slots::<u64>(257, false, &mut c).unwrap();
-        assert!(slots.iter().all(|s| !s.occupied()));
-        // Dirty every slot, including the last one: the re-zero sweep must
-        // cover the full leased extent, not `len - 1` of it.
-        for (i, s) in slots.iter().enumerate() {
-            s.set(i as u64 + 1, i as u64);
-        }
-    }
-    let held = buf.bytes();
-    {
-        // Same-size reuse: the dirty prefix must be swept back to vacant.
-        let slots = buf.lease_slots::<u64>(257, false, &mut c).unwrap();
-        assert!(
-            slots.iter().all(|s| !s.occupied()),
-            "stale keys must be swept"
-        );
-        slots[256].set(9, 9);
-    }
-    {
-        // Smaller reuse after dirtying the tail: the final slot of the new
-        // lease sits inside the old dirty extent and must read as vacant.
-        let slots = buf.lease_slots::<u64>(100, false, &mut c).unwrap();
-        assert!(slots.iter().all(|s| !s.occupied()));
-    }
-    assert_eq!(buf.bytes(), held, "monotonic: smaller leases never shrink");
-    assert_eq!((c.grows, c.reuse_hits), (1, 2));
-}
-
-#[test]
-fn rawbuf_free_lease_free_drop_no_recursion() {
-    // PR 4 regression: `free` must reset fields directly; a whole-struct
-    // overwrite would drop the overwritten value and re-enter free. Under
-    // Miri a double free or invalid dealloc is a hard diagnostic.
-    let mut buf = RawBuf::new();
-    let mut c = ScratchCounters::default();
-    buf.lease_slots::<u64>(64, false, &mut c).unwrap();
-    buf.free();
-    assert_eq!(buf.bytes(), 0);
-    buf.free(); // idempotent on an empty buffer
-    buf.lease_slots::<u32>(8, false, &mut c).unwrap();
-    drop(buf); // Drop::drop calls free exactly once on the live allocation
-}
-
-#[test]
-fn rawbuf_zero_len_and_injected_failure() {
-    let mut buf = RawBuf::new();
-    let mut c = ScratchCounters::default();
-    let empty = buf.lease_slots::<u64>(0, false, &mut c).unwrap();
-    assert!(empty.is_empty());
-    assert_eq!(buf.bytes(), 0, "zero-length lease allocates nothing");
-    let want = 16 * std::mem::size_of::<Slot<u64>>();
-    assert_eq!(buf.lease_slots::<u64>(16, true, &mut c).err(), Some(want));
-    assert_eq!(buf.bytes(), 0, "injected failure leaves the buffer alone");
+fn arena_alloc_is_zeroed_and_reports_injected_failure() {
+    // All-zero bytes must be a valid vacant slot (`alloc_zeroed` is the
+    // arena's only initialization), and an injected failure must report
+    // the bytes without allocating.
+    let layout = ArenaLayout::from_sizes(vec![64, 1, 256], 1);
+    assert_eq!((layout.heavy_slots, layout.total_slots), (64, 321));
+    let arena = try_allocate_arena::<u64>(&layout, false).unwrap();
+    assert!(arena.slots.iter().all(|s| !s.occupied()));
+    arena.slots[320].set(9, 9);
+    assert!(arena.slots[320].occupied());
+    assert_eq!(
+        try_allocate_arena::<u32>(&layout, true).err(),
+        Some(arena_bytes::<u32>(&layout))
+    );
+    drop(arena); // Vec<Slot> frees exactly the allocation it was built from
 }
 
 #[test]
@@ -145,14 +108,14 @@ fn scratch_pool_trim_and_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// The five-phase pipeline: both scatter strategies, both probe strategies,
-// the pack phase, and the pooled engine (dirty arena reuse across calls).
+// The five-phase pipeline: both Phase 3s, both probe strategies, the pack
+// phase, and the pooled engine across calls.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn cas_scatter_linear_probe_end_to_end() {
     let recs = mixed_records(N);
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &small_cfg()).unwrap();
+    let (out, stats) = paper::try_semisort_with_stats(&recs, &small_cfg()).unwrap();
     check(&out, &recs);
     assert!(stats.heavy_records > 0, "hot keys must classify heavy");
     assert!(stats.light_records > 0, "distinct keys must stay light");
@@ -161,12 +124,11 @@ fn cas_scatter_linear_probe_end_to_end() {
 #[test]
 fn cas_scatter_random_probe_end_to_end() {
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .probe_strategy(ProbeStrategy::Random)
-        .build()
-        .unwrap();
-    let (out, _) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    let cfg = PaperConfig {
+        probe_strategy: ProbeStrategy::Random,
+        ..small_cfg()
+    };
+    let (out, _) = paper::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
 }
 
@@ -176,26 +138,17 @@ fn counting_distribution_end_to_end() {
     // its shared output pointer, then the per-region sort of split
     // `&mut` slices.
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .scatter(ScatterConfig {
-            strategy: ScatterStrategy::Counting,
-            ..ScatterConfig::default()
-        })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    let (out, stats) = semisort::try_semisort_with_stats(&recs, &small_cfg().base).unwrap();
     check(&out, &recs);
     assert!(stats.heavy_records > 0 && stats.light_records > 0);
     assert_eq!(stats.total_slots, N, "no arena on this path");
 }
 
 #[test]
-fn engine_reuses_dirty_arena_across_calls() {
-    // Call 2 leases the arena call 1 dirtied: the dirty-prefix re-zero is
-    // on the exact path where an off-by-one would hand the scatter a stale
-    // (non-EMPTY) slot. A shrinking third call leases a strict prefix.
-    let mut engine = Semisorter::new(small_cfg()).unwrap();
+fn engine_reuses_counting_scratch_across_calls() {
+    // Call 2 distributes through the count matrices and bucket ids call 1
+    // left in the pool; a shrinking third call uses a strict prefix.
+    let mut engine = Semisorter::new(small_cfg().base).unwrap();
     for n in [N, N, N / 2] {
         let recs = mixed_records(n);
         let out = engine.sort_pairs(&recs).unwrap();
@@ -204,7 +157,7 @@ fn engine_reuses_dirty_arena_across_calls() {
     assert!(engine.scratch_bytes_held() > 0);
     engine.trim();
     assert_eq!(engine.scratch_bytes_held(), 0);
-    // And the pool must still serve leases after an explicit trim.
+    // And the pool must still serve calls after an explicit trim.
     let recs = mixed_records(N / 2);
     let out = engine.sort_pairs(&recs).unwrap();
     check(&out, &recs);
@@ -214,7 +167,7 @@ fn engine_reuses_dirty_arena_across_calls() {
 fn empty_sentinel_key_takes_fallback_path() {
     let mut recs = mixed_records(N);
     recs[N / 3].0 = 0; // the scatter's EMPTY slot-vacancy sentinel
-    let (out, _) = semisort::try_semisort_with_stats(&recs, &small_cfg()).unwrap();
+    let (out, _) = paper::try_semisort_with_stats(&recs, &small_cfg()).unwrap();
     check(&out, &recs);
 }
 
@@ -225,16 +178,12 @@ fn empty_sentinel_key_takes_fallback_path() {
 #[test]
 fn forced_overflow_retries_then_succeeds() {
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .fault(FaultPlan {
-            force_overflow_attempts: 1,
-            force_overflow_class: FaultClass::Any,
-            ..FaultPlan::NONE
-        })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    let cfg = faulted(FaultPlan {
+        force_overflow_attempts: 1,
+        force_overflow_class: FaultClass::Any,
+        ..FaultPlan::NONE
+    });
+    let (out, stats) = paper::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
     assert_eq!(stats.retries, 1, "one forced retry");
     assert!(!stats.degraded);
@@ -243,16 +192,14 @@ fn forced_overflow_retries_then_succeeds() {
 #[test]
 fn retries_exhausted_degrades_to_fallback() {
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .max_retries(1)
-        .fault(FaultPlan {
+    let cfg = PaperConfig {
+        max_retries: 1,
+        ..faulted(FaultPlan {
             force_overflow_attempts: 8,
             ..FaultPlan::NONE
         })
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    };
+    let (out, stats) = paper::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
     assert!(stats.degraded);
     assert_eq!(stats.degrade_reason, Some(DegradeReason::RetriesExhausted));
@@ -261,16 +208,14 @@ fn retries_exhausted_degrades_to_fallback() {
 #[test]
 fn alloc_failure_surfaces_as_error_when_asked() {
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .overflow_policy(OverflowPolicy::Error)
-        .fault(FaultPlan {
+    let cfg = PaperConfig {
+        overflow_policy: OverflowPolicy::Error,
+        ..faulted(FaultPlan {
             fail_alloc_attempts: u32::MAX,
             ..FaultPlan::NONE
         })
-        .build()
-        .unwrap();
-    let err = try_semisort_with_stats(&recs, &cfg).unwrap_err();
+    };
+    let err = paper::try_semisort_with_stats(&recs, &cfg).unwrap_err();
     assert!(
         matches!(err, SemisortError::ArenaAllocFailed { .. }),
         "{err}"
@@ -293,7 +238,11 @@ fn pool_collapses_to_sequential_join_under_miri() {
     let recs = mixed_records(n);
     let (out, nested) = parlay::with_threads(4, || {
         rayon::join(
-            || semisort::try_semisort_pairs(&recs, &small_cfg()).unwrap(),
+            || {
+                paper::try_semisort_with_stats(&recs, &small_cfg())
+                    .unwrap()
+                    .0
+            },
             || rayon::join(rayon::current_num_threads, || 7u64),
         )
     });
@@ -304,12 +253,11 @@ fn pool_collapses_to_sequential_join_under_miri() {
 #[test]
 fn arena_budget_exceeded_degrades() {
     let recs = mixed_records(N);
-    let cfg = small_cfg()
-        .to_builder()
-        .max_arena_bytes(64)
-        .build()
-        .unwrap();
-    let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
+    let cfg = PaperConfig {
+        max_arena_bytes: 64,
+        ..small_cfg()
+    };
+    let (out, stats) = paper::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
     assert!(stats.degraded);
     assert_eq!(stats.degrade_reason, Some(DegradeReason::BudgetExceeded));

@@ -1,11 +1,12 @@
 //! Telemetry and JSON-export integration tests: schema round-trips through
-//! the in-tree JSON reader, counter invariants hold across scatter
-//! strategies and telemetry levels, and `TelemetryLevel::Off` is inert —
-//! identical output, all telemetry fields at their defaults.
+//! the in-tree JSON reader, counter invariants hold for the engine's exact
+//! distribution and the paper's CAS scatter at every telemetry level, and
+//! `TelemetryLevel::Off` is inert — identical output, all telemetry fields
+//! at their defaults.
 
 use parlay::hash64;
 use semisort::{
-    try_semisort_with_stats, Json, ScatterConfig, ScatterStrategy, SemisortConfig, SemisortStats,
+    paper, try_semisort_with_stats, Json, PaperConfig, SemisortConfig, SemisortStats,
     TelemetryLevel,
 };
 
@@ -19,23 +20,32 @@ fn workload(n: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn run(n: u64, strategy: ScatterStrategy, level: TelemetryLevel) -> SemisortStats {
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy,
-            ..ScatterConfig::default()
-        },
+/// Semisort `records` with `base` through the Phase 3 named by its
+/// stats-JSON spelling: the engine's exact distribution (`counting`) or a
+/// paper run's CAS scatter (`random-cas`).
+fn run_with(
+    records: &[(u64, u64)],
+    strategy: &str,
+    base: SemisortConfig,
+) -> (Vec<(u64, u64)>, SemisortStats) {
+    match strategy {
+        "counting" => try_semisort_with_stats(records, &base).unwrap(),
+        _ => paper::try_semisort_with_stats(records, &PaperConfig::new(base)).unwrap(),
+    }
+}
+
+fn run(n: u64, strategy: &str, level: TelemetryLevel) -> SemisortStats {
+    let base = SemisortConfig {
         telemetry: level,
         ..Default::default()
     };
-    let (out, stats) = try_semisort_with_stats(&workload(n), &cfg).unwrap();
+    let (out, stats) = run_with(&workload(n), strategy, base);
     assert!(semisort::verify::is_semisorted_by(&out, |r| r.0));
     assert_eq!(out.len(), n as usize);
     stats
 }
 
-const ALL_STRATEGIES: [ScatterStrategy; 2] =
-    [ScatterStrategy::Counting, ScatterStrategy::RandomCas];
+const ALL_STRATEGIES: [&str; 2] = ["counting", "random-cas"];
 const ALL_LEVELS: [TelemetryLevel; 3] = [
     TelemetryLevel::Off,
     TelemetryLevel::Counters,
@@ -76,7 +86,7 @@ fn counter_invariants_across_strategies_and_levels() {
                 );
             }
             if level.deep() {
-                if strategy == ScatterStrategy::RandomCas {
+                if strategy == "random-cas" {
                     assert_eq!(
                         stats.telemetry.probe_hist.count(),
                         n,
@@ -152,7 +162,7 @@ fn json_round_trips_for_all_variants() {
             let config = back.get("config").expect("config section");
             assert_eq!(
                 config.get("scatter_strategy").and_then(Json::as_str),
-                Some(strategy.as_str())
+                Some(strategy)
             );
             assert_eq!(
                 config.get("telemetry").and_then(Json::as_str),
@@ -182,15 +192,11 @@ fn telemetry_off_matches_deep_output_and_stays_default() {
     let records = workload(n);
     for strategy in ALL_STRATEGIES {
         let run_at = |level: TelemetryLevel| {
-            let cfg = SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy,
-                    ..ScatterConfig::default()
-                },
+            let base = SemisortConfig {
                 telemetry: level,
                 ..Default::default()
             };
-            parlay::with_threads(1, || try_semisort_with_stats(&records, &cfg).unwrap())
+            parlay::with_threads(1, || run_with(&records, strategy, base))
         };
         let (out_off, stats_off) = run_at(TelemetryLevel::Off);
         let (out_deep, _) = run_at(TelemetryLevel::Deep);
@@ -209,41 +215,38 @@ fn telemetry_off_matches_deep_output_and_stays_default() {
 
 #[test]
 fn retry_causes_recorded_at_every_level_under_tight_alpha() {
-    // α barely above 1 forces bucket overflows; the retry causes must be
-    // captured even at TelemetryLevel::Off (cold-path recording).
+    // α barely above 1 forces the paper run's buckets to overflow; the
+    // retry causes must be captured even at TelemetryLevel::Off (cold-path
+    // recording).
     let records: Vec<(u64, u64)> = (0..100_000u64).map(|i| (hash64(i), i)).collect();
-    for strategy in ALL_STRATEGIES {
-        for level in [TelemetryLevel::Off, TelemetryLevel::Deep] {
-            let cfg = SemisortConfig {
-                alpha: 1.01,
-                scatter: ScatterConfig {
-                    strategy,
-                    ..ScatterConfig::default()
-                },
+    for level in [TelemetryLevel::Off, TelemetryLevel::Deep] {
+        let cfg = PaperConfig {
+            alpha: 1.01,
+            ..PaperConfig::new(SemisortConfig {
                 telemetry: level,
                 ..Default::default()
-            };
-            let (out, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
-            assert!(semisort::verify::is_semisorted_by(&out, |r| r.0));
-            if stats.retries == 0 {
-                // The tight α got lucky this seed; nothing to check.
-                continue;
-            }
-            assert_eq!(
-                stats.telemetry.retry_causes.len(),
-                stats.retries as usize,
-                "{strategy:?}/{level:?}: one cause per retry"
+            })
+        };
+        let (out, stats) = paper::try_semisort_with_stats(&records, &cfg).unwrap();
+        assert!(semisort::verify::is_semisorted_by(&out, |r| r.0));
+        if stats.retries == 0 {
+            // The tight α got lucky this seed; nothing to check.
+            continue;
+        }
+        assert_eq!(
+            stats.telemetry.retry_causes.len(),
+            stats.retries as usize,
+            "{level:?}: one cause per retry"
+        );
+        for (i, rc) in stats.telemetry.retry_causes.iter().enumerate() {
+            assert_eq!(rc.attempt, i as u32 + 1, "causes are in attempt order");
+            assert!(rc.allocated > 0);
+            assert!(
+                rc.observed > rc.allocated,
+                "observed {} must exceed allocation {}",
+                rc.observed,
+                rc.allocated
             );
-            for (i, rc) in stats.telemetry.retry_causes.iter().enumerate() {
-                assert_eq!(rc.attempt, i as u32 + 1, "causes are in attempt order");
-                assert!(rc.allocated > 0);
-                assert!(
-                    rc.observed > rc.allocated,
-                    "{strategy:?}: observed {} must exceed allocation {}",
-                    rc.observed,
-                    rc.allocated
-                );
-            }
         }
     }
 }
@@ -271,15 +274,8 @@ fn deep_probe_hist_mass_sits_low_for_uniform_input() {
     // probes; the histogram must reflect that (≥90% in buckets 0–2, i.e.
     // probe lengths 0–3).
     let records: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
-    let cfg = SemisortConfig {
-        telemetry: TelemetryLevel::Deep,
-        scatter: ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
-    let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
+    let cfg = PaperConfig::new(SemisortConfig::default().with_telemetry(TelemetryLevel::Deep));
+    let (_, stats) = paper::try_semisort_with_stats(&records, &cfg).unwrap();
     let h = &stats.telemetry.probe_hist;
     let low: u64 = h.buckets[..3].iter().sum();
     assert!(

@@ -68,9 +68,6 @@ fn main() {
     let trajectory = flags.get("trajectory").unwrap_or("none").to_string();
 
     let mut engine = SemisortConfig::default();
-    if let Some(v) = flags.get("max-arena-bytes") {
-        engine.max_arena_bytes = parse_count(v);
-    }
     if let Some(v) = flags.get("max-scratch-bytes") {
         engine.max_scratch_bytes = parse_count(v);
     }

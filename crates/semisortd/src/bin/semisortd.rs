@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! semisortd --port 7400 --shards 4 --queue-depth 4 \
-//!           --max-arena-bytes 256m --max-scratch-bytes 64m
+//!           --max-scratch-bytes 64m
 //! ```
 //!
 //! Listens on `127.0.0.1` (`--port 0` picks a free port), prints one
@@ -29,9 +29,6 @@ fn main() {
     }
 
     let mut engine = SemisortConfig::default();
-    if let Some(v) = flags.get("max-arena-bytes") {
-        engine.max_arena_bytes = parse_bytes(v);
-    }
     if let Some(v) = flags.get("max-scratch-bytes") {
         engine.max_scratch_bytes = parse_bytes(v);
     }
@@ -136,7 +133,7 @@ impl std::io::Write for StdioStream {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  semisortd [--port <p|0>] [--shards <k>] [--queue-depth <k>] [--max-request-records <n>] [--max-arena-bytes <bytes>] [--max-scratch-bytes <bytes>] [--fault <spec>] [--stdio]\n\nfault spec clauses: drop:k, delay-ms:millis:k, panic:k (1-based every-k-th request)"
+        "usage:\n  semisortd [--port <p|0>] [--shards <k>] [--queue-depth <k>] [--max-request-records <n>] [--max-scratch-bytes <bytes>] [--fault <spec>] [--stdio]\n\nfault spec clauses: drop:k, delay-ms:millis:k, panic:k (1-based every-k-th request)"
     );
     std::process::exit(2);
 }

@@ -11,8 +11,8 @@
 //! [`semisort::Semisorter`] pinned to its own worker thread with a warm
 //! scratch pool and a bounded request queue. Connections (TCP or stdio)
 //! speak the length-prefixed protocol of [`proto`]; each parsed request
-//! passes **admission control** (drain state, request-size cap, arena-byte
-//! estimate, queue capacity) before it may touch an engine. Requests that
+//! passes **admission control** (drain state, request-size cap, queue
+//! capacity) before it may touch an engine. Requests that
 //! fail admission are *shed* with a structured `overloaded` error —
 //! the server never queues unboundedly and never blocks the accept path on
 //! engine work.

@@ -9,14 +9,9 @@
 //!
 //! 1. **drain state** — a draining server admits nothing new;
 //! 2. **request-size cap** — `max_request_records` bounds one request's
-//!    memory before anything is allocated for it;
-//! 3. **arena estimate** — the request's projected scatter-arena demand
-//!    (slot size × blowup bound) is checked against the engine's
-//!    `max_arena_bytes` budget: work that would be rejected by the engine
-//!    mid-run is cheaper to reject at the door. Requests that run without
-//!    an arena — `count-by-key`, or any op on a `Counting` engine —
-//!    project zero and always pass;
-//! 4. **queue capacity** — a bounded `sync_channel` per shard; `try_send`
+//!    memory before anything is allocated for it (the engine's exact
+//!    distribution needs scratch linear in `n` and nothing else);
+//! 3. **queue capacity** — a bounded `sync_channel` per shard; `try_send`
 //!    round-robins across shards and a full sweep means the server is
 //!    saturated — shed, don't buffer.
 //!
@@ -24,9 +19,9 @@
 //! [`CancelToken`](semisort::CancelToken) with the request deadline, wraps the engine call in
 //! `catch_unwind`, and — if the engine panics — **poisons and rebuilds**
 //! the shard: the panicking request fails with `engine-poisoned`, the next
-//! request gets a fresh engine with a cold pool. Scratch leases are
-//! borrow-scoped inside the engine, so an unwind cannot leak or dangle
-//! them (see `crates/semisort/tests/poison_recovery.rs`).
+//! request gets a fresh engine with a cold pool. The engine only ever
+//! borrows its pooled scratch for a phase, so an unwind cannot leak or
+//! dangle it (see `crates/semisort/tests/poison_recovery.rs`).
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -38,19 +33,12 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use semisort::obs::{epoch_micros, log_event_kv, ServiceCounters};
-use semisort::scatter::Slot;
-use semisort::{ScatterStrategy, SemisortConfig, SemisortError, SemisortStats, Semisorter};
+use semisort::{SemisortConfig, SemisortError, SemisortStats, Semisorter};
 
 use crate::faults::ServiceFaultPlan;
 use crate::proto::{
     read_frame, write_frame, Op, Request, Response, CODE_INVALID_REQUEST, KIND_INVALID_REQUEST,
 };
-
-/// Conservative slots-per-record blowup used by the admission estimate.
-/// Lemma 3.5 bounds the *expected* slot total by a constant factor of `n`;
-/// the repo's `space_is_linear` test observes blowup < 8, and admission
-/// wants an upper-ish bound that still admits real work.
-const ARENA_BLOWUP_EST: u64 = 4;
 
 /// How the server is sized and what it injects.
 #[derive(Clone, Copy, Debug)]
@@ -61,8 +49,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Per-request record cap (admission rung 2).
     pub max_request_records: usize,
-    /// The engine configuration every shard runs (its `max_arena_bytes` /
-    /// `max_scratch_bytes` are the service's memory budgets).
+    /// The engine configuration every shard runs (its `max_scratch_bytes`
+    /// bounds what each shard keeps warm between requests).
     pub engine: SemisortConfig,
     /// Server-side fault schedule (drop / delay / forced panics).
     pub fault: ServiceFaultPlan,
@@ -338,17 +326,6 @@ fn invalid_request(message: &str) -> Response {
     }
 }
 
-/// The projected scatter-arena demand of an `n`-record `op` on an engine
-/// configured as `engine`, for admission rung 3. Zero when the request
-/// runs without an arena: a `CountByKey` (the fused aggregation
-/// distributes into exact regions) or any op on a `Counting` engine.
-fn estimated_arena_bytes(op: Op, n: usize, engine: &SemisortConfig) -> u64 {
-    if op == Op::CountByKey || engine.scatter.strategy == ScatterStrategy::Counting {
-        return 0;
-    }
-    (n as u64).saturating_mul(std::mem::size_of::<Slot<u64>>() as u64 * ARENA_BLOWUP_EST)
-}
-
 fn serve_session<S: Read + Write>(
     stream: &mut S,
     inner: &Inner,
@@ -393,7 +370,7 @@ fn serve_session<S: Read + Write>(
     }
 }
 
-/// Admission rungs 1–4, then hand the job to a shard and wait for its
+/// Admission rungs 1–3, then hand the job to a shard and wait for its
 /// reply. Every rejection is an `overloaded` [`Response::Error`].
 fn admit_and_run(
     inner: &Inner,
@@ -425,13 +402,6 @@ fn admit_and_run(
             n as u64,
             inner.cfg.max_request_records as u64,
         );
-    }
-    let budget = inner.cfg.engine.max_arena_bytes;
-    if budget != usize::MAX {
-        let required = estimated_arena_bytes(req.op, n, &inner.cfg.engine);
-        if required > budget as u64 {
-            return shed("arena-budget", required, budget as u64);
-        }
     }
     let deadline_us = (req.deadline_ms > 0)
         .then(|| epoch_micros().saturating_add(u64::from(req.deadline_ms) * 1000));
@@ -558,7 +528,7 @@ fn run_job(
         }
         Err(_panic) => {
             // The engine unwound mid-run: poison it (drop everything it
-            // held — leases are borrow-scoped, so nothing dangles) and
+            // held — its scratch is only borrowed, so nothing dangles) and
             // rebuild from the base config so the next request gets a
             // healthy shard.
             ServiceCounters::bump(&inner.counters.panics_contained);

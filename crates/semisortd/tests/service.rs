@@ -138,76 +138,6 @@ fn oversized_requests_shed_with_structured_overloaded() {
 }
 
 #[test]
-fn arena_budget_gates_admission() {
-    // Budget below the 4-slots-per-record estimate for 4096 records on a
-    // RandomCas engine: the request is rejected at the door,
-    // deterministically, without running.
-    let mut engine = small_engine();
-    engine.max_arena_bytes = 4096; // far below estimate for 4096 records
-    engine.scatter.strategy = semisort::ScatterStrategy::RandomCas;
-    let (server, mut client) = start(ServerConfig {
-        engine,
-        ..ServerConfig::default()
-    });
-    match client.semisort(sample_records(4096), 0) {
-        Err(ClientError::Server { kind, message, .. }) => {
-            assert_eq!(kind, "overloaded");
-            assert!(message.contains("arena-budget"), "message: {message}");
-        }
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-    // A request small enough to fit the budget is served (it also fits
-    // seq_threshold, so the engine never allocates a big arena).
-    assert!(client.semisort(sample_records(32), 0).is_ok());
-    server.drain_and_stop();
-}
-
-#[test]
-fn arena_budget_follows_the_op_and_strategy() {
-    // Under a budget that sheds a 4096-record semisort on a RandomCas
-    // engine, the same records as a count-by-key (fused aggregation, no
-    // arena) are admitted and answered; on a Counting engine the semisort
-    // is admitted too.
-    let mut engine = small_engine();
-    engine.max_arena_bytes = 4096;
-    engine.scatter.strategy = semisort::ScatterStrategy::RandomCas;
-    let records = sample_records(4096);
-    let count = Request {
-        op: Op::CountByKey,
-        deadline_ms: 0,
-        records: records.clone(),
-    };
-    let (server, mut client) = start(ServerConfig {
-        engine,
-        ..ServerConfig::default()
-    });
-    match client.request(&count).expect("count-by-key is admitted") {
-        Response::Counts(counts) => {
-            assert_eq!(counts.len(), 17);
-            assert_eq!(counts.iter().map(|c| c.1).sum::<u64>(), 4096);
-        }
-        other => panic!("wrong reply: {other:?}"),
-    }
-    match client.semisort(records.clone(), 0) {
-        Err(ClientError::Server { kind, message, .. }) => {
-            assert_eq!(kind, "overloaded");
-            assert!(message.contains("arena-budget"), "message: {message}");
-        }
-        other => panic!("expected arena-budget shed, got {other:?}"),
-    }
-    server.drain_and_stop();
-
-    engine.scatter.strategy = semisort::ScatterStrategy::Counting;
-    let (server, mut client) = start(ServerConfig {
-        engine,
-        ..ServerConfig::default()
-    });
-    assert!(client.semisort(records, 0).is_ok(), "no arena, no shed");
-    assert!(client.request(&count).is_ok());
-    server.drain_and_stop();
-}
-
-#[test]
 fn expired_deadlines_reply_deadline_exceeded() {
     // Every request is delayed 50ms before processing; a 5ms deadline is
     // therefore always expired by the time the shard looks at it.

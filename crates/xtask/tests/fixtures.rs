@@ -98,7 +98,7 @@ fn missing_safety_fixture_fails_with_undocumented_unsafe() {
     );
     assert_eq!(
         v.get("file").and_then(Json::as_str),
-        Some("crates/semisort/src/pool.rs")
+        Some("crates/semisort/src/scatter.rs")
     );
     assert_eq!(v.get("line").and_then(Json::as_u64), Some(6));
 }

@@ -31,13 +31,19 @@
 //! additionally checked structurally: `passes` entries must carry
 //! well-formed violation records and internally-consistent `ok` flags.
 //!
+//! `--scatter counting` (the default) runs the engine's exact
+//! distribution; `--scatter random-cas` (alias `cas`) runs the paper's CAS
+//! scatter through `semisort::paper`.
+//!
 //! Failure handling (both `sort --algo semisort` and `bench`):
 //! `--on-overflow <fallback|error>` selects the escalation policy,
 //! `--max-retries <k>` bounds the Las Vegas restarts, `--max-arena-bytes
 //! <bytes>` (k/m/g suffixes ok) caps the scatter arena, and `--fault
 //! <spec>` injects deterministic faults (`force-overflow:2`,
-//! `corrupt-sample:1,fail-alloc:1`, … — see `semisort::fault`). Under
-//! `--on-overflow error` a terminal failure prints one structured
+//! `corrupt-sample:1,fail-alloc:1`, … — see `semisort::fault`). All of
+//! them but the `panic` fault act on `--scatter random-cas` only: the
+//! exact distribution has no arena, no retry and nothing to escalate.
+//! Under `--on-overflow error` a terminal failure prints one structured
 //! `{"event":"error",...}` line (with an `exit_code` member) to stderr
 //! and exits with [`semisort::SemisortError::exit_code`]'s mapping
 //! (degradable runtime failures 1, invalid config 2, overloaded 3,
@@ -45,7 +51,8 @@
 //!
 //! `bench --reuse <k>` runs `k` consecutive calls through one warm
 //! [`semisort::Semisorter`] instead of one one-shot call, reporting
-//! per-call times and the engine's scratch-pool counters;
+//! per-call times and the engine's scratch-pool counters (the engine runs
+//! only `--scatter counting`);
 //! `--max-scratch-bytes <bytes>` bounds what the pool retains between
 //! calls (`sort` and `bench`).
 
@@ -54,8 +61,8 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::time::Instant;
 
 use semisort::{
-    try_semisort_with_stats, FaultPlan, Json, OverflowPolicy, ScatterConfig, ScatterStrategy,
-    SemisortConfig, SemisortError, SemisortStats, Semisorter, TelemetryLevel,
+    paper, try_semisort_with_stats, FaultPlan, Json, OverflowPolicy, PaperConfig, SemisortConfig,
+    SemisortError, SemisortStats, Semisorter, TelemetryLevel,
 };
 use workloads::Distribution;
 
@@ -202,20 +209,29 @@ fn generate(flags: &Flags) {
     );
 }
 
-/// Parse `--scatter` (default: the library's default strategy).
-fn parse_scatter(flags: &Flags) -> ScatterStrategy {
-    let Some(spelling) = flags.get("scatter") else {
-        return ScatterConfig::default().strategy;
-    };
-    ScatterStrategy::parse(spelling).unwrap_or_else(|| {
-        eprintln!("unknown scatter strategy {spelling} (want counting or random-cas)");
-        std::process::exit(2);
-    })
+/// What a semisort run executes: the engine's exact distribution on
+/// `cfg.base`, or — with `paper` set — the paper's CAS scatter on all of
+/// `cfg`.
+#[derive(Clone, Copy)]
+struct RunConfig {
+    paper: bool,
+    cfg: PaperConfig,
 }
 
-/// Apply the failure-handling flags — `--on-overflow`, `--max-retries`,
-/// `--max-arena-bytes`, `--fault` — on top of a config.
-fn apply_failure_flags(flags: &Flags, mut cfg: SemisortConfig) -> SemisortConfig {
+/// Build the run from `--scatter` (`counting`, the default, or
+/// `random-cas` / `cas`) and the failure-handling flags — `--on-overflow`,
+/// `--max-retries`, `--max-arena-bytes`, `--max-scratch-bytes`, `--fault` —
+/// on top of `base`.
+fn run_config(flags: &Flags, base: SemisortConfig) -> RunConfig {
+    let paper = match flags.get("scatter").unwrap_or("counting") {
+        "counting" => false,
+        "random-cas" | "cas" => true,
+        other => {
+            eprintln!("unknown scatter strategy {other} (want counting or random-cas)");
+            std::process::exit(2);
+        }
+    };
+    let mut cfg = PaperConfig::new(base);
     if let Some(s) = flags.get("on-overflow") {
         cfg.overflow_policy = OverflowPolicy::parse(s).unwrap_or_else(|| {
             eprintln!("unknown overflow policy {s} (want fallback or error)");
@@ -229,21 +245,26 @@ fn apply_failure_flags(flags: &Flags, mut cfg: SemisortConfig) -> SemisortConfig
         cfg.max_arena_bytes = parse_count(s);
     }
     if let Some(s) = flags.get("max-scratch-bytes") {
-        cfg.max_scratch_bytes = parse_count(s);
+        cfg.base.max_scratch_bytes = parse_count(s);
     }
     if let Some(s) = flags.get("fault") {
-        cfg.fault = FaultPlan::parse(s).unwrap_or_else(|e| {
+        cfg.base.fault = FaultPlan::parse(s).unwrap_or_else(|e| {
             eprintln!("bad --fault spec: {e}");
             std::process::exit(2);
         });
     }
-    cfg
+    RunConfig { paper, cfg }
 }
 
 /// Run the semisort, exiting with a structured one-line JSON error on a
 /// terminal failure (only reachable under `--on-overflow error`).
-fn run_or_exit(records: &[(u64, u64)], cfg: &SemisortConfig) -> (Vec<(u64, u64)>, SemisortStats) {
-    try_semisort_with_stats(records, cfg).unwrap_or_else(|e| exit_semisort_error(e))
+fn run_or_exit(records: &[(u64, u64)], run: &RunConfig) -> (Vec<(u64, u64)>, SemisortStats) {
+    let result = if run.paper {
+        paper::try_semisort_with_stats(records, &run.cfg)
+    } else {
+        try_semisort_with_stats(records, &run.cfg.base)
+    };
+    result.unwrap_or_else(|e| exit_semisort_error(e))
 }
 
 fn exit_semisort_error(e: SemisortError) -> ! {
@@ -273,7 +294,7 @@ fn print_stats(stats: &semisort::SemisortStats) {
     }
     eprintln!(
         "  scatter {} | heavy keys {} | light buckets {} | %heavy {:.1} | slots/n {:.2} | retries {}",
-        stats.config.scatter.strategy.as_str(),
+        stats.scatter_strategy(),
         stats.heavy_keys,
         stats.light_buckets,
         stats.heavy_fraction_pct(),
@@ -323,7 +344,6 @@ fn sort(flags: &Flags) {
     let records = read_records(input);
     eprintln!("read {} records from {input}", records.len());
 
-    let scatter = parse_scatter(flags);
     let telemetry = parse_telemetry(flags);
     if flags.has("stats-json") && algo != "semisort" {
         eprintln!("--stats-json only applies to --algo semisort");
@@ -333,18 +353,8 @@ fn sort(flags: &Flags) {
     let run = || -> Vec<(u64, u64)> {
         match algo {
             "semisort" => {
-                let cfg = apply_failure_flags(
-                    flags,
-                    SemisortConfig {
-                        scatter: ScatterConfig {
-                            strategy: scatter,
-                            ..ScatterConfig::default()
-                        },
-                        telemetry,
-                        ..Default::default()
-                    },
-                );
-                let (out, stats) = run_or_exit(&records, &cfg);
+                let run = run_config(flags, SemisortConfig::default().with_telemetry(telemetry));
+                let (out, stats) = run_or_exit(&records, &run);
                 if flags.has("stats") {
                     print_stats(&stats);
                 }
@@ -404,16 +414,11 @@ fn bench_run(flags: &Flags) {
         .unwrap_or(Distribution::Zipfian {
             m: (n as u64 / 10).max(1),
         });
-    let cfg = apply_failure_flags(
+    let run_cfg = run_config(
         flags,
-        SemisortConfig {
-            scatter: ScatterConfig {
-                strategy: parse_scatter(flags),
-                ..ScatterConfig::default()
-            },
-            telemetry: parse_telemetry(flags),
-            ..SemisortConfig::default().with_seed(seed)
-        },
+        SemisortConfig::default()
+            .with_seed(seed)
+            .with_telemetry(parse_telemetry(flags)),
     );
     let threads = flags
         .get("threads")
@@ -425,6 +430,10 @@ fn bench_run(flags: &Flags) {
         .get("reuse")
         .map_or(1, |s| s.parse().expect("bad --reuse count"))
         .max(1);
+    if reuse > 1 && run_cfg.paper {
+        eprintln!("--reuse runs the engine, which has no --scatter random-cas");
+        std::process::exit(2);
+    }
 
     let records = workloads::generate(dist, n, seed);
     let t = Instant::now();
@@ -433,7 +442,8 @@ fn bench_run(flags: &Flags) {
             // Warm-engine mode: `reuse` consecutive calls through one
             // Semisorter; report the last call (whose scratch counters
             // show the steady-state pool behavior).
-            let mut engine = Semisorter::new(cfg).unwrap_or_else(|e| exit_semisort_error(e));
+            let mut engine =
+                Semisorter::new(run_cfg.cfg.base).unwrap_or_else(|e| exit_semisort_error(e));
             let mut out = Vec::new();
             for call in 0..reuse {
                 out = engine
@@ -451,7 +461,7 @@ fn bench_run(flags: &Flags) {
             let stats = engine.last_stats().clone();
             (out, stats, bench::trajectory::effective_threads())
         } else {
-            let (out, stats) = run_or_exit(&records, &cfg);
+            let (out, stats) = run_or_exit(&records, &run_cfg);
             (out, stats, bench::trajectory::effective_threads())
         }
     };
@@ -474,7 +484,7 @@ fn bench_run(flags: &Flags) {
             String::new()
         },
         n as f64 / wall / 1e6,
-        cfg.telemetry.as_str()
+        run_cfg.cfg.base.telemetry.as_str()
     );
     if flags.has("stats") {
         print_stats(&stats);
@@ -514,16 +524,11 @@ fn trace_run(flags: &Flags) {
         .unwrap_or(Distribution::Zipfian {
             m: (n as u64 / 10).max(1),
         });
-    let cfg = apply_failure_flags(
+    let run_cfg = run_config(
         flags,
-        SemisortConfig {
-            scatter: ScatterConfig {
-                strategy: parse_scatter(flags),
-                ..ScatterConfig::default()
-            },
-            telemetry: parse_telemetry(flags),
-            ..SemisortConfig::default().with_seed(seed)
-        },
+        SemisortConfig::default()
+            .with_seed(seed)
+            .with_telemetry(parse_telemetry(flags)),
     );
     // Scheduler rings only exist on a multi-worker pool; when the machine
     // reports one hardware thread, still trace on two workers so the
@@ -540,7 +545,7 @@ fn trace_run(flags: &Flags) {
 
     let records = workloads::generate(dist, n, seed);
     rayon::trace::set_events_enabled(true);
-    let (out, stats) = parlay::with_threads(threads, || run_or_exit(&records, &cfg));
+    let (out, stats) = parlay::with_threads(threads, || run_or_exit(&records, &run_cfg));
     rayon::trace::set_events_enabled(false);
     assert!(
         semisort::verify::is_semisorted_by(&out, |r| r.0) && out.len() == records.len(),

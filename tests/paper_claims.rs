@@ -1,7 +1,7 @@
 //! Structural claims from the paper, checked as tests (the *shape* facts
 //! that don't need a 40-core machine).
 
-use semisort::{try_semisort_with_stats, SemisortConfig};
+use semisort::{paper, try_semisort_with_stats, PaperConfig, SemisortConfig};
 use workloads::{generate, paper_distributions, representative_distributions, Distribution};
 
 const N: usize = 200_000;
@@ -68,10 +68,10 @@ fn heavy_fraction_extremes_match_table1() {
 /// bucket count; with the paper's constants it is < 10).
 #[test]
 fn space_blowup_bounded_on_all_distributions() {
-    let cfg = SemisortConfig::default();
+    let cfg = PaperConfig::default();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 3);
-        let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
+        let (_, stats) = paper::try_semisort_with_stats(&records, &cfg).unwrap();
         assert!(
             stats.space_blowup() < 10.0,
             "{}: slots/n = {:.2}",
@@ -109,10 +109,10 @@ fn merged_light_bucket_count_is_bounded_by_sample() {
 /// prevent overflow on all of our inputs").
 #[test]
 fn no_retries_on_any_paper_distribution() {
-    let cfg = SemisortConfig::default();
+    let cfg = PaperConfig::default();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 6);
-        let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
+        let (_, stats) = paper::try_semisort_with_stats(&records, &cfg).unwrap();
         assert_eq!(stats.retries, 0, "{} needed retries", pd.dist.label());
     }
 }
@@ -126,7 +126,7 @@ fn no_retries_on_any_paper_distribution() {
 /// show up here immediately.
 #[test]
 fn work_is_stable_across_distributions() {
-    let cfg = SemisortConfig::default();
+    let cfg = PaperConfig::default();
     let mut work = Vec::new();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 8);

@@ -1,27 +1,30 @@
-//! Differential tests of the two scatter strategies.
+//! Differential tests of the engine against the paper's reference run.
 //!
-//! For every workload shape (uniform, power-law, all-equal, all-distinct)
-//! and sizes 10³ / 10⁵ / 10⁶, both `ScatterStrategy::Counting` and
-//! `::RandomCas` must produce a valid semisort whose
-//! canonical bytes (records sorted by key then payload — the unique
-//! representative of the output's multiset) are identical to the trivially
-//! correct sequential baseline ([`baselines::seq_hash_semisort`]), with
-//! identical per-key group sizes.
+//! Three outputs are compared: the engine's `Semisorter::sort_pairs` (the
+//! exact distribution, `counting`), `semisort::paper::try_semisort_with_stats`
+//! (the paper's CAS scatter, `random-cas`) and the trivially correct
+//! sequential baseline [`baselines::seq_hash_semisort`]. For every
+//! workload shape (uniform, power-law, all-equal, all-distinct) and sizes
+//! 10³ / 10⁵ / 10⁶, both semisorts must be valid, with canonical bytes
+//! (records sorted by key then payload — the unique representative of the
+//! output's multiset) identical to the baseline's and identical per-key
+//! group sizes.
 //!
 //! A thread matrix (1 / 2 / 8 workers) then pins two stronger properties:
 //! the canonical bytes stay baseline-identical at every thread count, and
-//! each strategy's output *key sequence* is thread-count invariant (bucket
+//! each path's output *key sequence* is thread-count invariant (bucket
 //! regions are deterministic; light regions are sorted by key).
 
 use std::collections::HashMap;
 
 use semisort::verify::{is_semisorted_by, runs_by};
-use semisort::{try_semisort_pairs, ScatterConfig, ScatterStrategy, SemisortConfig};
+use semisort::{paper, PaperConfig, SemisortConfig, Semisorter};
 use workloads::{generate, Distribution};
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
 const DISTS: [&str; 4] = ["uniform", "power-law", "all-equal", "all-distinct"];
-const STRATEGIES: [ScatterStrategy; 2] = [ScatterStrategy::Counting, ScatterStrategy::RandomCas];
+/// The two semisorts under test, by their stats-JSON spelling.
+const STRATEGIES: [&str; 2] = ["counting", "random-cas"];
 
 fn workload(name: &str, n: usize) -> Vec<(u64, u64)> {
     match name {
@@ -34,13 +37,16 @@ fn workload(name: &str, n: usize) -> Vec<(u64, u64)> {
     }
 }
 
-fn cfg_for(strategy: ScatterStrategy) -> SemisortConfig {
-    SemisortConfig {
-        scatter: ScatterConfig {
-            strategy,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
+/// Semisort `records` with `base`: through the engine for `counting`,
+/// through the paper's reference run for `random-cas`.
+fn semisort(records: &[(u64, u64)], strategy: &str, base: SemisortConfig) -> Vec<(u64, u64)> {
+    match strategy {
+        "counting" => Semisorter::new(base).unwrap().sort_pairs(records).unwrap(),
+        _ => {
+            paper::try_semisort_with_stats(records, &PaperConfig::new(base))
+                .unwrap()
+                .0
+        }
     }
 }
 
@@ -75,54 +81,53 @@ fn check_against_baseline(out: &[(u64, u64)], baseline: &[(u64, u64)], ctx: &str
     );
 }
 
-fn check_strategy(dist: &str, strategy: ScatterStrategy) {
-    let cfg = cfg_for(strategy);
+fn check_strategy(dist: &str, strategy: &str) {
     for n in SIZES {
         let records = workload(dist, n);
-        let out = try_semisort_pairs(&records, &cfg).unwrap();
+        let out = semisort(&records, strategy, SemisortConfig::default());
         let baseline = baselines::seq_hash_semisort(&records);
-        check_against_baseline(&out, &baseline, &format!("{dist}/{strategy:?}/n={n}"));
+        check_against_baseline(&out, &baseline, &format!("{dist}/{strategy}/n={n}"));
     }
 }
 
 #[test]
 fn uniform_random_cas() {
-    check_strategy("uniform", ScatterStrategy::RandomCas);
+    check_strategy("uniform", "random-cas");
 }
 
 #[test]
 fn uniform_counting() {
-    check_strategy("uniform", ScatterStrategy::Counting);
+    check_strategy("uniform", "counting");
 }
 
 #[test]
 fn power_law_random_cas() {
-    check_strategy("power-law", ScatterStrategy::RandomCas);
+    check_strategy("power-law", "random-cas");
 }
 
 #[test]
 fn power_law_counting() {
-    check_strategy("power-law", ScatterStrategy::Counting);
+    check_strategy("power-law", "counting");
 }
 
 #[test]
 fn all_equal_random_cas() {
-    check_strategy("all-equal", ScatterStrategy::RandomCas);
+    check_strategy("all-equal", "random-cas");
 }
 
 #[test]
 fn all_equal_counting() {
-    check_strategy("all-equal", ScatterStrategy::Counting);
+    check_strategy("all-equal", "counting");
 }
 
 #[test]
 fn all_distinct_random_cas() {
-    check_strategy("all-distinct", ScatterStrategy::RandomCas);
+    check_strategy("all-distinct", "random-cas");
 }
 
 #[test]
 fn all_distinct_counting() {
-    check_strategy("all-distinct", ScatterStrategy::Counting);
+    check_strategy("all-distinct", "counting");
 }
 
 /// The full strategy × distribution × thread-count matrix: canonical bytes
@@ -137,22 +142,22 @@ fn thread_matrix_matches_baseline() {
         let records = workload(dist, N);
         let baseline = baselines::seq_hash_semisort(&records);
         for strategy in STRATEGIES {
-            let cfg = cfg_for(strategy);
             let mut key_seq: Option<Vec<u64>> = None;
             for threads in [1usize, 2, 8] {
-                let out =
-                    parlay::with_threads(threads, || try_semisort_pairs(&records, &cfg).unwrap());
+                let out = parlay::with_threads(threads, || {
+                    semisort(&records, strategy, SemisortConfig::default())
+                });
                 check_against_baseline(
                     &out,
                     &baseline,
-                    &format!("{dist}/{strategy:?}/threads={threads}"),
+                    &format!("{dist}/{strategy}/threads={threads}"),
                 );
                 let keys: Vec<u64> = out.iter().map(|r| r.0).collect();
                 match &key_seq {
                     None => key_seq = Some(keys),
                     Some(want) => assert_eq!(
                         want, &keys,
-                        "{dist}/{strategy:?}: key sequence varies with thread count"
+                        "{dist}/{strategy}: key sequence varies with thread count"
                     ),
                 }
             }
@@ -160,27 +165,20 @@ fn thread_matrix_matches_baseline() {
     }
 }
 
-/// Beyond both matching the baseline: the two strategies' outputs are
-/// multiset-equal with identical group structure under a
-/// non-default seed.
+/// All three outputs — engine, paper run and sequential baseline — are
+/// multiset-equal with identical group structure under a non-default
+/// seed.
 #[test]
 fn strategies_agree_with_each_other() {
     for dist in DISTS {
         for n in [1_000usize, 100_000] {
             let records = workload(dist, n);
-            let outs: Vec<Vec<(u64, u64)>> = STRATEGIES
+            let base = SemisortConfig::default().with_seed(0xd1ff);
+            let mut outs: Vec<Vec<(u64, u64)>> = STRATEGIES
                 .iter()
-                .map(|&strategy| {
-                    let cfg = SemisortConfig {
-                        scatter: ScatterConfig {
-                            strategy,
-                            ..ScatterConfig::default()
-                        },
-                        ..SemisortConfig::default().with_seed(0xd1ff)
-                    };
-                    try_semisort_pairs(&records, &cfg).unwrap()
-                })
+                .map(|&strategy| semisort(&records, strategy, base))
                 .collect();
+            outs.push(baselines::seq_hash_semisort(&records));
             for pair in outs.windows(2) {
                 assert_eq!(canonical(&pair[0]), canonical(&pair[1]), "{dist}/n={n}");
                 assert_eq!(group_sizes(&pair[0]), group_sizes(&pair[1]), "{dist}/n={n}");

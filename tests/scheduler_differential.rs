@@ -1,17 +1,19 @@
 //! Differential tests of the work-stealing scheduler: semisort results must
 //! not depend on how many pool threads execute them.
 //!
-//! For every thread count in {1, 2, 8} × the 4 workload shapes × the
-//! scatter strategies, the output must be **byte-identical after
-//! canonicalization** to the sequential baseline. Canonicalization = a full
-//! `(key, value)` sort: semisort only promises key-grouping, and the one
-//! schedule-visible freedom `RandomCas` (deliberately — see
-//! `driver.rs::valid_at_any_thread_count`) retains is the *intra*-group
-//! record order decided by CAS races. Everything else must be invariant:
-//! the canonical bytes, the key sequence (group order is seed-determined,
-//! not schedule-determined), and the group structure. `Counting` has no
-//! races and a stable distribution, so its raw output bytes must match
-//! across thread counts and engines too
+//! For every thread count in {1, 2, 8} × the 4 workload shapes × both
+//! Phase 3s (the engine's exact distribution, `counting`, and the paper's
+//! CAS scatter through `semisort::paper`, `random-cas`), the output must
+//! be **byte-identical after canonicalization** to the sequential
+//! baseline. Canonicalization = a full `(key, value)` sort: semisort only
+//! promises key-grouping, and the one schedule-visible freedom the CAS
+//! scatter (deliberately — see `driver.rs::valid_at_any_thread_count`)
+//! retains is the *intra*-group record order decided by CAS races.
+//! Everything else must be invariant: the canonical bytes, the key
+//! sequence (group order is seed-determined, not schedule-determined), and
+//! the group structure. The exact distribution has no races and is
+//! stable, so its raw output bytes must match across thread counts and
+//! engines too
 //! (`counting_sort_pairs_is_byte_identical_across_threads_and_engines`).
 //!
 //! Two stress tests cover the scheduler's degrade paths: a `join` binary
@@ -23,7 +25,7 @@
 use std::collections::HashMap;
 
 use semisort::verify::{is_semisorted_by, runs_by};
-use semisort::{try_semisort_pairs, ScatterConfig, ScatterStrategy, SemisortConfig, Semisorter};
+use semisort::{paper, try_semisort_pairs, PaperConfig, SemisortConfig, Semisorter};
 use workloads::{generate, Distribution};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -56,32 +58,37 @@ fn group_sizes(out: &[(u64, u64)]) -> HashMap<u64, usize> {
         .collect()
 }
 
-fn check(dist: &str, strategy: ScatterStrategy) {
+/// Semisort `records` through the Phase 3 named `strategy`.
+fn semisort(records: &[(u64, u64)], strategy: &str) -> Vec<(u64, u64)> {
+    match strategy {
+        "counting" => try_semisort_pairs(records, &SemisortConfig::default()).unwrap(),
+        _ => {
+            paper::try_semisort_with_stats(records, &PaperConfig::default())
+                .unwrap()
+                .0
+        }
+    }
+}
+
+fn check(dist: &str, strategy: &str) {
     let records = workload(dist, N);
-    let cfg = SemisortConfig {
-        scatter: ScatterConfig {
-            strategy,
-            ..ScatterConfig::default()
-        },
-        ..Default::default()
-    };
     let baseline_canonical = canonical(baselines::seq_hash_semisort(&records));
     let mut key_sequences: Vec<(usize, Vec<u64>)> = Vec::new();
     for threads in THREAD_COUNTS {
-        let out = parlay::with_threads(threads, || try_semisort_pairs(&records, &cfg).unwrap());
+        let out = parlay::with_threads(threads, || semisort(&records, strategy));
         assert!(
             is_semisorted_by(&out, |r| r.0),
-            "{dist}/{strategy:?}/threads={threads}: output not semisorted"
+            "{dist}/{strategy}/threads={threads}: output not semisorted"
         );
         assert_eq!(
             group_sizes(&out),
             group_sizes(&baseline_canonical),
-            "{dist}/{strategy:?}/threads={threads}: group structure differs from baseline"
+            "{dist}/{strategy}/threads={threads}: group structure differs from baseline"
         );
         assert_eq!(
             canonical(out.clone()),
             baseline_canonical,
-            "{dist}/{strategy:?}/threads={threads}: canonical bytes differ from sequential baseline"
+            "{dist}/{strategy}/threads={threads}: canonical bytes differ from sequential baseline"
         );
         key_sequences.push((threads, out.into_iter().map(|r| r.0).collect()));
     }
@@ -91,59 +98,58 @@ fn check(dist: &str, strategy: ScatterStrategy) {
     for (t, seq) in &key_sequences[1..] {
         assert_eq!(
             seq, reference,
-            "{dist}/{strategy:?}: key sequence at threads={t} differs from threads={t0}"
+            "{dist}/{strategy}: key sequence at threads={t} differs from threads={t0}"
         );
     }
 }
 
 #[test]
 fn uniform_random_cas_thread_invariant() {
-    check("uniform", ScatterStrategy::RandomCas);
+    check("uniform", "random-cas");
 }
 
 #[test]
 fn uniform_counting_thread_invariant() {
-    check("uniform", ScatterStrategy::Counting);
+    check("uniform", "counting");
 }
 
 #[test]
 fn power_law_random_cas_thread_invariant() {
-    check("power-law", ScatterStrategy::RandomCas);
+    check("power-law", "random-cas");
 }
 
 #[test]
 fn power_law_counting_thread_invariant() {
-    check("power-law", ScatterStrategy::Counting);
+    check("power-law", "counting");
 }
 
 #[test]
 fn all_equal_random_cas_thread_invariant() {
-    check("all-equal", ScatterStrategy::RandomCas);
+    check("all-equal", "random-cas");
 }
 
 #[test]
 fn all_equal_counting_thread_invariant() {
-    check("all-equal", ScatterStrategy::Counting);
+    check("all-equal", "counting");
 }
 
 #[test]
 fn all_distinct_random_cas_thread_invariant() {
-    check("all-distinct", ScatterStrategy::RandomCas);
+    check("all-distinct", "random-cas");
 }
 
 #[test]
 fn all_distinct_counting_thread_invariant() {
-    check("all-distinct", ScatterStrategy::Counting);
+    check("all-distinct", "counting");
 }
 
 #[test]
 fn counting_sort_pairs_is_byte_identical_across_threads_and_engines() {
-    // Counting's output is a function of (input, seed) alone: the same
+    // The exact distribution's output is a function of (input, seed) alone: the same
     // bytes at 1, 2 and 8 threads, from a fresh engine and from a warm
     // one whose pool already holds another input's scratch. Heavy regions
     // keep input order too, which no other backend promised.
     let cfg = SemisortConfig::builder().seed(11).build().unwrap();
-    assert_eq!(cfg.scatter.strategy, ScatterStrategy::Counting);
     for dist in ["uniform", "power-law", "all-equal"] {
         let records = workload(dist, N);
         let reference = parlay::with_threads(1, || {

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use semisort::verify::{is_permutation_of, is_semisorted_by};
 use semisort::{
-    try_semisort_pairs, try_semisort_with_stats, LocalSortAlgo, ProbeStrategy, ScatterConfig,
-    ScatterStrategy, SemisortConfig,
+    paper, try_semisort_pairs, try_semisort_with_stats, LocalSortAlgo, PaperConfig, ProbeStrategy,
+    SemisortConfig, SemisortStats,
 };
 
 /// A config that exercises the parallel machinery even on small inputs.
@@ -16,6 +16,16 @@ fn small_cfg() -> SemisortConfig {
     SemisortConfig {
         seq_threshold: 32,
         ..Default::default()
+    }
+}
+
+/// Semisort `recs` through the paper's CAS scatter (`cas`) on all of `cfg`,
+/// or through the engine's exact distribution on `cfg.base`.
+fn run(recs: &[(u64, u64)], cas: bool, cfg: &PaperConfig) -> (Vec<(u64, u64)>, SemisortStats) {
+    if cas {
+        paper::try_semisort_with_stats(recs, cfg).unwrap()
+    } else {
+        try_semisort_with_stats(recs, &cfg.base).unwrap()
     }
 }
 
@@ -58,19 +68,16 @@ proptest! {
         algo_idx in 0usize..3,
         cas in any::<bool>(),
     ) {
-        // The probe strategy only matters to RandomCas; the local sort
-        // runs on both paths.
-        let cfg = SemisortConfig {
-            seq_threshold: 32,
+        // The probe strategy only matters to the CAS scatter; the local
+        // sort runs on both paths.
+        let cfg = PaperConfig {
             probe_strategy: if probe_linear { ProbeStrategy::Linear } else { ProbeStrategy::Random },
-            local_sort_algo: [LocalSortAlgo::StdUnstable, LocalSortAlgo::StdStable, LocalSortAlgo::Counting][algo_idx],
-            scatter: ScatterConfig {
-                strategy: if cas { ScatterStrategy::RandomCas } else { ScatterStrategy::Counting },
-                ..ScatterConfig::default()
-            },
-            ..Default::default()
+            ..PaperConfig::new(SemisortConfig {
+                local_sort_algo: [LocalSortAlgo::StdUnstable, LocalSortAlgo::StdStable, LocalSortAlgo::Counting][algo_idx],
+                ..small_cfg()
+            })
         };
-        let out = try_semisort_pairs(&recs, &cfg).unwrap();
+        let (out, _) = run(&recs, cas, &cfg);
         prop_assert!(is_semisorted_by(&out, |r| r.0));
         prop_assert!(is_permutation_of(&out, &recs));
     }
@@ -104,19 +111,17 @@ proptest! {
         prefetch_distance in 0usize..65,
     ) {
         // Random configs across the paper's parameter neighbourhood
-        // (p = 1/4 … 1/64, δ = 4 … 64), both scatter paths, and the
-        // prefetch distance (0 … 64).
-        let cfg = SemisortConfig {
-            seq_threshold: 32,
-            sample_shift: shift,
-            heavy_threshold: delta,
-            scatter: ScatterConfig {
-                strategy: [ScatterStrategy::Counting, ScatterStrategy::RandomCas][strat_idx],
-                prefetch_distance,
-            },
-            ..Default::default()
+        // (p = 1/4 … 1/64, δ = 4 … 64), both Phase 3s, and the CAS
+        // scatter's prefetch distance (0 … 64).
+        let cfg = PaperConfig {
+            prefetch_distance,
+            ..PaperConfig::new(SemisortConfig {
+                sample_shift: shift,
+                heavy_threshold: delta,
+                ..small_cfg()
+            })
         };
-        let (out, stats) = try_semisort_with_stats(&recs, &cfg).unwrap();
+        let (out, stats) = run(&recs, strat_idx == 1, &cfg);
         prop_assert!(is_semisorted_by(&out, |r| r.0));
         prop_assert!(is_permutation_of(&out, &recs));
         // Stats invariants: the heavy/light split partitions the input, and
@@ -137,15 +142,8 @@ proptest! {
             recs[i].0 = 0; // scatter EMPTY
             recs[(i + 1) % len].0 = u64::MAX; // table EMPTY
         }
-        for strategy in [ScatterStrategy::Counting, ScatterStrategy::RandomCas] {
-            let cfg = SemisortConfig {
-                scatter: ScatterConfig {
-                    strategy,
-                    ..ScatterConfig::default()
-                },
-                ..small_cfg()
-            };
-            let out = try_semisort_pairs(&recs, &cfg).unwrap();
+        for cas in [false, true] {
+            let (out, _) = run(&recs, cas, &PaperConfig::new(small_cfg()));
             prop_assert!(is_semisorted_by(&out, |r| r.0));
             prop_assert!(is_permutation_of(&out, &recs));
         }

@@ -37,7 +37,7 @@ fn soak_large_single_run() {
 #[test]
 #[ignore = "soak: full distribution × arrangement × config grid"]
 fn soak_configuration_grid() {
-    use semisort::{LocalSortAlgo, ProbeStrategy};
+    use semisort::{paper, LocalSortAlgo, PaperConfig, ProbeStrategy};
     let dists = paper_distributions();
     for pd in dists.iter().step_by(3) {
         let base = generate(pd.dist, 100_000, 3);
@@ -50,12 +50,14 @@ fn soak_configuration_grid() {
                     LocalSortAlgo::StdStable,
                     LocalSortAlgo::Counting,
                 ] {
-                    let cfg = SemisortConfig {
+                    let cfg = PaperConfig {
                         probe_strategy: probe,
-                        local_sort_algo: algo,
-                        ..Default::default()
+                        ..PaperConfig::new(SemisortConfig {
+                            local_sort_algo: algo,
+                            ..Default::default()
+                        })
                     };
-                    let out = try_semisort_pairs(&input, &cfg).unwrap();
+                    let (out, _) = paper::try_semisort_with_stats(&input, &cfg).unwrap();
                     assert!(
                         is_semisorted_by(&out, |r| r.0),
                         "{} {arr:?} {probe:?} {algo:?}",
