@@ -42,7 +42,10 @@ fn bench_ablation(c: &mut Criterion) {
         ("p_1_64", with_base(base, |b| b.sample_shift = 6)),
         (
             "local_counting",
-            with_base(base, |b| b.local_sort_algo = LocalSortAlgo::Counting),
+            PaperConfig {
+                local_sort_algo: LocalSortAlgo::Counting,
+                ..base
+            },
         ),
         (
             "prefetch_off",

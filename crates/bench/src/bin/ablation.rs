@@ -213,11 +213,17 @@ fn main() {
         }
         run(
             "local sort: stable",
-            with_base(base_cfg, |b| b.local_sort_algo = LocalSortAlgo::StdStable),
+            Arm::Paper(PaperConfig {
+                local_sort_algo: LocalSortAlgo::StdStable,
+                ..base_cfg
+            }),
         );
         run(
             "local sort: naming+counting",
-            with_base(base_cfg, |b| b.local_sort_algo = LocalSortAlgo::Counting),
+            Arm::Paper(PaperConfig {
+                local_sort_algo: LocalSortAlgo::Counting,
+                ..base_cfg
+            }),
         );
         table.print();
         println!();

@@ -2,13 +2,13 @@
 //!
 //! The driver works on pre-hashed `(u64, V)` records (the paper's setting).
 //! This module adds the layer a downstream user actually wants:
-//! [`try_semisort_by_key`] for arbitrary `Hash + Eq` keys (with explicit
-//! collision repair, making the result exact rather than
+//! [`try_semisort_by_key`] for arbitrary `Hash + Eq` keys (with an exact
+//! collision check, making the result exact rather than
 //! with-high-probability), [`try_group_by`] returning the groups as slices,
 //! and [`try_reduce_by_key`] / [`try_count_by_key`] — the groupBy/shuffle
-//! operations the paper's introduction motivates. The two reductions fold
-//! straight off the bucket plan without materializing the semisorted array
-//! (see [`crate::aggregate`]).
+//! operations the paper's introduction motivates. All of them run one
+//! by-key core ([`crate::aggregate`]); the two reductions fold straight off
+//! it without materializing the semisorted array.
 //!
 //! The surface is Result-first: every entry point is a `try_*`
 //! function returning `Result<_, `[`SemisortError`]`>` — which is never
@@ -67,10 +67,10 @@ where
 /// Semisort `items` by an arbitrary `Hash + Eq` key.
 ///
 /// Returns the reordered items: equal keys contiguous, distinct keys in no
-/// particular order. Unlike the raw hashed-record path, the result is
-/// *exactly* correct even under 64-bit hash collisions: colliding groups
-/// are detected and repaired locally (an `O(run)` fix hit with probability
-/// `≈ n²/2^64`).
+/// particular order, and each group in input order. Unlike the raw
+/// hashed-record path, the result is *exactly* correct even under 64-bit
+/// hash collisions: every run of equal hashes is key-checked, and a
+/// colliding run (probability `≈ n²/2^64`) is regrouped locally.
 ///
 /// ```
 /// use semisort::{try_semisort_by_key, SemisortConfig};
@@ -91,55 +91,12 @@ where
     Semisorter::new(*cfg)?.sort_by_key(items, key)
 }
 
-/// Within each run of equal *hashes*, verify all *keys* are equal; if a
-/// 64-bit collision interleaved two keys, regroup that run stably.
-pub(crate) fn repair_hash_collisions<T, K, F>(out: &mut [T], placed: &[(u64, u64)], key: &F)
-where
-    T: Clone,
-    K: Hash + Eq,
-    F: Fn(&T) -> K,
-{
-    let n = out.len();
-    let mut start = 0;
-    while start < n {
-        let h = placed[start].0;
-        let mut end = start + 1;
-        while end < n && placed[end].0 == h {
-            end += 1;
-        }
-        if end - start > 1 {
-            let first_key = key(&out[start]);
-            if out[start + 1..end].iter().any(|t| key(t) != first_key) {
-                // Collision: stable-regroup the run by first occurrence.
-                let run = out[start..end].to_vec();
-                let mut groups: Vec<(K, Vec<T>)> = Vec::new();
-                for t in run {
-                    let k = key(&t);
-                    match groups.iter_mut().find(|(gk, _)| *gk == k) {
-                        Some((_, v)) => v.push(t),
-                        None => groups.push((k, vec![t])),
-                    }
-                }
-                let mut w = start;
-                for (_, v) in groups {
-                    for t in v {
-                        out[w] = t;
-                        w += 1;
-                    }
-                }
-            }
-        }
-        start = end;
-    }
-}
-
-/// Stable semisort: like [`try_semisort_by_key`], but records within each
-/// group keep their input order.
+/// Stable semisort: records within each group keep their input order.
 ///
-/// The core algorithm is unstable (the scatter randomizes positions within
-/// a bucket), so stability is restored afterwards by sorting each group by
-/// original index — `O(Σ gᵢ log gᵢ)` extra work, groups in parallel. Use
-/// the unstable variant when input order is irrelevant.
+/// The same call as [`try_semisort_by_key`], which already keeps input
+/// order: the distribution is a stable counting sort and each light
+/// region is sorted stably by hash. The name remains for callers that
+/// want the guarantee spelled out.
 ///
 /// ```
 /// use semisort::{try_semisort_stable_by_key, SemisortConfig};
@@ -181,52 +138,6 @@ where
     F: Fn(&T) -> K + Send + Sync,
 {
     Semisorter::new(*cfg)?.permutation(items, key)
-}
-
-/// Collision repair working on indices (see `repair_hash_collisions`).
-pub(crate) fn repair_collisions_on_perm<T, K, F>(
-    perm: &mut [usize],
-    placed: &[(u64, u64)],
-    items: &[T],
-    key: &F,
-) where
-    K: Hash + Eq,
-    F: Fn(&T) -> K,
-{
-    let n = perm.len();
-    let mut start = 0;
-    while start < n {
-        let h = placed[start].0;
-        let mut end = start + 1;
-        while end < n && placed[end].0 == h {
-            end += 1;
-        }
-        if end - start > 1 {
-            let first_key = key(&items[perm[start]]);
-            if perm[start + 1..end]
-                .iter()
-                .any(|&i| key(&items[i]) != first_key)
-            {
-                let run: Vec<usize> = perm[start..end].to_vec();
-                let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
-                for i in run {
-                    let k = key(&items[i]);
-                    match groups.iter_mut().find(|(gk, _)| *gk == k) {
-                        Some((_, v)) => v.push(i),
-                        None => groups.push((k, vec![i])),
-                    }
-                }
-                let mut w = start;
-                for (_, v) in groups {
-                    for i in v {
-                        perm[w] = i;
-                        w += 1;
-                    }
-                }
-            }
-        }
-        start = end;
-    }
 }
 
 /// Semisort `items` in place, without cloning: computes the permutation,
@@ -301,6 +212,14 @@ pub struct Groups<T> {
 }
 
 impl<T> Groups<T> {
+    /// No items and no starts yet, with room for `len` items.
+    pub(crate) fn with_capacity(len: usize) -> Self {
+        Groups {
+            items: Vec::with_capacity(len),
+            starts: Vec::new(),
+        }
+    }
+
     /// Number of groups (distinct keys).
     pub fn len(&self) -> usize {
         self.starts.len().saturating_sub(1)
@@ -349,7 +268,9 @@ impl<T> Groups<T> {
     }
 }
 
-/// Group `items` by key: semisort, then cut at every key change.
+/// Group `items` by key: the semisorted items plus every group's start,
+/// recorded as the semisort checks its runs (no second pass over the
+/// keys). Each group is in input order.
 ///
 /// This is the `groupBy` / MapReduce-shuffle operation of the paper's
 /// introduction, built directly on the semisort.
@@ -382,9 +303,8 @@ where
 /// come back in no particular (but deterministic) order. Items are only
 /// read, so `T` need not be `Clone`.
 ///
-/// This is a fused aggregation, not a semisort followed by a scan (see
-/// [`Semisorter::reduce_by_key`], which documents the config fields it
-/// ignores).
+/// This folds straight off the by-key core, not a semisort followed by a
+/// scan (see [`Semisorter::reduce_by_key`]).
 ///
 /// ```
 /// use semisort::{try_reduce_by_key, SemisortConfig};
@@ -538,22 +458,21 @@ mod tests {
 
     #[test]
     fn collision_repair_regroups_exactly() {
-        // Force "collisions" by grouping under a key whose *hash* we can't
-        // control — instead test repair_hash_collisions directly with a
-        // fabricated colliding placement.
-        let mut out = vec!["a", "b", "a", "b"];
-        let placed: Vec<(u64, u64)> = vec![(7, 0), (7, 1), (7, 2), (7, 3)];
-        repair_hash_collisions(&mut out, &placed, &|s: &&str| *s);
-        assert_eq!(out, vec!["a", "a", "b", "b"]);
+        // A key's *hash* can't be forced to collide here, so regroup a
+        // fabricated run of one hash directly: (key, input index) items.
+        let mut run = vec![("a", 0), ("b", 1), ("a", 2), ("b", 3)];
+        let bounds = crate::aggregate::regroup(&mut run, |x| x.0);
+        assert_eq!(run, vec![("a", 0), ("a", 2), ("b", 1), ("b", 3)]);
+        assert_eq!(bounds, vec![0, 2, 4]);
     }
 
     #[test]
     fn collision_repair_keeps_clean_runs_untouched() {
-        let mut out = vec![1u32, 1, 2, 2, 2];
-        let placed: Vec<(u64, u64)> = vec![(10, 0), (10, 1), (20, 2), (20, 3), (20, 4)];
-        let before = out.clone();
-        repair_hash_collisions(&mut out, &placed, &|x: &u32| *x);
-        assert_eq!(out, before);
+        let mut run = vec![1u32, 1, 2, 2, 2];
+        let before = run.clone();
+        let bounds = crate::aggregate::regroup(&mut run, |&x| x);
+        assert_eq!(run, before);
+        assert_eq!(bounds, vec![0, 2, 5]);
     }
 
     #[test]

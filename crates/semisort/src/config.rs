@@ -70,7 +70,9 @@ pub enum ProbeStrategy {
     Random,
 }
 
-/// Which algorithm sorts each light bucket in Phase 4.
+/// Which algorithm sorts each light bucket in Phase 4 of a paper run
+/// ([`PaperConfig::local_sort_algo`]; the engine always uses
+/// `sort_unstable`).
 ///
 /// The paper "tried several versions including a bucket sort, some
 /// comparison-based hybrid sort algorithms, and the sort in the C++
@@ -90,9 +92,10 @@ pub enum LocalSortAlgo {
 
 /// Configuration for the semisort engine. `Default::default()` reproduces
 /// the paper's shipped constants for every phase the engine runs (sampling,
-/// heavy/light classification, light buckets, local sort); Phase 3 is the
-/// exact distribution, which needs no slack or retry constants. The paper's
-/// CAS scatter takes its extra knobs from [`PaperConfig`].
+/// heavy/light classification, light buckets); Phase 3 is the exact
+/// distribution, which needs no slack or retry constants, and Phase 4
+/// sorts with `sort_unstable`. The paper's CAS scatter takes its extra
+/// knobs, and the choice of local sort, from [`PaperConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfig {
     /// Sampling probability is `1/2^sample_shift`; default 4 (p = 1/16).
@@ -109,8 +112,6 @@ pub struct SemisortConfig {
     /// ("reduces the overall running time by at most 10%" — §4 Phase 2).
     /// Default true.
     pub merge_light_buckets: bool,
-    /// Light-bucket sorting algorithm; default `StdUnstable`.
-    pub local_sort_algo: LocalSortAlgo,
     /// Seed for sampling jitter and scatter randomness. Runs with equal
     /// seeds produce identical outputs at any thread count.
     pub seed: u64,
@@ -147,7 +148,6 @@ impl Default for SemisortConfig {
             heavy_threshold: 16,
             light_bucket_log2: 16,
             merge_light_buckets: true,
-            local_sort_algo: LocalSortAlgo::StdUnstable,
             seed: 0x5eed_0f5e_u64,
             seq_threshold: 1 << 13,
             max_scratch_bytes: usize::MAX,
@@ -248,12 +248,13 @@ fn check(ok: bool, reason: &'static str) -> Result<(), SemisortError> {
 }
 
 /// Configuration of the paper's reference run ([`crate::paper`]): an engine
-/// [`SemisortConfig`] for the phases both share, plus the seven knobs only
-/// the CAS scatter and its Las Vegas loop read. `Default::default()` is the
-/// paper's §4 setup: `α = 1.1`, `c = 1.25`, linear probing.
+/// [`SemisortConfig`] for the phases both share, plus the eight knobs only
+/// the paper run reads — the CAS scatter's and its Las Vegas loop's, and
+/// the local sort. `Default::default()` is the paper's §4 setup:
+/// `α = 1.1`, `c = 1.25`, linear probing, `std::sort`.
 #[derive(Clone, Copy, Debug)]
 pub struct PaperConfig {
-    /// Sampling, bucket, local-sort, seed, fault and telemetry settings,
+    /// Sampling, bucket, seed, fault and telemetry settings,
     /// read exactly as the engine reads them. Its `max_scratch_bytes` has
     /// nothing to bound: a paper run keeps no scratch.
     pub base: SemisortConfig,
@@ -263,6 +264,8 @@ pub struct PaperConfig {
     pub c: f64,
     /// Collision handling in the scatter; default linear probing.
     pub probe_strategy: ProbeStrategy,
+    /// Light-bucket sorting algorithm; default `StdUnstable`.
+    pub local_sort_algo: LocalSortAlgo,
     /// How many records ahead of the store the scatter computes the
     /// hash→slot mapping and issues a software prefetch for the target
     /// cache line; default 8, `0` disables prefetching. Capped at 64 —
@@ -298,6 +301,7 @@ impl PaperConfig {
             alpha: 1.1,
             c: 1.25,
             probe_strategy: ProbeStrategy::Linear,
+            local_sort_algo: LocalSortAlgo::StdUnstable,
             prefetch_distance: 8,
             max_retries: 3,
             overflow_policy: OverflowPolicy::Fallback,
@@ -305,7 +309,7 @@ impl PaperConfig {
         }
     }
 
-    /// Validate `base` and the seven scatter knobs without panicking; the
+    /// Validate `base` and the scatter knobs without panicking; the
     /// error's `reason` names the offending parameter. Called once per run
     /// by [`crate::paper::try_semisort_with_stats`].
     #[must_use = "the Err carries the validation failure"]
@@ -377,8 +381,6 @@ impl SemisortConfigBuilder {
         light_bucket_log2: u32,
         /// Set whether adjacent light buckets are merged.
         merge_light_buckets: bool,
-        /// Set the light-bucket sorting algorithm.
-        local_sort_algo: LocalSortAlgo,
         /// Set the seed for sampling jitter and scatter randomness.
         seed: u64,
         /// Set the sequential-cutoff input size.
@@ -432,6 +434,7 @@ mod tests {
         assert!((p.alpha - 1.1).abs() < 1e-12);
         assert!((p.c - 1.25).abs() < 1e-12);
         assert_eq!(p.probe_strategy, ProbeStrategy::Linear);
+        assert_eq!(p.local_sort_algo, LocalSortAlgo::StdUnstable);
         assert_eq!(p.prefetch_distance, 8);
         assert_eq!(p.max_retries, 3);
         assert_eq!(p.base.sample_stride(), 16);
@@ -517,13 +520,13 @@ mod tests {
         let cfg = SemisortConfig::builder()
             .seed(7)
             .heavy_threshold(8)
-            .local_sort_algo(LocalSortAlgo::Counting)
+            .merge_light_buckets(false)
             .max_scratch_bytes(1 << 20)
             .build()
             .unwrap();
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.heavy_threshold, 8);
-        assert_eq!(cfg.local_sort_algo, LocalSortAlgo::Counting);
+        assert!(!cfg.merge_light_buckets);
         assert_eq!(cfg.max_scratch_bytes, 1 << 20);
     }
 

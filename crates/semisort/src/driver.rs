@@ -9,6 +9,7 @@
 //! retry and no pack. The paper's CAS scatter, which needs all three, runs
 //! only through [`crate::paper`].
 
+use parlay::counting_sort::CountingScratch;
 use parlay::random::Rng;
 use rayon::prelude::*;
 use rayon::trace::SchedulerStats;
@@ -22,7 +23,6 @@ use crate::local_sort::sort_light_regions;
 use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, ScratchCounters, WorkerCell};
 use crate::pool::ScratchPool;
 use crate::sample::strided_sample_by_into;
-use crate::scatter::EMPTY;
 use crate::stats::SemisortStats;
 
 /// Semisort pre-hashed records, returning the output alone (see
@@ -50,10 +50,12 @@ pub fn try_semisort_core<V: Copy + Send + Sync>(
 /// for you. The output is a function of the input and `cfg.seed` alone, at
 /// any thread count.
 ///
-/// Inputs at or below `cfg.seq_threshold`, and inputs containing a
-/// reserved key ([`EMPTY`] or the heavy table's `u64::MAX`, probability
-/// `≈ n/2^63` for hashed keys), take a sort-based fallback path — still a
-/// correct semisort, just without the linear-work machinery.
+/// Inputs at or below `cfg.seq_threshold`, and inputs containing the
+/// reserved key `u64::MAX` (the heavy table's vacancy sentinel,
+/// probability `≈ n/2^64` for hashed keys), take a sort-based fallback
+/// path — still a correct semisort, just without the linear-work
+/// machinery. Key 0, the paper's slot-vacancy sentinel, is an ordinary
+/// key here: the exact distribution has no slots.
 ///
 /// # Errors
 ///
@@ -127,9 +129,10 @@ pub(crate) fn try_semisort_into_pooled<V: Copy + Send + Sync>(
     Ok(stats)
 }
 
-/// One run into `out`, borrowing all scratch from `pool`: the shared prefix,
-/// then sample → plan → distribute → sort, once. Of the fault plan only
-/// `panic` applies. Assumes `cfg` is already validated.
+/// One run into `out`, borrowing all scratch from `pool`: the screens,
+/// then sample → plan → distribute ([`plan_and_distribute`]) → sort, once.
+/// Of the fault plan only `panic` applies. Assumes `cfg` is already
+/// validated.
 fn run_pooled<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
@@ -163,6 +166,61 @@ fn run_pooled<V: Copy + Send + Sync>(
     let ScratchPool {
         sample, counting, ..
     } = pool;
+    let held = counting.bytes();
+    // From the distribution on, the run has committed to the output
+    // buffer: no cancellation polls past it (see
+    // `try_semisort_with_stats_cancellable`).
+    let (plan, starts) =
+        plan_and_distribute(records, cfg, sample, counting, out, &mut stats, cancel)?;
+
+    // Phase 4: the records already sit in their exact bucket regions;
+    // sorting the light regions is all that remains (heavy regions hold one
+    // key each) and there is no pack.
+    let span = PhaseSpan::start("local_sort");
+    sort_light_regions(out, &plan, starts);
+    stats.t_local_sort = span.finish_into(&mut stats.spans);
+    if counting.bytes() > held {
+        counters.grows += 1;
+    } else {
+        counters.reuse_hits += 1;
+    }
+
+    // The parallel phases have joined, so the pool is quiescent with
+    // respect to this run's jobs: take the closing scheduler snapshot.
+    if let Some(before) = &sched_before {
+        stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
+    }
+    Ok(stats)
+}
+
+/// Whether `records` hold the engine's one reserved key, `u64::MAX` (the
+/// heavy-key table's vacancy sentinel). A hashed key equal to it is a
+/// ~n/2^64 event; runs handle it by falling back rather than by silently
+/// merging keys.
+pub(crate) fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
+    records.par_iter().any(|r| r.0 == parlay::hash_table::EMPTY)
+}
+
+/// Phases 1–3 of an engine run, shared by the driver and the by-key core
+/// ([`crate::aggregate`]): sample, plan the buckets, and distribute
+/// `records` into exact bucket regions of `out` (resized to
+/// `records.len()`). Returns the plan and the region bounds (bucket `b`
+/// holds `out[starts[b]..starts[b + 1]]`, heavy buckets first).
+///
+/// Records the three phase spans, the plan's counts, the heavy/light
+/// split and the distribution's telemetry into `stats`. Polls `cancel`
+/// after sampling and after planning; the fault plan's `panic` fires as
+/// the distribution starts.
+pub(crate) fn plan_and_distribute<'s, V: Copy + Send + Sync>(
+    records: &[(u64, V)],
+    cfg: &SemisortConfig,
+    sample: &mut Vec<u64>,
+    counting: &'s mut CountingScratch,
+    out: &mut Vec<(u64, V)>,
+    stats: &mut SemisortStats,
+    cancel: &CancelToken,
+) -> Result<(BucketPlan, &'s [usize]), SemisortError> {
+    let n = records.len();
     let run_cfg = SemisortConfig {
         seed: mix_seed(cfg.seed, 0),
         ..*cfg
@@ -170,20 +228,17 @@ fn run_pooled<V: Copy + Send + Sync>(
     let rng = Rng::new(run_cfg.seed);
     let sink = ObsSink::new(run_cfg.telemetry);
 
-    sample_phase(records, &run_cfg, &rng, false, sample, &mut stats);
+    sample_phase(records, &run_cfg, &rng, false, sample, stats);
     cancel.check()?;
 
     let span = PhaseSpan::start("construct_buckets");
     let plan = build_plan(sample, n, &run_cfg);
     stats.t_construct_buckets = span.finish_into(&mut stats.spans);
-    record_plan(&mut stats, &plan);
+    record_plan(stats, &plan);
     // One slot per record: the regions are exact.
     stats.total_slots = n;
     cancel.check()?;
 
-    // Phase 3: distribute into `out`. From here the run has committed to
-    // the output buffer: no cancellation polls past this point (see
-    // `try_semisort_with_stats_cancellable`).
     let span = PhaseSpan::start("scatter");
     if cfg.fault.panics(0) {
         injected_panic(cfg, 0);
@@ -192,7 +247,6 @@ fn run_pooled<V: Copy + Send + Sync>(
     // by the distribution.
     out.truncate(n);
     out.resize(n, records[0]);
-    let held = counting.bytes();
     let starts = plan.distribute_into(records, out, counting);
     stats.t_scatter = span.finish_into(&mut stats.spans);
     stats.heavy_records = starts[plan.num_heavy];
@@ -206,36 +260,8 @@ fn run_pooled<V: Copy + Send + Sync>(
             sink.record_occupancy((w[1] - w[0]) as u64);
         }
     }
-
-    // Phase 4: the records already sit in their exact bucket regions;
-    // sorting the light regions is all that remains (heavy regions hold one
-    // key each) and there is no pack.
-    let span = PhaseSpan::start("local_sort");
-    sort_light_regions(out, &plan, starts, run_cfg.local_sort_algo);
-    stats.t_local_sort = span.finish_into(&mut stats.spans);
-    if counting.bytes() > held {
-        counters.grows += 1;
-    } else {
-        counters.reuse_hits += 1;
-    }
-
-    // The parallel phases have joined, so the pool is quiescent with
-    // respect to this run's jobs: take the closing scheduler snapshot.
     stats.telemetry = sink.snapshot();
-    if let Some(before) = &sched_before {
-        stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
-    }
-    Ok(stats)
-}
-
-/// Whether `records` hold a key the machinery reserves: [`EMPTY`] (the
-/// paper's slot-vacancy sentinel) or `u64::MAX` (the heavy-key table's). A
-/// hashed key colliding with either is a ~n/2^63 event; runs handle it by
-/// falling back rather than by silently merging keys.
-pub(crate) fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
-    records
-        .par_iter()
-        .any(|r| r.0 == EMPTY || r.0 == parlay::hash_table::EMPTY)
+    Ok((plan, starts))
 }
 
 /// The scheduler snapshot a run's closing snapshot is diffed against, when
@@ -448,12 +474,22 @@ mod tests {
 
     #[test]
     fn empty_sentinel_key_takes_fallback() {
+        // The heavy table's vacancy sentinel is the engine's one reserved
+        // key; key 0 (the paper's slot sentinel) runs the plan like any other.
         let mut recs: Vec<(u64, u64)> = (0..50_000u64).map(|i| (hash64(i % 100), i)).collect();
-        recs[12_345].0 = EMPTY;
-        recs[23_456].0 = EMPTY;
-        let (out, _) = try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
+        recs[12_345].0 = parlay::hash_table::EMPTY;
+        recs[23_456].0 = parlay::hash_table::EMPTY;
+        let (out, stats) = try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
         assert!(is_semisorted_by(&out, |r| r.0));
         assert!(is_permutation_of(&out, &recs));
+        assert_eq!(stats.light_records, recs.len());
+        assert_eq!(stats.heavy_keys, 0, "the fallback draws no plan");
+        recs[12_345].0 = 0;
+        recs[23_456].0 = 0;
+        let (out, stats) = try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
+        assert!(is_semisorted_by(&out, |r| r.0));
+        assert!(is_permutation_of(&out, &recs));
+        assert_eq!(stats.heavy_keys, 100, "key 0 is an ordinary key");
     }
 
     #[test]

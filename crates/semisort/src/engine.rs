@@ -40,13 +40,8 @@
 use std::hash::Hash;
 use std::mem;
 
-use rayon::prelude::*;
-
-use crate::aggregate::{reduce_pooled, Folder};
-use crate::api::{
-    apply_permutation_with_scratch, hash_keys_into, repair_collisions_on_perm,
-    repair_hash_collisions, Groups,
-};
+use crate::aggregate::{by_key_pooled, concat, gather, Folder};
+use crate::api::{apply_permutation_with_scratch, Groups};
 use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
 use crate::driver::try_semisort_into_pooled;
@@ -148,36 +143,67 @@ impl Semisorter {
         Ok(out)
     }
 
-    /// Hash `items`' keys into the pool's hashed-record buffer, semisort
-    /// into the pool's placed buffer, and leave both restored. The shared
-    /// front half of every by-key method that returns an arrangement.
-    fn place_by_key<T, K, F>(&mut self, items: &[T], key: &F) -> Result<(), SemisortError>
+    /// Run the by-key core ([`by_key_pooled`]) with this engine's config,
+    /// pool and token, and keep its stats.
+    fn by_key<T, K, F, S, I, R>(
+        &mut self,
+        items: &[T],
+        key: &F,
+        task: I,
+        region: R,
+    ) -> Result<Vec<S>, SemisortError>
     where
         T: Sync,
-        K: Hash + Eq,
-        F: Fn(&T) -> K + Send + Sync,
+        K: Hash,
+        F: Fn(&T) -> K + Sync,
+        S: Send,
+        I: Fn(usize) -> S + Sync,
+        R: Fn(&mut S, &mut [(u64, u64)]) + Sync,
     {
-        let mut hashed = mem::take(&mut self.pool.hashed);
-        let mut placed = mem::take(&mut self.pool.placed);
-        hash_keys_into(items, key, &mut hashed);
-        let result = try_semisort_into_pooled(
-            &hashed,
+        let result = by_key_pooled(
+            items,
+            key,
             &self.cfg,
             &mut self.pool,
-            &mut placed,
             &self.cancel,
+            task,
+            region,
         );
-        self.pool.hashed = hashed;
-        self.pool.placed = placed;
         self.finish();
-        self.last_stats = result?;
+        let (parts, stats) = result?;
+        self.last_stats = stats;
         self.last_stats.scratch_bytes_held = self.pool.bytes_held();
-        Ok(())
+        Ok(parts)
     }
 
-    /// Semisort `items` by an arbitrary `Hash + Eq` key, with exact 64-bit
-    /// hash-collision repair — the pooled counterpart of
-    /// [`crate::api::try_semisort_by_key`].
+    /// Arrange `items` by key: the core gathers `fetch(index)` for every
+    /// record, checks each run with `check_key` on the gathered values and
+    /// concatenates the tasks' parts, with group starts when `cut`. The
+    /// shared body of every method that returns an arrangement.
+    fn arrange<T, K, F, X, C>(
+        &mut self,
+        items: &[T],
+        key: &F,
+        fetch: impl Fn(usize) -> X + Sync,
+        check_key: impl Fn(&X) -> C + Sync,
+        cut: bool,
+    ) -> Result<Groups<X>, SemisortError>
+    where
+        T: Sync,
+        K: Hash,
+        F: Fn(&T) -> K + Sync,
+        X: Send,
+        C: Eq,
+    {
+        let parts = self.by_key(items, key, Groups::with_capacity, |part, pairs| {
+            gather(part, pairs, &fetch, &check_key, cut)
+        })?;
+        Ok(concat(parts, cut))
+    }
+
+    /// Semisort `items` by an arbitrary `Hash + Eq` key, exact under
+    /// 64-bit hash collisions, with each group in input order — the pooled
+    /// counterpart of [`crate::api::try_semisort_by_key`].
     #[must_use = "the Err carries the cancellation"]
     pub fn sort_by_key<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<T>, SemisortError>
     where
@@ -185,43 +211,14 @@ impl Semisorter {
         K: Hash + Eq,
         F: Fn(&T) -> K + Send + Sync,
     {
-        self.place_by_key(items, &key)?;
-        let placed = &self.pool.placed;
-        let mut out: Vec<T> = placed
-            .par_iter()
-            .with_min_len(4096)
-            .map(|&(_, i)| items[i as usize].clone())
-            .collect();
-        repair_hash_collisions(&mut out, placed, &key);
-        debug_assert_eq!(out.len(), items.len());
-        Ok(out)
-    }
-
-    /// Compute the semisort permutation into `perm` (cleared first); the
-    /// by-index core of [`Self::permutation`], [`Self::stable_by_key`] and
-    /// [`Self::in_place`].
-    fn permutation_into<T, K, F>(
-        &mut self,
-        items: &[T],
-        key: &F,
-        perm: &mut Vec<usize>,
-    ) -> Result<(), SemisortError>
-    where
-        T: Sync,
-        K: Hash + Eq,
-        F: Fn(&T) -> K + Send + Sync,
-    {
-        self.place_by_key(items, key)?;
-        let placed = &self.pool.placed;
-        perm.clear();
-        perm.extend(placed.iter().map(|&(_, i)| i as usize));
-        repair_collisions_on_perm(perm, placed, items, key);
-        Ok(())
+        let sorted = self.arrange(items, &key, |i| items[i].clone(), &key, false)?;
+        Ok(sorted.items)
     }
 
     /// The permutation a semisort would apply (`perm[j] = i` ⇒ output `j`
     /// takes input `i`) — the pooled counterpart of
-    /// [`crate::api::try_semisort_permutation`].
+    /// [`crate::api::try_semisort_permutation`]. It is the permutation
+    /// [`Self::sort_by_key`] applies.
     #[must_use = "the Err carries the cancellation"]
     pub fn permutation<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<usize>, SemisortError>
     where
@@ -229,13 +226,14 @@ impl Semisorter {
         K: Hash + Eq,
         F: Fn(&T) -> K + Send + Sync,
     {
-        let mut perm = Vec::new();
-        self.permutation_into(items, &key, &mut perm)?;
-        Ok(perm)
+        let perm = self.arrange(items, &key, |i| i, |&i| key(&items[i]), false)?;
+        Ok(perm.items)
     }
 
     /// Stable semisort (input order survives within each group) — the
     /// pooled counterpart of [`crate::api::try_semisort_stable_by_key`].
+    /// Every arrangement the engine returns keeps input order within
+    /// groups, so this is [`Self::sort_by_key`].
     #[must_use = "the Err carries the cancellation"]
     pub fn stable_by_key<T, K, F>(&mut self, items: &[T], key: F) -> Result<Vec<T>, SemisortError>
     where
@@ -243,41 +241,12 @@ impl Semisorter {
         K: Hash + Eq,
         F: Fn(&T) -> K + Send + Sync,
     {
-        let n = items.len();
-        let mut perm = mem::take(&mut self.pool.perm);
-        let result = self.permutation_into(items, &key, &mut perm);
-        let result = result.map(|()| {
-            // Restore input order inside each key run (the scatter
-            // randomizes within buckets), then gather.
-            let bounds: Vec<usize> = {
-                let mut b = parlay::pack_index(n, |j| {
-                    j == 0 || key(&items[perm[j]]) != key(&items[perm[j - 1]])
-                });
-                b.push(n);
-                b
-            };
-            let mut rest: &mut [usize] = &mut perm;
-            let mut runs: Vec<&mut [usize]> = Vec::with_capacity(bounds.len());
-            for w in bounds.windows(2) {
-                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                runs.push(head);
-                rest = tail;
-            }
-            runs.into_par_iter().for_each(|run| run.sort_unstable());
-            perm.par_iter()
-                .with_min_len(4096)
-                .map(|&i| items[i].clone())
-                .collect()
-        });
-        self.pool.perm = perm;
-        self.finish();
-        result
+        self.sort_by_key(items, key)
     }
 
-    /// Semisort `items` in place without cloning: permutation into pooled
-    /// scratch, then cycle rotation with a pooled visited bitset — the
-    /// pooled counterpart of [`crate::api::try_semisort_in_place`], and
-    /// the only by-key path that allocates nothing at steady state.
+    /// Semisort `items` in place without cloning: [`Self::permutation`],
+    /// then cycle rotation with a pooled visited bitset — the pooled
+    /// counterpart of [`crate::api::try_semisort_in_place`].
     ///
     /// On `Err` the items are untouched.
     #[must_use = "the Err carries the cancellation"]
@@ -287,18 +256,17 @@ impl Semisorter {
         K: Hash + Eq,
         F: Fn(&T) -> K + Send + Sync,
     {
-        let mut perm = mem::take(&mut self.pool.perm);
+        let perm = self.permutation(items, key)?;
         let mut visited = mem::take(&mut self.pool.visited);
-        let result = self.permutation_into(items, &key, &mut perm);
-        let result = result.map(|()| apply_permutation_with_scratch(items, &perm, &mut visited));
-        self.pool.perm = perm;
+        apply_permutation_with_scratch(items, &perm, &mut visited);
         self.pool.visited = visited;
         self.finish();
-        result
+        Ok(())
     }
 
     /// Group `items` by key — the pooled counterpart of
-    /// [`crate::api::try_group_by`].
+    /// [`crate::api::try_group_by`]. The group starts are recorded as the
+    /// core walks the runs, and each group is in input order.
     #[must_use = "the Err carries the cancellation"]
     pub fn group_by<T, K, F>(&mut self, items: &[T], key: F) -> Result<Groups<T>, SemisortError>
     where
@@ -306,15 +274,7 @@ impl Semisorter {
         K: Hash + Eq,
         F: Fn(&T) -> K + Send + Sync,
     {
-        let sorted = self.sort_by_key(items, &key)?;
-        let n = sorted.len();
-        let mut starts =
-            parlay::pack_index(n, |i| i == 0 || key(&sorted[i]) != key(&sorted[i - 1]));
-        starts.push(n);
-        Ok(Groups {
-            items: sorted,
-            starts,
-        })
+        self.arrange(items, &key, |i| items[i].clone(), &key, true)
     }
 
     /// Fold every group into one `(key, accumulator)` — the pooled
@@ -327,17 +287,14 @@ impl Semisorter {
     /// for the same input, config and seed. Items are only read, never
     /// cloned or moved.
     ///
-    /// This never builds the semisorted array: it samples, plans the
-    /// buckets, distributes `(hash, index)` pairs into exact bucket
-    /// regions with a stable counting sort, and folds the regions in
-    /// parallel (see [`crate::aggregate`]). The regions are folded, not
-    /// sorted by `local_sort_algo`, and there are no distribution counters
-    /// to collect, so the reduction ignores
-    /// [`SemisortConfig::local_sort_algo`] and `telemetry`; of
-    /// [`SemisortConfig::fault`] only the `panic` fault applies (as on
-    /// every engine call). It honours `seed`, `sample_shift`,
-    /// `heavy_threshold`, `light_bucket_log2`, `merge_light_buckets`,
-    /// `seq_threshold`, `max_scratch_bytes` and `capture_scheduler`.
+    /// This never builds the semisorted array: it runs the by-key core
+    /// every by-key method shares — sample, plan the buckets, distribute
+    /// `(hash, index)` pairs into exact bucket regions with a stable
+    /// counting sort — and folds the regions in parallel (see
+    /// [`crate::aggregate`]). Every setting applies as it does to
+    /// [`Self::sort_pairs`]: of [`SemisortConfig::fault`] only the `panic`
+    /// fault fires (as on every engine call), and `telemetry` collects the
+    /// distribution's counters.
     ///
     /// ```
     /// use semisort::prelude::*;
@@ -377,12 +334,13 @@ impl Semisorter {
             init: &init,
             fold: &fold,
         };
-        let result = reduce_pooled(&folder, &self.cfg, &mut self.pool, &self.cancel);
-        self.finish();
-        let (groups, stats) = result?;
-        self.last_stats = stats;
-        self.last_stats.scratch_bytes_held = self.pool.bytes_held();
-        Ok(groups)
+        let parts = self.by_key(
+            items,
+            &key,
+            |_| Groups::with_capacity(0),
+            |part, pairs| folder.runs(pairs, &mut part.items),
+        )?;
+        Ok(concat(parts, false).items)
     }
 
     /// Histogram of items per distinct key — the pooled counterpart of

@@ -22,7 +22,7 @@
 //! The primary surface is the [`Semisorter`] engine: build it once from a
 //! validated [`SemisortConfig`], then call it repeatedly — its
 //! [`pool::ScratchPool`] keeps every internal buffer warm between calls,
-//! so steady-state calls allocate nothing for scratch.
+//! so steady-state calls do not regrow it (`scratch_grows == 0`).
 //!
 //! ```
 //! use semisort::prelude::*;
@@ -56,8 +56,8 @@
 //!
 //! The engine's Phase 3 distributes records into exact bucket regions
 //! with one stable counting sort: it cannot overflow and runs once with no
-//! retry ladder, as does the fused by-key aggregation behind
-//! `reduce_by_key` / `count_by_key` ([`aggregate`]), which shares it. An
+//! retry ladder, as does the by-key core behind all seven by-key methods
+//! ([`aggregate`]), which shares it. An
 //! engine call fails only on an invalid configuration or a tripped
 //! [`CancelToken`].
 //!

@@ -1,6 +1,7 @@
 //! Phase 4: locally sort each light bucket — the exact regions of the
 //! engine's distribution ([`sort_light_regions`]), or the slot ranges of
-//! the paper's CAS scatter ([`local_sort_light_buckets`]).
+//! the paper's CAS scatter ([`local_sort_light_buckets`], with the
+//! paper run's [`LocalSortAlgo`]).
 //!
 //! "After all the records are inserted into the buckets, a pack followed by
 //! a local sort is executed on each bucket. … the local sort in each array
@@ -66,15 +67,15 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
         .collect()
 }
 
-/// Sort every light-bucket region of `out` by key, in parallel (heavy
-/// regions hold a single key and need no sort). `starts` are the region
-/// bounds from [`BucketPlan::distribute_into`]. This is the engine's
-/// Phase 4, which has no slots to compact and no pack.
+/// Sort every light-bucket region of `out` by key with `sort_unstable`,
+/// in parallel (heavy regions hold a single key and need no sort).
+/// `starts` are the region bounds from [`BucketPlan::distribute_into`].
+/// This is the engine's Phase 4, which has no slots to compact and no
+/// pack.
 pub fn sort_light_regions<V: Copy + Send + Sync>(
     out: &mut [(u64, V)],
     plan: &BucketPlan,
     starts: &[usize],
-    algo: LocalSortAlgo,
 ) {
     debug_assert_eq!(starts.len(), plan.num_buckets() + 1);
     let mut rest = &mut out[starts[plan.num_heavy]..];
@@ -86,7 +87,7 @@ pub fn sort_light_regions<V: Copy + Send + Sync>(
     }
     regions
         .into_par_iter()
-        .for_each(|region| sort_records(region, algo));
+        .for_each(|region| region.sort_unstable_by_key(|r| r.0));
 }
 
 /// Sort a small record run by key with the configured algorithm.
@@ -211,7 +212,7 @@ mod tests {
         let mut out = records.clone();
         let mut scratch = parlay::counting_sort::CountingScratch::default();
         let starts = plan.distribute_into(&records, &mut out, &mut scratch);
-        sort_light_regions(&mut out, &plan, starts, LocalSortAlgo::StdUnstable);
+        sort_light_regions(&mut out, &plan, starts);
         assert!(crate::verify::is_semisorted_by(&out, |r| r.0));
         assert!(crate::verify::is_permutation_of(&out, &records));
     }

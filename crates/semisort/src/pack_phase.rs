@@ -150,13 +150,8 @@ mod tests {
             None,
         );
         assert!(!out.overflowed);
-        let counts = local_sort_light_buckets(
-            &plan,
-            &layout,
-            &arena.slots,
-            cfg.base.local_sort_algo,
-            &sink,
-        );
+        let counts =
+            local_sort_light_buckets(&plan, &layout, &arena.slots, cfg.local_sort_algo, &sink);
         (plan, layout, arena, counts)
     }
 

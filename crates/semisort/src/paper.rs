@@ -20,19 +20,19 @@
 pub use crate::config::{OverflowPolicy, PaperConfig, ProbeStrategy};
 
 use parlay::random::Rng;
+use rayon::prelude::*;
 
 use crate::buckets::{build_plan, BucketPlan};
 use crate::config::SemisortConfig;
 use crate::driver::{
-    fallback_sort_into, has_reserved_key, injected_panic, mix_seed, record_plan, sample_phase,
-    scheduler_baseline,
+    fallback_sort_into, injected_panic, mix_seed, record_plan, sample_phase, scheduler_baseline,
 };
 use crate::error::SemisortError;
 use crate::estimate::bucket_capacity;
 use crate::local_sort::local_sort_light_buckets;
 use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, RetryCause};
 use crate::pack_phase::pack_output;
-use crate::scatter::{arena_bytes, scatter, try_allocate_arena, ArenaLayout};
+use crate::scatter::{arena_bytes, scatter, try_allocate_arena, ArenaLayout, EMPTY};
 use crate::stats::SemisortStats;
 
 /// Size the slot arena for `plan`: bucket `b` gets
@@ -246,7 +246,7 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
         // Phase 4: compact and sort each light bucket.
         let span = PhaseSpan::start("local_sort");
         let light_counts =
-            local_sort_light_buckets(&plan, &layout, &arena.slots, base.local_sort_algo, &sink);
+            local_sort_light_buckets(&plan, &layout, &arena.slots, cfg.local_sort_algo, &sink);
         stats.t_local_sort = span.finish_into(&mut stats.spans);
 
         // Phase 5: pack.
@@ -293,6 +293,16 @@ fn escalate<V: Copy + Send + Sync>(
             Err(err)
         }
     }
+}
+
+/// Whether `records` hold a key the paper run reserves: [`EMPTY`] (the
+/// slot-vacancy sentinel) or `u64::MAX` (the heavy-key table's). A hashed
+/// key equal to either is a ~n/2^63 event; the run falls back rather than
+/// silently merging keys.
+fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
+    records
+        .par_iter()
+        .any(|r| r.0 == EMPTY || r.0 == parlay::hash_table::EMPTY)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! Every phase of the semisort needs transient memory — the Phase 1
 //! sample, the exact distribution's count matrices and stored bucket ids,
-//! and the engine-level hashed-record / permutation buffers. One-shot
+//! and the engine-level hashed and distributed `(hash, index)` buffers. One-shot
 //! callers allocate and free all of it per call; a `GROUP BY`-style server
 //! calling semisort in a loop pays that allocator and page-fault cost on
 //! every call even though consecutive calls need (almost) the same
@@ -45,10 +45,8 @@ pub struct ScratchPool {
     pub(crate) sample: Vec<u64>,
     /// Engine-level `(hash, index)` records for the by-key entry points.
     pub(crate) hashed: Vec<(u64, u64)>,
-    /// Engine-level semisorted `(hash, index)` output buffer.
+    /// Engine-level distributed `(hash, index)` pairs.
     pub(crate) placed: Vec<(u64, u64)>,
-    /// Engine-level permutation buffer (`in_place`, `stable_by_key`).
-    pub(crate) perm: Vec<usize>,
     /// Cycle-visited bitmap for the in-place permutation application.
     pub(crate) visited: Vec<u64>,
     /// Count matrices, stored bucket ids and region bounds of the exact
@@ -68,7 +66,6 @@ impl ScratchPool {
         vec_bytes(&self.sample)
             + vec_bytes(&self.hashed)
             + vec_bytes(&self.placed)
-            + vec_bytes(&self.perm)
             + vec_bytes(&self.visited)
             + self.counting.bytes()
     }
@@ -79,7 +76,6 @@ impl ScratchPool {
         self.sample = Vec::new();
         self.hashed = Vec::new();
         self.placed = Vec::new();
-        self.perm = Vec::new();
         self.visited = Vec::new();
         self.counting = CountingScratch::default();
     }
@@ -109,7 +105,7 @@ mod tests {
         let mut pool = ScratchPool::new();
         assert_eq!(pool.bytes_held(), 0);
         pool.sample.resize(1000, 0);
-        pool.perm.resize(100, 0);
+        pool.visited.resize(100, 0);
         assert!(pool.bytes_held() >= 1100 * 8);
         pool.enforce_budget(usize::MAX);
         assert!(pool.bytes_held() > 0, "unlimited budget keeps memory");

@@ -28,12 +28,12 @@
 //!   "config": {
 //!     "sample_shift": 4, "heavy_threshold": 16, "light_bucket_log2": 16,
 //!     "merge_light_buckets": true, "scatter_strategy": "random-cas",
-//!     "local_sort_algo": "std-unstable", "seed": 42,
-//!     "seq_threshold": 8192, "telemetry": "deep",
+//!     "seed": 42, "seq_threshold": 8192, "telemetry": "deep",
 //!     "max_scratch_bytes": null, "fault": "none",
 //!     "capture_scheduler": true,
 //!     // paper runs only (`scatter_strategy` "random-cas"):
 //!     "alpha": 1.1, "c": 1.25, "probe_strategy": "linear",
+//!     "local_sort_algo": "std-unstable",
 //!     "prefetch_distance": 8, "max_retries": 3,
 //!     "overflow_policy": "fallback", "max_arena_bytes": null
 //!   },
@@ -287,14 +287,6 @@ impl SemisortStats {
                 "scatter_strategy".into(),
                 Json::str(self.scatter_strategy()),
             ),
-            (
-                "local_sort_algo".into(),
-                Json::str(match cfg.local_sort_algo {
-                    LocalSortAlgo::StdUnstable => "std-unstable",
-                    LocalSortAlgo::Counting => "counting",
-                    LocalSortAlgo::StdStable => "std-stable",
-                }),
-            ),
             ("seed".into(), Json::num(cfg.seed)),
             ("seq_threshold".into(), Json::num(cfg.seq_threshold as u64)),
             ("telemetry".into(), Json::str(cfg.telemetry.as_str())),
@@ -317,6 +309,14 @@ impl SemisortStats {
                     Json::str(match p.probe_strategy {
                         ProbeStrategy::Linear => "linear",
                         ProbeStrategy::Random => "random",
+                    }),
+                ),
+                (
+                    "local_sort_algo".into(),
+                    Json::str(match p.local_sort_algo {
+                        LocalSortAlgo::StdUnstable => "std-unstable",
+                        LocalSortAlgo::Counting => "counting",
+                        LocalSortAlgo::StdStable => "std-stable",
                     }),
                 ),
                 (
@@ -663,6 +663,7 @@ mod tests {
             "alpha",
             "c",
             "probe_strategy",
+            "local_sort_algo",
             "prefetch_distance",
             "max_retries",
             "overflow_policy",
@@ -694,6 +695,10 @@ mod tests {
         assert_eq!(
             cfg.get("probe_strategy").and_then(Json::as_str),
             Some("linear")
+        );
+        assert_eq!(
+            cfg.get("local_sort_algo").and_then(Json::as_str),
+            Some("std-unstable")
         );
         assert_eq!(cfg.get("max_retries").and_then(Json::as_u64), Some(3));
         assert_eq!(

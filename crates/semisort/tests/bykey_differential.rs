@@ -1,12 +1,15 @@
-//! Differential suite for the fused by-key reductions.
+//! Differential suite for the by-key core.
 //!
-//! `count_by_key` and `reduce_by_key` are checked against a sequential
-//! `HashMap` reference across key distributions, thread counts, input
-//! sizes on both sides of the sequential cutoff, and the engine settings
-//! the fused path ignores. A key type whose `Hash` maps
-//! many keys to one hash drives the exact collision regroup through heavy
-//! regions, light regions and the sequential path. A fold that records
-//! input indices pins the input-order contract.
+//! All seven by-key methods — `count_by_key`, `reduce_by_key`,
+//! `sort_by_key`, `stable_by_key`, `permutation`, `in_place` and
+//! `group_by` — are checked against a sequential `HashMap` reference
+//! across key distributions, thread counts, input sizes on both sides of
+//! the sequential cutoff, and engine settings that must not change the
+//! output. A key type whose `Hash` maps many keys to one hash drives the
+//! exact collision regroup through heavy regions, light regions and the
+//! sequential path. Every input's payload is its input index, which pins
+//! the input-order contract: each group of every arrangement, and each
+//! group a reduction folds, comes out in input order.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -59,14 +62,63 @@ fn to_map<K: Hash + Eq + std::fmt::Debug, V>(out: Vec<(K, V)>) -> HashMap<K, V> 
     m
 }
 
-/// Run both reductions on `items` with `cfg` and check them against the
-/// reference; returns both outputs for cross-run comparisons.
-#[allow(clippy::type_complexity)]
-fn check<K>(
+/// Check that `out` arranges `items` (payload = input index) into exactly
+/// the reference's groups, each contiguous and in input order, cut by
+/// `starts`.
+fn check_arrangement<K>(
     items: &[(K, u64)],
-    cfg: SemisortConfig,
+    out: &[(K, u64)],
+    starts: &[usize],
+    want: &HashMap<K, (usize, u64)>,
     label: &str,
-) -> (Vec<(K, usize)>, Vec<(K, (usize, u64))>)
+) where
+    K: Hash + Eq + Clone + std::fmt::Debug,
+{
+    assert_eq!(out.len(), items.len(), "{label}: length");
+    assert_eq!(starts.first(), Some(&0), "{label}: first start");
+    assert_eq!(starts.last(), Some(&out.len()), "{label}: last start");
+    assert_eq!(starts.len() - 1, want.len(), "{label}: one group per key");
+    let mut seen = vec![false; items.len()];
+    for w in starts.windows(2) {
+        let group = &out[w[0]..w[1]];
+        assert!(!group.is_empty(), "{label}: empty group");
+        let k = &group[0].0;
+        assert_eq!(
+            want.get(k).map(|g| g.0),
+            Some(group.len()),
+            "{label}: size of {k:?}"
+        );
+        for (j, r) in group.iter().enumerate() {
+            assert_eq!(&r.0, k, "{label}: group of {k:?} holds {:?}", r.0);
+            assert_eq!(
+                items[r.1 as usize].0, r.0,
+                "{label}: record moved off its key"
+            );
+            assert!(
+                !std::mem::replace(&mut seen[r.1 as usize], true),
+                "{label}: record twice"
+            );
+            assert!(
+                j == 0 || group[j - 1].1 < r.1,
+                "{label}: {k:?} out of input order"
+            );
+        }
+    }
+}
+
+/// Everything the seven methods returned for one input, compared across
+/// thread counts and settings.
+#[derive(Debug, PartialEq)]
+struct Outputs<K> {
+    counts: Vec<(K, usize)>,
+    sums: Vec<(K, (usize, u64))>,
+    sorted: Vec<(K, u64)>,
+    starts: Vec<usize>,
+}
+
+/// Run all seven by-key methods on `items` with `cfg` and check them
+/// against the reference and each other.
+fn check<K>(items: &[(K, u64)], cfg: SemisortConfig, label: &str) -> Outputs<K>
 where
     K: Hash + Eq + Clone + Send + Sync + std::fmt::Debug,
 {
@@ -88,7 +140,26 @@ where
         assert_eq!(got_counts.get(k), Some(&c), "{label}: count of {k:?}");
         assert_eq!(got_sums.get(k), Some(&(c, s)), "{label}: fold of {k:?}");
     }
-    (counts, sums)
+
+    let groups = engine.group_by(items, |r| r.0.clone()).unwrap();
+    check_arrangement(items, &groups.items, &groups.starts, &want, label);
+    let sorted = engine.sort_by_key(items, |r| r.0.clone()).unwrap();
+    assert_eq!(sorted, groups.items, "{label}: sort_by_key vs group_by");
+    let stable = engine.stable_by_key(items, |r| r.0.clone()).unwrap();
+    assert_eq!(stable, sorted, "{label}: stable_by_key vs sort_by_key");
+    let perm = engine.permutation(items, |r| r.0.clone()).unwrap();
+    let gathered: Vec<(K, u64)> = perm.iter().map(|&i| items[i].clone()).collect();
+    assert_eq!(gathered, sorted, "{label}: permutation vs sort_by_key");
+    let mut moved = items.to_vec();
+    engine.in_place(&mut moved, |r| r.0.clone()).unwrap();
+    assert_eq!(moved, sorted, "{label}: in_place vs sort_by_key");
+
+    Outputs {
+        counts,
+        sums,
+        sorted,
+        starts: groups.starts,
+    }
 }
 
 #[test]
@@ -113,18 +184,18 @@ fn matches_hashmap_reference() {
 
 #[test]
 fn ignored_settings_do_not_change_output() {
-    // The regions are folded, not sorted by `local_sort_algo`, and the
-    // fused path collects no distribution counters.
+    // Telemetry and scheduler capture observe a run; neither may change
+    // what it returns.
     let n = 100_000;
     for (name, dist) in distributions(n) {
         let items = generate(dist, n, SEED);
         let outputs: Vec<_> = [
             cfg(),
+            cfg().with_telemetry(TelemetryLevel::Deep),
             SemisortConfig {
-                local_sort_algo: LocalSortAlgo::Counting,
+                capture_scheduler: false,
                 ..cfg()
             },
-            cfg().with_telemetry(TelemetryLevel::Deep),
         ]
         .into_iter()
         .enumerate()
@@ -178,9 +249,14 @@ fn colliding_keys_regroup_exactly() {
     ] {
         for distinct in [2u32, 50, 300] {
             let items = colliding_items(n, distinct);
-            for threads in [1, 2] {
+            let mut first = None;
+            for threads in [1, 2, 8] {
                 let label = format!("{path} distinct={distinct} threads={threads}");
-                parlay::with_threads(threads, || check(&items, cfg, &label));
+                let out = parlay::with_threads(threads, || check(&items, cfg, &label));
+                match &first {
+                    None => first = Some(out),
+                    Some(f) => assert_eq!(&out, f, "{label}: output differs across threads"),
+                }
             }
         }
         let mut engine = Semisorter::new(cfg).unwrap();

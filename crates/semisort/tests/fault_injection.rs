@@ -296,8 +296,9 @@ fn seq_threshold_fallback_is_quiet_and_correct() {
 
 #[test]
 fn reserved_key_fallback_is_quiet_and_correct() {
-    // Keys colliding with the slot-vacancy sentinel (0) or the hash-table
-    // sentinel (u64::MAX) take the screening fallback.
+    // The paper run screens keys equal to the slot-vacancy sentinel (0) or
+    // the hash-table sentinel (u64::MAX) into its fallback. The engine has
+    // no slots, so it reserves u64::MAX alone: key 0 runs the plan.
     for sentinel in [semisort::scatter::EMPTY, parlay::hash_table::EMPTY] {
         let cfg = SemisortConfig {
             telemetry: TelemetryLevel::Off,
@@ -308,14 +309,21 @@ fn reserved_key_fallback_is_quiet_and_correct() {
         recs[23_456].0 = sentinel;
         let engine = try_semisort_with_stats(&recs, &cfg).unwrap();
         let paper = paper::try_semisort_with_stats(&recs, &PaperConfig::new(cfg)).unwrap();
-        for (out, stats) in [engine, paper] {
+        for (path, (out, stats)) in [("engine", engine), ("paper", paper)] {
+            let ctx = format!("{path} sentinel {sentinel:#x}");
             assert_valid(&out, &recs);
-            assert_eq!(stats.light_records, recs.len(), "sentinel {sentinel:#x}");
-            assert_eq!(stats.retries, 0);
-            assert!(!stats.degraded);
-            assert_eq!(stats.telemetry.cas_attempts, 0, "sentinel {sentinel:#x}");
-            assert_eq!(stats.telemetry.records_placed, 0);
-            assert!(stats.telemetry.retry_causes.is_empty());
+            assert_eq!(stats.retries, 0, "{ctx}");
+            assert!(!stats.degraded, "{ctx}");
+            assert!(stats.telemetry.retry_causes.is_empty(), "{ctx}");
+            if path == "engine" && sentinel == semisort::scatter::EMPTY {
+                assert_eq!(stats.heavy_keys, 100, "{ctx}: the plan ran");
+                assert_eq!(stats.heavy_records, recs.len() - 2, "{ctx}");
+            } else {
+                assert_eq!(stats.light_records, recs.len(), "{ctx}");
+                assert_eq!(stats.heavy_keys, 0, "{ctx}: no plan");
+                assert_eq!(stats.telemetry.cas_attempts, 0, "{ctx}");
+                assert_eq!(stats.telemetry.records_placed, 0, "{ctx}");
+            }
         }
     }
 }

@@ -552,21 +552,11 @@ fn run_op(
     match op {
         Op::Semisort => Ok(Response::Records(engine.sort_by_key(records, |p| p.0)?)),
         Op::GroupBy => {
-            let sorted = engine.sort_by_key(records, |p| p.0)?;
-            let mut starts: Vec<u32> = vec![0];
-            for i in 1..sorted.len() {
-                if sorted[i].0 != sorted[i - 1].0 {
-                    starts.push(i as u32);
-                }
-            }
-            if sorted.is_empty() {
-                // `[0]` alone: zero groups (`starts.len() - 1 == 0`).
-            } else {
-                starts.push(sorted.len() as u32);
-            }
+            // No records: starts `[0]`, zero groups.
+            let groups = engine.group_by(records, |p| p.0)?;
             Ok(Response::Groups {
-                records: sorted,
-                starts,
+                starts: groups.starts.iter().map(|&s| s as u32).collect(),
+                records: groups.items,
             })
         }
         Op::CountByKey => {

@@ -66,18 +66,15 @@ proptest! {
         recs in arb_records(1500, 50),
         probe_linear in any::<bool>(),
         algo_idx in 0usize..3,
-        cas in any::<bool>(),
     ) {
-        // The probe strategy only matters to the CAS scatter; the local
-        // sort runs on both paths.
+        // Both knobs belong to the paper run: the CAS scatter probes, and
+        // its local sort is configurable (the engine's is `sort_unstable`).
         let cfg = PaperConfig {
             probe_strategy: if probe_linear { ProbeStrategy::Linear } else { ProbeStrategy::Random },
-            ..PaperConfig::new(SemisortConfig {
-                local_sort_algo: [LocalSortAlgo::StdUnstable, LocalSortAlgo::StdStable, LocalSortAlgo::Counting][algo_idx],
-                ..small_cfg()
-            })
+            local_sort_algo: [LocalSortAlgo::StdUnstable, LocalSortAlgo::StdStable, LocalSortAlgo::Counting][algo_idx],
+            ..PaperConfig::new(small_cfg())
         };
-        let (out, _) = run(&recs, cas, &cfg);
+        let (out, _) = paper::try_semisort_with_stats(&recs, &cfg).unwrap();
         prop_assert!(is_semisorted_by(&out, |r| r.0));
         prop_assert!(is_permutation_of(&out, &recs));
     }

@@ -52,10 +52,8 @@ fn soak_configuration_grid() {
                 ] {
                     let cfg = PaperConfig {
                         probe_strategy: probe,
-                        ..PaperConfig::new(SemisortConfig {
-                            local_sort_algo: algo,
-                            ..Default::default()
-                        })
+                        local_sort_algo: algo,
+                        ..Default::default()
                     };
                     let (out, _) = paper::try_semisort_with_stats(&input, &cfg).unwrap();
                     assert!(
