@@ -10,6 +10,8 @@
 //! deterministic, and *stable* — which the radix sort built on top of it
 //! relies on.
 
+use std::mem::MaybeUninit;
+
 use rayon::prelude::*;
 
 use crate::scan::scan_add_exclusive;
@@ -33,12 +35,15 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> usize + Send + Sync,
 {
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and the sort stores only
+    // initialized values, so `dst` stays fully initialized.
+    let dst = unsafe { &mut *(dst as *mut [T] as *mut [MaybeUninit<T>]) };
     let mut scratch = CountingScratch::default();
-    counting_sort_into_with(src, dst, m, key, &mut scratch);
+    sort_into_uninit(src, dst, m, key, &mut scratch);
     scratch.offsets
 }
 
-/// The reusable buffers of [`counting_sort_into_with`]: the per-block
+/// The reusable buffers of [`counting_sort_into_vec_with`]: the per-block
 /// count matrix, its key-major transpose, the bucket offsets and the
 /// stored keys. Held by callers that sort repeatedly, so these
 /// `O(n + blocks · m)` buffers are reused across calls.
@@ -59,15 +64,43 @@ impl CountingScratch {
     }
 }
 
-/// [`counting_sort_into`] with caller-owned scratch. The offsets it
-/// returns live in `scratch` until the next call.
+/// [`counting_sort_into`] into a `Vec`'s spare capacity, with
+/// caller-owned scratch: `dst` is cleared, grown to hold `src.len()`
+/// records if it cannot already, and written exactly once, by the
+/// parallel replay. Nothing fills it first, so the replay's workers are
+/// also the first to touch a fresh allocation's pages. The length is set
+/// once the replay has joined; a panic before then leaves `dst` empty.
+/// The offsets it returns live in `scratch` until the next call.
 ///
 /// # Panics
 ///
-/// As [`counting_sort_into`].
-pub fn counting_sort_into_with<'s, T, F>(
+/// If a key is out of range or `m > 2^32`, as [`counting_sort_into`].
+pub fn counting_sort_into_vec_with<'s, T, F>(
     src: &[T],
-    dst: &mut [T],
+    dst: &mut Vec<T>,
+    m: usize,
+    key: F,
+    scratch: &'s mut CountingScratch,
+) -> &'s [usize]
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T) -> usize + Send + Sync,
+{
+    let n = src.len();
+    dst.clear();
+    dst.reserve(n);
+    let offsets = sort_into_uninit(src, &mut dst.spare_capacity_mut()[..n], m, key, scratch);
+    // SAFETY: the replay has joined, and it wrote every one of the first
+    // `n` slots: the offsets partition [0, n) into one position per record.
+    unsafe { dst.set_len(n) };
+    offsets
+}
+
+/// The shared core of both entries: histogram, offsets, then the
+/// disjoint-range replay that writes every slot of `dst` exactly once.
+fn sort_into_uninit<'s, T, F>(
+    src: &[T],
+    dst: &mut [MaybeUninit<T>],
     m: usize,
     key: F,
     scratch: &'s mut CountingScratch,
@@ -147,7 +180,7 @@ where
                 let k = k as usize;
                 // SAFETY: the offset scan partitions [0, n) into disjoint
                 // (block, key) ranges; this task owns exactly its own.
-                unsafe { out.write(pos[k], *x) };
+                unsafe { out.write(pos[k], MaybeUninit::new(*x)) };
                 pos[k] += 1;
             }
         });
@@ -267,19 +300,52 @@ mod tests {
 
     #[test]
     fn pooled_scratch_matches_and_is_reused() {
-        let src: Vec<u32> = (0..50_000).map(|i| (i * 7919) % 64).collect();
-        let mut want = vec![0u32; src.len()];
-        let want_off = counting_sort_into(&src, &mut want, 64, |&x| x as usize);
+        let src: Vec<(u32, u32)> = (0..60_000u32).map(|i| ((i * 7919) % 97, i)).collect();
         let mut scratch = CountingScratch::default();
-        let mut got = vec![0u32; src.len()];
-        for _ in 0..2 {
-            let off = counting_sort_into_with(&src, &mut got, 64, |&x| x as usize, &mut scratch);
-            assert_eq!(off, &want_off[..]);
-            assert_eq!(got, want);
+        let mut got = Vec::new();
+        let mut held = 0;
+        // A fresh `Vec`, then warm ones with stale contents longer and
+        // shorter than the input: each matches the slice entry byte for
+        // byte and reuses the allocation and the scratch as they are.
+        for (round, len) in [src.len(), src.len(), 1, 0, src.len() / 3]
+            .into_iter()
+            .enumerate()
+        {
+            let mut want = vec![(0, 0); len];
+            let want_off = counting_sort_into(&src[..len], &mut want, 97, |x| x.0 as usize);
+            let before = (got.capacity(), got.as_ptr());
+            let off = counting_sort_into_vec_with(
+                &src[..len],
+                &mut got,
+                97,
+                |x| x.0 as usize,
+                &mut scratch,
+            );
+            assert_eq!(off, &want_off[..], "len {len}");
+            assert_eq!(got, want, "len {len}");
+            if round == 0 {
+                held = scratch.bytes();
+            } else {
+                assert_eq!(
+                    (got.capacity(), got.as_ptr()),
+                    before,
+                    "len {len}: no regrowth"
+                );
+                assert_eq!(scratch.bytes(), held, "len {len}: scratch grew");
+            }
         }
-        let held = scratch.bytes();
-        counting_sort_into_with(&src, &mut got, 64, |&x| x as usize, &mut scratch);
-        assert_eq!(scratch.bytes(), held, "same shape, no growth");
+    }
+
+    #[test]
+    fn vec_entry_left_empty_by_a_panicking_key() {
+        let src: Vec<u32> = (0..10_000).collect();
+        let mut dst = vec![7u32; 50];
+        let mut scratch = CountingScratch::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            counting_sort_into_vec_with(&src, &mut dst, 16, |&x| x as usize, &mut scratch);
+        }));
+        assert!(unwound.is_err(), "key 16 is out of range");
+        assert!(dst.is_empty(), "no length is set before the replay joins");
     }
 
     #[test]

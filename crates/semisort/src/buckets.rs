@@ -6,22 +6,47 @@
 //! - **Heavy keys** — hashed keys appearing at least δ times in the sample
 //!   ("If the count for a key is greater than δ = 16, we insert the key
 //!   into a hash table" — §4 Phase 2). Each heavy key gets its own bucket,
-//!   and the phase-concurrent hash table `T` maps the key to its bucket id
-//!   so a distribution can route heavy records in O(1).
+//!   and the phase-concurrent hash table `T` maps the key to its bucket id.
 //! - **Light keys** — everything else. The 64-bit hash range is split into
 //!   `2^16` equal prefix classes; adjacent classes are merged until each
 //!   bucket holds at least δ sample records (the ≤10% optimization of §4).
 //!
-//! Heavy buckets come first, then light. The plan records each bucket's
-//! sample count; the engine's exact distribution needs nothing more, and
-//! the paper's CAS scatter sizes its slot arena from those counts
-//! ([`crate::paper::arena_layout`]).
+//! Heavy buckets come first, then light. A record is routed by its key's
+//! prefix class first: one route entry per prefix gives the prefix's
+//! light bucket outright, unless the sample put a heavy key in that
+//! prefix. Such a prefix's entry points into a small side table; when the
+//! prefix holds exactly one heavy key, one compare against it decides the
+//! bucket, and only a prefix holding two or more heavy keys probes `T`
+//! (in O(1) expected). So an input with few heavy keys pays one `u32`
+//! load per record, not a hash-table probe.
+//!
+//! The plan records each bucket's sample count; the engine's exact
+//! distribution needs nothing more, and the paper's CAS scatter sizes its
+//! slot arena from those counts ([`crate::paper::arena_layout`]).
 
-use parlay::counting_sort::{counting_sort_into_with, CountingScratch};
+use parlay::counting_sort::{counting_sort_into_vec_with, CountingScratch};
 use parlay::hash_table::PhaseConcurrentMap;
 use rayon::prelude::*;
 
 use crate::config::SemisortConfig;
+
+/// Route-entry bit marking a prefix that holds heavy keys: the rest of the
+/// entry indexes [`BucketPlan`]'s side table instead of naming a bucket.
+const HEAVY_PREFIX: u32 = 1 << 31;
+
+/// [`HeavyPrefix::heavy`] of a prefix holding two or more heavy keys.
+const SEVERAL: u32 = u32::MAX;
+
+/// A prefix class the sample put at least one heavy key in.
+#[derive(Clone, Copy)]
+struct HeavyPrefix {
+    /// The prefix's only heavy key (unused when `heavy == SEVERAL`).
+    key: u64,
+    /// That key's heavy bucket, or [`SEVERAL`]: look the key up in `T`.
+    heavy: u32,
+    /// The prefix's light bucket (global id).
+    light: u32,
+}
 
 /// The bucket structure of one semisort run, produced from the sorted
 /// sample.
@@ -35,13 +60,15 @@ pub struct BucketPlan {
     /// Per bucket (heavy buckets then light buckets): how many sample
     /// records it received — what the paper's estimator sizes it from.
     pub sample_counts: Vec<usize>,
-    /// Hash-prefix → light bucket id (*global* id, i.e. already offset by
-    /// `num_heavy`); length `2^light_bucket_log2`.
-    pub prefix_to_bucket: Vec<u32>,
     /// Number of light buckets after merging.
     pub num_light: usize,
     /// Right-shift turning a hashed key into its prefix class.
     pub prefix_shift: u32,
+    /// Per prefix class (length `2^prefix bits`): its light bucket's
+    /// global id, or `HEAVY_PREFIX | i` for entry `i` of `heavy_prefixes`.
+    route: Vec<u32>,
+    /// The prefixes holding heavy keys, in prefix order.
+    heavy_prefixes: Vec<HeavyPrefix>,
 }
 
 impl BucketPlan {
@@ -50,34 +77,24 @@ impl BucketPlan {
         self.num_heavy + self.num_light
     }
 
-    /// The global bucket id for a record with hashed key `key`:
-    /// its heavy bucket if the key is heavy, else its prefix's light bucket.
+    /// The global bucket id for a record with hashed key `key`: its heavy
+    /// bucket if the key is heavy, else its prefix's light bucket. Heavy
+    /// buckets are the ids below [`Self::num_heavy`].
     ///
     /// Only valid after the table's insert phase finished (it has).
     #[inline(always)]
     pub fn bucket_of(&self, key: u64) -> u32 {
-        // All-light inputs (e.g. the representative uniform distribution)
-        // skip the table probe entirely — a predictable branch.
-        if self.num_heavy > 0 {
-            if let Some(b) = self.heavy_table.lookup(key) {
-                return b;
-            }
+        let prefix = (key >> self.prefix_shift) as usize;
+        let entry = self.route[prefix];
+        if entry & HEAVY_PREFIX == 0 {
+            return entry;
         }
-        self.prefix_to_bucket[(key >> self.prefix_shift) as usize]
-    }
-
-    /// Like [`Self::bucket_of`] but also reports heaviness (for stats).
-    #[inline(always)]
-    pub fn bucket_of_tagged(&self, key: u64) -> (u32, bool) {
-        if self.num_heavy > 0 {
-            if let Some(b) = self.heavy_table.lookup(key) {
-                return (b, true);
-            }
+        let side = (entry & !HEAVY_PREFIX) as usize;
+        let hp = self.heavy_prefixes[side];
+        if hp.heavy != SEVERAL {
+            return if key == hp.key { hp.heavy } else { hp.light };
         }
-        (
-            self.prefix_to_bucket[(key >> self.prefix_shift) as usize],
-            false,
-        )
+        self.heavy_table.lookup(key).unwrap_or(hp.light)
     }
 
     /// The exact distribution: move every record of `src` into its bucket's
@@ -86,21 +103,22 @@ impl BucketPlan {
     /// `dst[starts[b]..starts[b + 1]]`, heavy buckets first; the slice
     /// lives in `scratch` until its next use).
     ///
-    /// The counts are exact, so unlike the paper's slot arena nothing can
-    /// overflow and nothing needs packing. The sort is stable, so `dst`
-    /// is a function of `src` and the plan alone, at any thread count.
-    /// Both the driver and the by-key aggregation distribute through here.
-    ///
-    /// # Panics
-    ///
-    /// If `src.len() != dst.len()`.
+    /// `dst` is cleared and refilled to `src.len()` records: each is
+    /// written once, straight into its spare capacity
+    /// ([`counting_sort_into_vec_with`]), so a warm `dst` keeps its
+    /// allocation and a fresh one is first touched by the parallel
+    /// replay. The counts are exact, so unlike the paper's slot arena
+    /// nothing can overflow and nothing needs packing. The sort is stable,
+    /// so `dst` is a function of `src` and the plan alone, at any thread
+    /// count. Both the driver and the by-key aggregation distribute
+    /// through here.
     pub fn distribute_into<'s, V: Copy + Send + Sync>(
         &self,
         src: &[(u64, V)],
-        dst: &mut [(u64, V)],
+        dst: &mut Vec<(u64, V)>,
         scratch: &'s mut CountingScratch,
     ) -> &'s [usize] {
-        counting_sort_into_with(
+        counting_sort_into_vec_with(
             src,
             dst,
             self.num_buckets(),
@@ -114,6 +132,10 @@ impl BucketPlan {
 ///
 /// `n` is the input size (it sets the light-bucket count);
 /// `sorted_sample` is the Phase 1 output.
+///
+/// # Panics
+///
+/// If the plan would hold `2^31` buckets or more.
 pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> BucketPlan {
     let s_len = sorted_sample.len();
     // Θ(n/log²n) light buckets (§3, Step 7a), capped at the paper's 2^16
@@ -131,37 +153,34 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
         i == 0 || sorted_sample[i] != sorted_sample[i - 1]
     });
     let num_distinct = starts.len();
-
-    // Heavy keys: distinct keys whose run length reaches δ.
-    let heavy: Vec<(u64, usize)> = {
-        let run_len = |j: usize| {
-            let end = if j + 1 < num_distinct {
-                starts[j + 1]
-            } else {
-                s_len
-            };
-            end - starts[j]
+    let run_len = |j: usize| {
+        let end = if j + 1 < num_distinct {
+            starts[j + 1]
+        } else {
+            s_len
         };
-        let idx = parlay::pack_index(num_distinct, |j| run_len(j) >= cfg.heavy_threshold);
-        idx.into_iter()
-            .map(|j| (sorted_sample[starts[j]], run_len(j)))
-            .collect()
+        end - starts[j]
     };
-    let num_heavy = heavy.len();
-    let heavy_sample_records: usize = heavy.iter().map(|h| h.1).sum();
 
-    // Heavy table and per-bucket sample counts.
+    // Heavy keys: distinct keys whose run length reaches δ. Heavy bucket
+    // `b` is the key of run `heavy[b]`; the sample is sorted, so the heavy
+    // keys come in key (and so prefix) order.
+    let heavy = parlay::pack_index(num_distinct, |j| run_len(j) >= cfg.heavy_threshold);
+    let heavy_key = |b: usize| sorted_sample[starts[heavy[b]]];
+    let num_heavy = heavy.len();
+    let mut sample_counts: Vec<usize> = Vec::with_capacity(num_heavy + 64);
+    sample_counts.extend(heavy.iter().map(|&j| run_len(j)));
+    let heavy_sample_records: usize = sample_counts.iter().sum();
+
+    // Heavy table.
     let heavy_table = PhaseConcurrentMap::with_seed(num_heavy.max(1), cfg.seed ^ TABLE_SEED);
-    heavy
-        .par_iter()
-        .enumerate()
+    (0..num_heavy)
+        .into_par_iter()
         .with_min_len(512)
-        .for_each(|(b, &(key, _))| {
-            let inserted = heavy_table.insert(key, b as u32);
+        .for_each(|b| {
+            let inserted = heavy_table.insert(heavy_key(b), b as u32);
             debug_assert!(inserted, "heavy keys are distinct by construction");
         });
-    let mut sample_counts: Vec<usize> = Vec::with_capacity(num_heavy + 64);
-    sample_counts.extend(heavy.iter().map(|&(_, count)| count));
 
     // Light sample count per prefix class. The sample is sorted, so each
     // prefix class is a contiguous run: count it by binary search, then
@@ -175,18 +194,19 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
             hi - lo
         })
         .collect();
-    for &(key, count) in &heavy {
-        light_count[(key >> prefix_shift) as usize] -= count;
+    for (b, &count) in sample_counts.iter().enumerate() {
+        let pfx = (heavy_key(b) >> prefix_shift) as usize;
+        light_count[pfx] -= count;
     }
 
     // Merge adjacent prefixes into light buckets of ≥ δ samples.
-    let mut prefix_to_bucket = vec![0u32; num_prefixes];
+    let mut route = vec![0u32; num_prefixes];
     let mut num_light = 0usize;
     {
         let mut acc = 0usize;
         let mut bucket_start_pfx = 0usize;
         for pfx in 0..num_prefixes {
-            prefix_to_bucket[pfx] = (num_heavy + num_light) as u32;
+            route[pfx] = (num_heavy + num_light) as u32;
             acc += light_count[pfx];
             let done = if cfg.merge_light_buckets {
                 acc >= cfg.heavy_threshold
@@ -206,15 +226,39 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
             num_light += 1;
         }
     }
+    assert!(
+        ((num_heavy + num_light) as u64) < HEAVY_PREFIX as u64,
+        "bucket ids must leave the route's heavy-prefix bit free"
+    );
+
+    // Point each prefix holding heavy keys at its side-table entry.
+    let mut heavy_prefixes: Vec<HeavyPrefix> = Vec::with_capacity(num_heavy);
+    for b in 0..num_heavy {
+        let key = heavy_key(b);
+        let pfx = (key >> prefix_shift) as usize;
+        let entry = route[pfx];
+        if entry & HEAVY_PREFIX == 0 {
+            route[pfx] = HEAVY_PREFIX | heavy_prefixes.len() as u32;
+            heavy_prefixes.push(HeavyPrefix {
+                key,
+                heavy: b as u32,
+                light: entry,
+            });
+        } else if let Some(hp) = heavy_prefixes.last_mut() {
+            // Heavy keys come in prefix order: this prefix's entry is the last.
+            hp.heavy = SEVERAL;
+        }
+    }
 
     BucketPlan {
         heavy_table,
         num_heavy,
         heavy_sample_records,
         sample_counts,
-        prefix_to_bucket,
         num_light,
         prefix_shift,
+        route,
+        heavy_prefixes,
     }
 }
 
@@ -262,6 +306,18 @@ mod tests {
 
     fn cfg() -> SemisortConfig {
         SemisortConfig::default()
+    }
+
+    /// The light bucket (global id) of prefix class `pfx`: where its keys
+    /// go unless they are heavy.
+    fn light_bucket(plan: &BucketPlan, pfx: usize) -> u32 {
+        let entry = plan.route[pfx];
+        if entry & HEAVY_PREFIX == 0 {
+            entry
+        } else {
+            let side = (entry & !HEAVY_PREFIX) as usize;
+            plan.heavy_prefixes[side].light
+        }
     }
 
     #[test]
@@ -327,18 +383,16 @@ mod tests {
         keys.extend(std::iter::repeat_n(hash64(7), 50));
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 8800, &cfg());
-        let (b_heavy, is_heavy) = plan.bucket_of_tagged(hash64(7));
-        assert!(is_heavy);
+        let b_heavy = plan.bucket_of(hash64(7));
         assert!((b_heavy as usize) < plan.num_heavy);
         // An unsampled key routes to its prefix's light bucket.
         let novel = hash64(0xABCDEF);
-        let (b_light, is_heavy) = plan.bucket_of_tagged(novel);
-        assert!(!is_heavy);
+        let b_light = plan.bucket_of(novel);
         assert!((b_light as usize) >= plan.num_heavy);
         assert!((b_light as usize) < plan.num_buckets());
         assert_eq!(
             b_light,
-            plan.prefix_to_bucket[(novel >> plan.prefix_shift) as usize]
+            light_bucket(&plan, (novel >> plan.prefix_shift) as usize)
         );
     }
 
@@ -349,12 +403,17 @@ mod tests {
         let plan = build_plan(&sample, 48_000, &cfg());
         // prefix→bucket must be non-decreasing and cover exactly the light range.
         let mut prev = plan.num_heavy as u32;
-        for &b in &plan.prefix_to_bucket {
-            assert!(b >= prev || b == prev, "non-monotone prefix map");
-            assert!(b >= plan.num_heavy as u32);
+        for pfx in 0..plan.route.len() {
+            let b = light_bucket(&plan, pfx);
+            assert!(b >= prev, "non-monotone prefix map");
             assert!((b as usize) < plan.num_buckets());
-            prev = prev.max(b);
+            prev = b;
         }
+        assert_eq!(
+            prev as usize,
+            plan.num_buckets() - 1,
+            "every light bucket used"
+        );
     }
 
     #[test]
@@ -367,9 +426,129 @@ mod tests {
         let plan = build_plan(&sample, 32_000, &c);
         let prefixes = 1usize << effective_prefix_bits(32_000, 8);
         assert_eq!(plan.num_light, prefixes);
-        for (pfx, &b) in plan.prefix_to_bucket.iter().enumerate() {
-            assert_eq!(b as usize, plan.num_heavy + pfx);
+        assert_eq!(plan.route.len(), prefixes);
+        for pfx in 0..prefixes {
+            assert_eq!(light_bucket(&plan, pfx) as usize, plan.num_heavy + pfx);
         }
+    }
+
+    /// The reference routing rule: a key in `T` goes to its heavy bucket,
+    /// any other key to its prefix's light bucket.
+    fn reference_bucket(plan: &BucketPlan, key: u64) -> u32 {
+        plan.heavy_table
+            .lookup(key)
+            .unwrap_or_else(|| light_bucket(plan, (key >> plan.prefix_shift) as usize))
+    }
+
+    /// Assert `bucket_of` agrees with [`reference_bucket`] on `keys`.
+    fn assert_routes_as_reference(plan: &BucketPlan, keys: &[u64], shape: &str) {
+        for &k in keys {
+            assert_eq!(
+                plan.bucket_of(k),
+                reference_bucket(plan, k),
+                "{shape}: key {k:#x}"
+            );
+        }
+    }
+
+    /// A key in prefix class `pfx` of `plan` (low bits from `salt`).
+    fn key_in_prefix(plan: &BucketPlan, pfx: u64, salt: u64) -> u64 {
+        let low_mask = (1u64 << plan.prefix_shift) - 1;
+        (pfx << plan.prefix_shift) | (hash64(salt) & low_mask)
+    }
+
+    #[test]
+    fn routing_matches_the_reference_rule_on_every_shape() {
+        let c = cfg();
+        let delta = c.heavy_threshold;
+        let n = 1 << 20;
+        let shift = 64 - effective_prefix_bits(n, c.light_bucket_log2);
+        let in_prefix = |pfx: u64, salt: u64| {
+            let low_mask = (1u64 << shift) - 1;
+            (pfx << shift) | (hash64(salt) & low_mask)
+        };
+        let light: Vec<u64> = (0..4000u64).map(|i| hash64(i + 1_000_000)).collect();
+        let unsampled: Vec<u64> = (0..4000u64).map(|i| hash64(i + 9_000_000)).collect();
+
+        // All light.
+        let sample = sorted_sample_of(&light);
+        let plan = build_plan(&sample, n, &c);
+        assert_eq!(plan.num_heavy, 0);
+        assert_routes_as_reference(&plan, &light, "all-light");
+        assert_routes_as_reference(&plan, &unsampled, "all-light, unsampled");
+
+        // One heavy key in each of 64 prefixes, light keys around them,
+        // including light keys sharing a prefix with exactly one heavy key.
+        let singles: Vec<u64> = (0..64u64).map(|p| in_prefix(p * 3, p)).collect();
+        let neighbours: Vec<u64> = (0..64u64).map(|p| in_prefix(p * 3, p + 500)).collect();
+        let mut keys = light.clone();
+        keys.extend(neighbours.iter().copied());
+        for &k in &singles {
+            keys.extend(std::iter::repeat_n(k, delta));
+        }
+        let plan = build_plan(&sorted_sample_of(&keys), n, &c);
+        assert_eq!(plan.num_heavy, singles.len());
+        assert_eq!(plan.heavy_prefixes.len(), singles.len());
+        assert!(plan.heavy_prefixes.iter().all(|hp| hp.heavy != SEVERAL));
+        for shape in [&singles, &neighbours, &light, &unsampled] {
+            assert_routes_as_reference(&plan, shape, "one heavy key per prefix");
+        }
+        for (&h, &l) in singles.iter().zip(&neighbours) {
+            assert!((plan.bucket_of(h) as usize) < plan.num_heavy);
+            assert!(
+                (plan.bucket_of(l) as usize) >= plan.num_heavy,
+                "light neighbour"
+            );
+        }
+
+        // Two and more heavy keys in one prefix, beside a single.
+        let several: Vec<u64> = (0..5u64).map(|s| in_prefix(7, s + 40)).collect();
+        let single = in_prefix(9, 1);
+        let mut keys = light.clone();
+        for &k in several.iter().chain([&single]) {
+            keys.extend(std::iter::repeat_n(k, delta + 3));
+        }
+        let plan = build_plan(&sorted_sample_of(&keys), n, &c);
+        assert_eq!(plan.num_heavy, several.len() + 1);
+        assert_eq!(plan.heavy_prefixes.len(), 2);
+        assert_eq!(plan.heavy_prefixes[0].heavy, SEVERAL);
+        let shared: Vec<u64> = (0..200u64).map(|s| in_prefix(7, s + 1000)).collect();
+        for shape in [&several, &shared, &vec![single], &light, &unsampled] {
+            assert_routes_as_reference(&plan, shape, "several heavy keys in one prefix");
+        }
+        let mut heavy_buckets: Vec<u32> = several.iter().map(|&k| plan.bucket_of(k)).collect();
+        heavy_buckets.sort_unstable();
+        heavy_buckets.dedup();
+        assert_eq!(
+            heavy_buckets.len(),
+            several.len(),
+            "one bucket per heavy key"
+        );
+    }
+
+    #[test]
+    fn routing_matches_the_reference_rule_on_the_pairs_heavy_shape() {
+        // Exponential keys of mean n/10⁴ over a 1/16 sample: about 1.5k
+        // heavy keys holding most records, scattered over the prefixes.
+        let n = 1usize << 22;
+        let rng = parlay::random::Rng::new(5);
+        let mut keys: Vec<u64> = (0..(n / 16) as u64)
+            .map(|i| hash64((-(1.0 - rng.at_f64(i)).ln() * (n as f64 / 1e4)) as u64))
+            .collect();
+        keys.sort_unstable();
+        let plan = build_plan(&keys, n, &cfg());
+        assert!(
+            (1000..2500).contains(&plan.num_heavy),
+            "pairs-heavy shape: {} heavy keys",
+            plan.num_heavy
+        );
+        assert!(plan.heavy_prefixes.iter().any(|hp| hp.heavy == SEVERAL));
+        assert!(plan.heavy_prefixes.iter().any(|hp| hp.heavy != SEVERAL));
+        let mut probe = keys.clone();
+        probe.dedup();
+        probe.extend((0..20_000u64).map(|i| hash64(i + (1 << 40))));
+        probe.extend((0..plan.route.len() as u64).map(|p| key_in_prefix(&plan, p, p)));
+        assert_routes_as_reference(&plan, &probe, "pairs-heavy");
     }
 
     #[test]
@@ -408,7 +587,7 @@ mod tests {
     /// Distribute `records` into a fresh buffer; the region bounds come
     /// back owned.
     fn distribute(plan: &BucketPlan, records: &[(u64, u64)]) -> (Vec<(u64, u64)>, Vec<usize>) {
-        let mut out = vec![(0, 0); records.len()];
+        let mut out = Vec::new();
         let mut scratch = CountingScratch::default();
         let starts = plan
             .distribute_into(records, &mut out, &mut scratch)

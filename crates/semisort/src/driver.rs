@@ -203,8 +203,9 @@ pub(crate) fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
 
 /// Phases 1–3 of an engine run, shared by the driver and the by-key core
 /// ([`crate::aggregate`]): sample, plan the buckets, and distribute
-/// `records` into exact bucket regions of `out` (resized to
-/// `records.len()`). Returns the plan and the region bounds (bucket `b`
+/// `records` into exact bucket regions of `out` (cleared, then written
+/// once, record by record, by the distribution's parallel replay; see
+/// [`BucketPlan::distribute_into`]). Returns the plan and the region bounds (bucket `b`
 /// holds `out[starts[b]..starts[b + 1]]`, heavy buckets first).
 ///
 /// Records the three phase spans, the plan's counts, the heavy/light
@@ -243,10 +244,6 @@ pub(crate) fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     if cfg.fault.panics(0) {
         injected_panic(cfg, 0);
     }
-    // Size `out` without a pass over the input: every slot is overwritten
-    // by the distribution.
-    out.truncate(n);
-    out.resize(n, records[0]);
     let starts = plan.distribute_into(records, out, counting);
     stats.t_scatter = span.finish_into(&mut stats.spans);
     stats.heavy_records = starts[plan.num_heavy];

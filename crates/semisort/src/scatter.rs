@@ -324,8 +324,9 @@ pub fn scatter<V: Copy + Send + Sync>(
             // Route record `j` of this chunk: bucket id, heavy tag, and its
             // random start slot (global index for rng reproducibility).
             let route = |j: usize| {
-                let (bucket, is_heavy) = plan.bucket_of_tagged(chunk_recs[j].0);
+                let bucket = plan.bucket_of(chunk_recs[j].0);
                 let b = bucket as usize;
+                let is_heavy = b < plan.num_heavy;
                 let mask = layout.bucket_size[b] - 1; // sizes are powers of two
                 let start = (rng.at((ci * chunk + j) as u64) as usize) & mask;
                 (bucket, is_heavy, start)

@@ -14,7 +14,8 @@
 //!   failure;
 //! - both Phase 3s: the paper's CAS + linear/random probing into the
 //!   arena, and the engine's exact counting-sort distribution with its
-//!   region sort, including the engine's pooled scratch across calls;
+//!   region sort, including the engine's pooled scratch across calls and
+//!   its writes into a fresh or a warm `Vec`'s spare capacity;
 //! - the pack phase (interval compaction + `spare_capacity_mut` writes +
 //!   `set_len`);
 //! - the fault-injection escalation ladder (forced overflow → retry,
@@ -142,6 +143,39 @@ fn counting_distribution_end_to_end() {
     check(&out, &recs);
     assert!(stats.heavy_records > 0 && stats.light_records > 0);
     assert_eq!(stats.total_slots, N, "no arena on this path");
+}
+
+#[test]
+fn distribution_writes_fresh_and_warm_vecs_once() {
+    // The distribution writes straight into a `Vec`'s spare capacity and
+    // sets its length after the replay: a fresh `Vec` is never read
+    // uninitialized, and a warm one's stale records are all overwritten.
+    // Sizes: empty, one counting-sort block, and several blocks.
+    use parlay::counting_sort::CountingScratch;
+    use parlay::slices::GRAIN;
+    let cfg = small_cfg().base;
+    let mut scratch = CountingScratch::default();
+    let mut warm = vec![(u64::MAX, u64::MAX); 2 * GRAIN];
+    for n in [0, N.min(GRAIN), GRAIN + GRAIN / 2] {
+        let recs = mixed_records(n);
+        let mut sample: Vec<u64> = recs.iter().step_by(16).map(|r| r.0).collect();
+        sample.sort_unstable();
+        let plan = semisort::buckets::build_plan(&sample, n, &cfg);
+        let mut fresh = Vec::new();
+        let starts = plan
+            .distribute_into(&recs, &mut fresh, &mut scratch)
+            .to_vec();
+        assert!(is_permutation_of(&fresh, &recs), "n = {n}");
+        for (b, w) in starts.windows(2).enumerate() {
+            assert!(fresh[w[0]..w[1]]
+                .iter()
+                .all(|r| plan.bucket_of(r.0) as usize == b));
+        }
+        let cap = warm.capacity();
+        plan.distribute_into(&recs, &mut warm, &mut scratch);
+        assert_eq!(warm, fresh, "n = {n}: a warm Vec lands the same way");
+        assert_eq!(warm.capacity(), cap, "n = {n}: no regrowth");
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!   read from the *scanned tree's* own `crates/xtask/src/lint.rs`, which
 //!   is what lets the fixture suite carry a deliberately stale list.
 //! - **`as-cast-in-index`** — no `as` casts inside index brackets in the
-//!   scatter/pack hot paths ([`HOT_PATHS`]): a truncating cast inside
+//!   routing/scatter/pack hot paths ([`HOT_PATHS`]): a truncating cast inside
 //!   `buf[i as usize]` silently wraps on 32-bit targets where a
 //!   `usize::from`/explicit widening would fail to compile.
 //! - **`process-exit-outside-bin`** — `std::process::exit` only in binary
@@ -58,9 +58,10 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/semisort/src/scatter.rs",
 ];
 
-/// Hot-path files where the `as-cast-in-index` rule applies: the scatter
-/// and pack inner loops, where index arithmetic runs per record.
+/// Hot-path files where the `as-cast-in-index` rule applies: the routing,
+/// scatter and pack inner loops, where index arithmetic runs per record.
 pub const HOT_PATHS: &[&str] = &[
+    "crates/semisort/src/buckets.rs",
     "crates/semisort/src/local_sort.rs",
     "crates/semisort/src/pack_phase.rs",
     "crates/semisort/src/scatter.rs",
