@@ -1,20 +1,20 @@
-//! The by-key core: every by-key method of
+//! The region walk every engine run ends with (`walk`), and the by-key
+//! methods' per-region steps.
+//!
+//! The driver's `run` distributes a run's records into exact bucket
+//! regions, then hands them to `walk`, which cuts them into parallel
+//! tasks of whole regions. A heavy region holds a single key and is used
+//! as it stands; a light region (`O(log² n)` records) is first sorted by
+//! the run's sort. Then the run's step sees each region, inside the same
+//! task. `sort_pairs` has no step: it sorts its light regions with
+//! `sort_unstable` and never visits a heavy one. Every by-key method of
 //! [`Semisorter`](crate::engine::Semisorter) — `sort_by_key`,
 //! `stable_by_key`, `group_by`, `permutation`, `in_place`,
-//! `reduce_by_key` and `count_by_key` — runs through `by_key_pooled`:
-//!
-//! 1. hash every key into pooled `(hash, index)` pairs;
-//! 2. sample, plan and distribute the pairs into **exact** bucket regions
-//!    with the driver's own Phases 1–3 (`driver::plan_and_distribute`,
-//!    through [`BucketPlan::distribute_into`]) — exact counts mean no
-//!    slot arena, no CAS, no overflow, no Las Vegas retry and no pack;
-//! 3. walk tasks of whole regions in parallel. A heavy region holds a
-//!    single hash and is used as it stands; a light region (`O(log² n)`
-//!    pairs) is first sorted stably by hash, so equal hashes sit together
-//!    in input order. The method then adds one step per region, inside
-//!    the same task: fold the region's runs (`Folder`), or gather its
-//!    items into the task's part of the output and check its runs on the
-//!    gathered slice (`gather`).
+//! `reduce_by_key` and `count_by_key` — walks pooled `(hash, index)` pairs
+//! (`Keyed`) with a stable sort by hash (`by_key_walk`), and either
+//! folds the region's runs (`Folder`) or gathers its items into the task's
+//! part of the output and checks its runs on the gathered slice
+//! (`gather`).
 //!
 //! Every run of equal hashes is key-checked, and a run that turns out to
 //! hold several keys (a 64-bit hash collision) is regrouped exactly by
@@ -22,143 +22,110 @@
 //! sort keeps input order within a hash, **every group comes out in input
 //! order**, and the output (groups in bucket order, then hash order) is
 //! the same at every thread count.
-//!
-//! Inputs at or below `seq_threshold`, and inputs containing a hash equal
-//! to the engine's reserved key (`u64::MAX`), skip the plan: one sort of
-//! all pairs, then the same step as a single task.
-//!
-//! [`BucketPlan::distribute_into`]: crate::buckets::BucketPlan::distribute_into
 
 use std::hash::Hash;
 
 use rayon::prelude::*;
 
 use crate::api::{hash_keys_into, Groups};
-use crate::cancel::CancelToken;
-use crate::config::SemisortConfig;
-use crate::driver::{has_reserved_key, plan_and_distribute, scheduler_baseline};
-use crate::error::SemisortError;
-use crate::obs::PhaseSpan;
-use crate::pool::ScratchPool;
-use crate::stats::SemisortStats;
+use crate::driver::{Input, Lent};
 
 /// Tasks per worker: enough slack for stealing to even out a plan whose
 /// regions are skewed (all heavy regions come first).
 const TASKS_PER_WORKER: usize = 8;
 
-/// Hash `items`' keys, distribute the pairs and hand every region, in
-/// bucket order, to `region` together with its task's part (made by
-/// `task` from the task's record count). Returns the parts in task order
-/// and the run's stats. Uses — and grows — `pool`'s `hashed`, `placed`,
-/// `sample` and `counting` buffers; `cfg` must already be validated.
-///
-/// The token is polled after hashing, sampling, planning and
-/// distribution; the result is all-or-nothing.
-pub(crate) fn by_key_pooled<T, K, F, S, I, R>(
-    items: &[T],
-    key: &F,
-    cfg: &SemisortConfig,
-    pool: &mut ScratchPool,
-    cancel: &CancelToken,
-    task: I,
-    region: R,
-) -> Result<(Vec<S>, SemisortStats), SemisortError>
+/// What [`walk`] does with the regions of a run.
+pub(crate) struct Walk<V, I, R> {
+    /// Whether the heavy regions are visited too; when not, the tasks cover
+    /// the light regions alone.
+    pub(crate) heavy: bool,
+    /// Sort one light region so that equal keys sit together.
+    pub(crate) sort: fn(&mut [(u64, V)]),
+    /// Make a task's part from the task's record count.
+    pub(crate) task: I,
+    /// Visit one region, after its sort, with its task's part.
+    pub(crate) region: R,
+}
+
+/// A by-key walk: every region is visited, and each light one is sorted
+/// stably by hash, so equal hashes keep their input order.
+pub(crate) fn by_key_walk<I, R>(task: I, region: R) -> Walk<u64, I, R> {
+    Walk {
+        heavy: true,
+        sort: |pairs| pairs.sort_by_key(|p| p.0),
+        task,
+        region,
+    }
+}
+
+/// The by-key methods' input: the items' keys, hashed into the pool's
+/// `(hash, index)` pairs and distributed into its `placed` buffer.
+pub(crate) struct Keyed<'a, T, F> {
+    pub(crate) items: &'a [T],
+    pub(crate) key: &'a F,
+}
+
+impl<T, K, F> Input<u64> for Keyed<'_, T, F>
 where
     T: Sync,
     K: Hash,
     F: Fn(&T) -> K + Sync,
-    S: Send,
-    I: Fn(usize) -> S + Sync,
-    R: Fn(&mut S, &mut [(u64, u64)]) + Sync,
 {
-    cancel.check()?;
-    let n = items.len();
-    let held_before = pool.bytes_held();
-    let sched_before = scheduler_baseline(cfg);
-    let mut stats = SemisortStats {
-        n,
-        config: *cfg,
-        ..Default::default()
-    };
-    let ScratchPool {
-        hashed,
-        placed,
-        sample,
-        counting,
-        ..
-    } = pool;
-    hash_keys_into(items, key, hashed);
-    cancel.check()?;
-
-    let parts = if n <= cfg.seq_threshold || has_reserved_key(hashed) {
-        stats.light_records = n;
-        // Indices are unique, so the tuple sort keeps input order per hash.
-        hashed.sort_unstable();
-        let mut part = task(n);
-        region(&mut part, hashed);
-        vec![part]
-    } else {
-        let (plan, starts) =
-            plan_and_distribute(hashed, cfg, sample, counting, placed, &mut stats, cancel)?;
-        cancel.check()?;
-        let span = PhaseSpan::start("local_sort");
-        let parts = walk(placed, starts, plan.num_heavy, &task, &region);
-        stats.t_local_sort = span.finish_into(&mut stats.spans);
-        parts
-    };
-
-    if pool.bytes_held() > held_before {
-        stats.scratch_grows = 1;
-    } else {
-        stats.scratch_reuse_hits = 1;
+    fn stage<'a>(
+        &'a mut self,
+        hashed: &'a mut Vec<(u64, u64)>,
+        placed: &'a mut Vec<(u64, u64)>,
+    ) -> Lent<'a, u64> {
+        hash_keys_into(self.items, self.key, hashed);
+        (hashed, placed)
     }
-    if let Some(before) = &sched_before {
-        stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
-    }
-    Ok((parts, stats))
 }
 
-/// Walk every region of `placed` in parallel tasks of whole regions,
-/// sorting each light region stably by hash before `region` sees it.
+/// Walk the regions of `out` in parallel tasks of whole regions, sorting
+/// each light region with `step.sort` before `step.region` sees it.
 /// `starts[b]..starts[b + 1]` is bucket `b`'s region; buckets below
-/// `num_heavy` are heavy.
-fn walk<S, I, R>(
-    placed: &mut [(u64, u64)],
+/// `num_heavy` are heavy, and are skipped unless `step.heavy`. Returns the
+/// tasks' parts in bucket order.
+pub(crate) fn walk<V, S, I, R>(
+    out: &mut [(u64, V)],
     starts: &[usize],
     num_heavy: usize,
-    task: &I,
-    region: &R,
+    step: &Walk<V, I, R>,
 ) -> Vec<S>
 where
+    V: Send,
     S: Send,
     I: Fn(usize) -> S + Sync,
-    R: Fn(&mut S, &mut [(u64, u64)]) + Sync,
+    R: Fn(&mut S, &mut [(u64, V)]) + Sync,
 {
-    // Close a task once it holds about n / (TASKS_PER_WORKER · workers)
-    // records, so the heavy regions at the front spread over the workers.
+    let first = if step.heavy { 0 } else { num_heavy };
     let num_buckets = starts.len() - 1;
+    let mut rest = &mut out[starts[first]..];
+    // Close a task once it holds about 1 / (TASKS_PER_WORKER · workers) of
+    // the walked records, so the heavy regions at the front (or a few light
+    // regions behind many heavy ones) spread over the workers.
     let workers = rayon::current_num_threads().max(1);
-    let target = placed.len().div_ceil(TASKS_PER_WORKER * workers);
+    let target = rest.len().div_ceil(TASKS_PER_WORKER * workers);
     let mut tasks = Vec::new();
-    let (mut rest, mut first) = (placed, 0);
-    for b in 1..=num_buckets {
-        if b == num_buckets || starts[b] - starts[first] >= target {
-            let (pairs, tail) = rest.split_at_mut(starts[b] - starts[first]);
-            tasks.push((first..b, pairs));
-            (rest, first) = (tail, b);
+    let mut lo = first;
+    for b in first + 1..=num_buckets {
+        if b == num_buckets || starts[b] - starts[lo] >= target {
+            let (records, tail) = rest.split_at_mut(starts[b] - starts[lo]);
+            tasks.push((lo..b, records));
+            (rest, lo) = (tail, b);
         }
     }
     tasks
         .into_par_iter()
-        .map(|(buckets, pairs)| {
+        .map(|(buckets, records)| {
             let base = starts[buckets.start];
-            let mut part = task(pairs.len());
+            let mut part = (step.task)(records.len());
             for b in buckets {
-                let pairs = &mut pairs[starts[b] - base..starts[b + 1] - base];
+                let region = &mut records[starts[b] - base..starts[b + 1] - base];
                 if b >= num_heavy {
-                    pairs.sort_by_key(|p| p.0);
+                    (step.sort)(region);
                 }
-                region(&mut part, pairs);
+                (step.region)(&mut part, region);
             }
             part
         })
@@ -273,7 +240,8 @@ where
 
     /// The item a pair indexes.
     fn item(&self, pair: &(u64, u64)) -> &T {
-        &self.items[pair.1 as usize]
+        let index = pair.1 as usize;
+        &self.items[index]
     }
 
     /// Fold one run of equal hashes, checking each key against the first.
@@ -337,6 +305,55 @@ mod tests {
         let mut out = Vec::new();
         folder.runs(pairs, &mut out);
         out
+    }
+
+    #[test]
+    fn sorted_regions_semisort() {
+        use crate::buckets::build_plan;
+        use crate::config::SemisortConfig;
+        use crate::sample::strided_sample;
+        use crate::verify::{is_permutation_of, is_semisorted_by};
+        use parlay::hash64;
+        use parlay::random::Rng;
+
+        let records: Vec<(u64, u64)> = (0..50_000u64)
+            .map(|i| {
+                let k = if i % 2 == 0 { i % 10 } else { 1_000_000 + i };
+                (hash64(k), i)
+            })
+            .collect();
+        let cfg = SemisortConfig::default();
+        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
+        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
+        sample.sort_unstable();
+        let plan = build_plan(&sample, records.len(), &cfg);
+        assert!(plan.num_heavy > 0);
+        let mut out = Vec::new();
+        let mut scratch = parlay::counting_sort::CountingScratch::default();
+        let starts = plan.distribute_into(&records, &mut out, &mut scratch);
+        let light = records.len() - starts[plan.num_heavy];
+
+        // `sort_pairs`' walk: its tasks cover the light records alone.
+        let light_sort = Walk {
+            heavy: false,
+            sort: |r: &mut [(u64, u64)]| r.sort_unstable_by_key(|p| p.0),
+            task: |records| records,
+            region: |_: &mut usize, _: &mut [(u64, u64)]| {},
+        };
+        let seen: usize = walk(&mut out, starts, plan.num_heavy, &light_sort)
+            .iter()
+            .sum();
+        assert_eq!(seen, light);
+        assert!(is_semisorted_by(&out, |r| r.0));
+        assert!(is_permutation_of(&out, &records));
+
+        // A by-key walk visits every region, and its regions are sorted.
+        let count = |seen: &mut usize, r: &mut [(u64, u64)]| {
+            assert!(r.windows(2).all(|w| w[0].0 <= w[1].0));
+            *seen += r.len();
+        };
+        let seen: Vec<usize> = walk(&mut out, starts, plan.num_heavy, &by_key_walk(|_| 0, count));
+        assert_eq!(seen.iter().sum::<usize>(), records.len());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! collision check, making the result exact rather than
 //! with-high-probability), [`try_group_by`] returning the groups as slices,
 //! and [`try_reduce_by_key`] / [`try_count_by_key`] — the groupBy/shuffle
-//! operations the paper's introduction motivates. All of them run one
-//! by-key core ([`crate::aggregate`]); the two reductions fold straight off
-//! it without materializing the semisorted array.
+//! operations the paper's introduction motivates. All of them run the
+//! engine's one run over hashed keys ([`crate::aggregate`]); the two
+//! reductions fold straight off its regions without materializing the
+//! semisorted array.
 //!
 //! The surface is Result-first: every entry point is a `try_*`
 //! function returning `Result<_, `[`SemisortError`]`>` — which is never
@@ -144,8 +145,7 @@ where
 /// then applies it by cycle rotation (`O(n)` moves, one bit per item of
 /// scratch). On `Err` the items are untouched (the failure happens before
 /// any permutation is applied). Routes through the engine's permutation
-/// path, so the cycle-following scratch is a pooled bitset rather than a
-/// per-call `Vec<bool>`.
+/// path; the cycle-following scratch is a bitset, one bit per item.
 ///
 /// ```
 /// use semisort::{try_semisort_in_place, SemisortConfig};
@@ -174,8 +174,9 @@ pub fn apply_permutation_in_place<T>(items: &mut [T], perm: &[usize]) {
 }
 
 /// [`apply_permutation_in_place`] with a caller-owned visited bitset
-/// (cleared and resized to `⌈n/64⌉` words first), so pooled callers pay
-/// one bit — not one byte — per item and zero allocations at steady state.
+/// (cleared and resized to `⌈n/64⌉` words first), so a caller that keeps
+/// the bitset across calls pays one bit — not one byte — per item and
+/// zero allocations at steady state.
 pub fn apply_permutation_with_scratch<T>(items: &mut [T], perm: &[usize], visited: &mut Vec<u64>) {
     assert_eq!(items.len(), perm.len());
     let n = items.len();
@@ -303,8 +304,8 @@ where
 /// come back in no particular (but deterministic) order. Items are only
 /// read, so `T` need not be `Clone`.
 ///
-/// This folds straight off the by-key core, not a semisort followed by a
-/// scan (see [`Semisorter::reduce_by_key`]).
+/// This folds straight off the engine's bucket regions, not a semisort
+/// followed by a scan (see [`Semisorter::reduce_by_key`]).
 ///
 /// ```
 /// use semisort::{try_reduce_by_key, SemisortConfig};

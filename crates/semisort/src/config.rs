@@ -71,8 +71,9 @@ pub enum ProbeStrategy {
 }
 
 /// Which algorithm sorts each light bucket in Phase 4 of a paper run
-/// ([`PaperConfig::local_sort_algo`]; the engine always uses
-/// `sort_unstable`).
+/// ([`PaperConfig::local_sort_algo`]). The engine picks its sort by
+/// method: `sort_unstable` by key for `sort_pairs`, a stable sort by hash
+/// for the by-key methods, which keep each group in input order.
 ///
 /// The paper "tried several versions including a bucket sort, some
 /// comparison-based hybrid sort algorithms, and the sort in the C++
@@ -94,8 +95,9 @@ pub enum LocalSortAlgo {
 /// the paper's shipped constants for every phase the engine runs (sampling,
 /// heavy/light classification, light buckets); Phase 3 is the exact
 /// distribution, which needs no slack or retry constants, and Phase 4
-/// sorts with `sort_unstable`. The paper's CAS scatter takes its extra
-/// knobs, and the choice of local sort, from [`PaperConfig`].
+/// sorts each light region with the method's sort (see
+/// [`LocalSortAlgo`]). The paper's CAS scatter takes its extra knobs, and
+/// the choice of local sort, from [`PaperConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfig {
     /// Sampling probability is `1/2^sample_shift`; default 4 (p = 1/16).
@@ -131,14 +133,6 @@ pub struct SemisortConfig {
     /// default `Off`, which keeps the hot loops at their pre-telemetry
     /// cost. Retry causes are recorded at every level (cold path).
     pub telemetry: TelemetryLevel,
-    /// Whether the driver snapshots the work-stealing pool's
-    /// [`SchedulerStats`](rayon::trace::SchedulerStats) around the run and
-    /// attaches the delta to
-    /// [`SemisortStats::scheduler`](crate::stats::SemisortStats::scheduler).
-    /// Default true: two counter snapshots per run, far off the hot path.
-    /// Turn off for byte-stable stats JSON across runs, or to skip forcing
-    /// the global registry into existence on otherwise sequential paths.
-    pub capture_scheduler: bool,
 }
 
 impl Default for SemisortConfig {
@@ -153,7 +147,6 @@ impl Default for SemisortConfig {
             max_scratch_bytes: usize::MAX,
             fault: FaultPlan::NONE,
             telemetry: TelemetryLevel::Off,
-            capture_scheduler: true,
         }
     }
 }
@@ -392,8 +385,6 @@ impl SemisortConfigBuilder {
         fault: FaultPlan,
         /// Set the telemetry level.
         telemetry: TelemetryLevel,
-        /// Set whether scheduler stats are snapshot around each run.
-        capture_scheduler: bool,
     }
 
     /// Validate and return the finished configuration.

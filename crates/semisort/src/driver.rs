@@ -1,26 +1,32 @@
-//! The engine's driver (Algorithm 1 end to end, with the exact
-//! distribution as Phase 3), with per-phase timing and cancellation.
+//! The engine's driver: `run`, the one pooled run behind every
+//! [`Semisorter`](crate::engine::Semisorter) method and every engine
+//! one-shot (Algorithm 1 end to end, with the exact distribution as
+//! Phase 3).
 //!
-//! After a shared prefix (validation, sequential cutoff, sentinel screen,
-//! scheduler snapshot) a run samples, plans the buckets, distributes the
-//! records into exact bucket regions of the output with one stable
-//! counting sort, and sorts each light region: once, straight through.
-//! Exact counts cannot overflow, so there is no slot arena, no Las Vegas
-//! retry and no pack. The paper's CAS scatter, which needs all three, runs
-//! only through [`crate::paper`].
+//! A run reads the pool's held bytes, stages its records (the by-key
+//! methods hash their keys into the pool; `sort_pairs` lends the caller's
+//! pairs), screens them (sequential cutoff, reserved key), samples, plans
+//! the buckets, distributes the records into exact bucket regions with one
+//! stable counting sort, and walks the regions in parallel tasks
+//! (`aggregate::walk`): each light region is sorted by the method's sort,
+//! and the method's step sees each region it visits. Then it settles the
+//! pool: one scratch-accounting rule, one retention budget, the scheduler
+//! delta. Exact counts cannot overflow, so there is no slot arena, no Las
+//! Vegas retry and no pack. The paper's CAS scatter, which needs all
+//! three, runs only through [`crate::paper`].
 
 use parlay::counting_sort::CountingScratch;
 use parlay::random::Rng;
 use rayon::prelude::*;
 use rayon::trace::SchedulerStats;
 
+use crate::aggregate::{walk, Walk};
 use crate::buckets::{build_plan, BucketPlan};
 use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
 use crate::error::SemisortError;
 use crate::fault::FaultPlan;
-use crate::local_sort::sort_light_regions;
-use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, ScratchCounters, WorkerCell};
+use crate::obs::{log_event, log_event_kv, PhaseSpan};
 use crate::pool::ScratchPool;
 use crate::sample::strided_sample_by_into;
 use crate::stats::SemisortStats;
@@ -52,10 +58,10 @@ pub fn try_semisort_core<V: Copy + Send + Sync>(
 ///
 /// Inputs at or below `cfg.seq_threshold`, and inputs containing the
 /// reserved key `u64::MAX` (the heavy table's vacancy sentinel,
-/// probability `≈ n/2^64` for hashed keys), take a sort-based fallback
-/// path — still a correct semisort, just without the linear-work
-/// machinery. Key 0, the paper's slot-vacancy sentinel, is an ordinary
-/// key here: the exact distribution has no slots.
+/// probability `≈ n/2^64` for hashed keys), skip the plan and sort all
+/// records as one region — still a correct semisort, just without the
+/// linear-work machinery. Key 0, the paper's slot-vacancy sentinel, is an
+/// ordinary key here: the exact distribution has no slots.
 ///
 /// # Errors
 ///
@@ -73,146 +79,188 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
 /// [`try_semisort_with_stats`] with a caller-supplied [`CancelToken`].
 ///
 /// The token is polled at **phase boundaries** (never inside a phase's hot
-/// loop), so cancellation latency is bounded by the longest single phase.
-/// A run that observes the token returns
-/// [`SemisortError::Cancelled`] / [`SemisortError::DeadlineExceeded`]
-/// with the output empty or untouched: the result is all-or-nothing,
-/// never a partially-written semisort.
-///
-/// The distribution writes straight into the output buffer, so once it
-/// begins the run commits: no further polls happen and cancellation
-/// latency extends to the end of the run.
+/// loop), up to the start of the local sort, so cancellation latency is
+/// bounded by the longest single phase. A run that observes the token
+/// returns [`SemisortError::Cancelled`] /
+/// [`SemisortError::DeadlineExceeded`] and no output: the result is
+/// all-or-nothing, never a partially-written semisort.
 #[must_use = "the Err carries the validation failure or the cancellation"]
 pub fn try_semisort_with_stats_cancellable<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
     cancel: &CancelToken,
 ) -> Result<(Vec<(u64, V)>, SemisortStats), SemisortError> {
-    let mut pool = ScratchPool::new();
-    let mut out = Vec::new();
-    let stats = try_semisort_into_pooled(records, cfg, &mut pool, &mut out, cancel)?;
-    Ok((out, stats))
-}
-
-/// The pooled core every entry point funnels through: semisort `records`
-/// into `out` (cleared first) using — and growing — `pool`'s scratch.
-///
-/// On *every* exit (success or error) the pool's retained bytes are
-/// re-bounded by `cfg.max_scratch_bytes`; on success the stats carry the
-/// pool counters ([`SemisortStats::scratch_reuse_hits`] /
-/// [`SemisortStats::scratch_grows`] / [`SemisortStats::scratch_bytes_held`]).
-pub(crate) fn try_semisort_into_pooled<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-    pool: &mut ScratchPool,
-    out: &mut Vec<(u64, V)>,
-    cancel: &CancelToken,
-) -> Result<SemisortStats, SemisortError> {
     cfg.try_validate()?;
-    let mut counters = ScratchCounters::default();
-    let result = run_pooled(records, cfg, pool, out, &mut counters, cancel);
-    pool.enforce_budget(cfg.max_scratch_bytes);
-    let mut stats = result?;
-    stats.scratch_reuse_hits = counters.reuse_hits;
-    stats.scratch_grows = counters.grows;
-    stats.scratch_bytes_held = pool.bytes_held();
-    if counters.grows > 0 {
-        log_event(
-            "scratch",
-            &[
-                ("grows", counters.grows as u64),
-                ("reuse_hits", counters.reuse_hits as u64),
-                ("bytes_held", stats.scratch_bytes_held as u64),
-            ],
-        );
-    }
-    Ok(stats)
+    sort_pairs(records, cfg, &mut ScratchPool::new(), cancel)
 }
 
-/// One run into `out`, borrowing all scratch from `pool`: the screens,
-/// then sample → plan → distribute ([`plan_and_distribute`]) → sort, once.
-/// Of the fault plan only `panic` applies. Assumes `cfg` is already
-/// validated.
-fn run_pooled<V: Copy + Send + Sync>(
+/// Semisort pre-hashed pairs with [`run`]: the distribution writes a fresh
+/// output, and the walk sorts only the light regions, with
+/// `sort_unstable`, in tasks of about equal record counts. Heavy regions
+/// hold one key each and stay as the distribution wrote them. `cfg` must
+/// already be validated.
+pub(crate) fn sort_pairs<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
     pool: &mut ScratchPool,
-    out: &mut Vec<(u64, V)>,
-    counters: &mut ScratchCounters,
     cancel: &CancelToken,
-) -> Result<SemisortStats, SemisortError> {
-    cancel.check()?;
-    let n = records.len();
+) -> Result<(Vec<(u64, V)>, SemisortStats), SemisortError> {
+    let mut input = Pairs {
+        records,
+        out: Vec::new(),
+    };
+    let light_sort = Walk {
+        heavy: false,
+        sort: |region: &mut [(u64, V)]| region.sort_unstable_by_key(|r| r.0),
+        task: |_| (),
+        region: |_: &mut (), _: &mut [(u64, V)]| {},
+    };
+    let (_, stats) = run(&mut input, cfg, pool, cancel, &light_sort)?;
+    Ok((input.out, stats))
+}
+
+/// A run's records, and the buffer the distribution writes them into.
+pub(crate) type Lent<'a, V> = (&'a [(u64, V)], &'a mut Vec<(u64, V)>);
+
+/// What a run distributes, and where the distribution writes it.
+pub(crate) trait Input<V> {
+    /// Stage the records and lend them with the distribution's output
+    /// buffer. Called once per run, after the pool's held bytes are read,
+    /// so what staging grows in `hashed` or `placed` counts as the run's.
+    fn stage<'a>(
+        &'a mut self,
+        hashed: &'a mut Vec<(u64, u64)>,
+        placed: &'a mut Vec<(u64, u64)>,
+    ) -> Lent<'a, V>;
+}
+
+/// The caller's pairs, distributed into a fresh output.
+struct Pairs<'r, V> {
+    records: &'r [(u64, V)],
+    out: Vec<(u64, V)>,
+}
+
+impl<V> Input<V> for Pairs<'_, V> {
+    fn stage<'a>(
+        &'a mut self,
+        _: &'a mut Vec<(u64, u64)>,
+        _: &'a mut Vec<(u64, u64)>,
+    ) -> Lent<'a, V> {
+        (self.records, &mut self.out)
+    }
+}
+
+/// One engine run, borrowing all scratch from `pool`: stage `input`,
+/// screen it, sample → plan → distribute ([`plan_and_distribute`]), then
+/// walk the regions with `step` ([`walk`]). Returns the walk's parts in
+/// task order and the run's stats. Of the fault plan only `panic` applies.
+/// `cfg` must already be validated.
+///
+/// The token is polled on entry, after staging, after sampling, after
+/// planning and after the distribution; the result is all-or-nothing. On
+/// every exit, success or error, the pool is re-bounded by
+/// `cfg.max_scratch_bytes`. On success the stats carry the pool counters:
+/// [`SemisortStats::scratch_grows`] is 1 when the run raised the pool's
+/// held bytes, else [`SemisortStats::scratch_reuse_hits`] is 1.
+///
+/// Inputs at or below `cfg.seq_threshold`, and inputs holding the reserved
+/// key (see [`has_reserved_key`]), skip the plan: the records are copied
+/// into the output and walked as one light region.
+pub(crate) fn run<V, X, S, I, R>(
+    input: &mut X,
+    cfg: &SemisortConfig,
+    pool: &mut ScratchPool,
+    cancel: &CancelToken,
+    step: &Walk<V, I, R>,
+) -> Result<(Vec<S>, SemisortStats), SemisortError>
+where
+    V: Copy + Send + Sync,
+    X: Input<V>,
+    S: Send,
+    I: Fn(usize) -> S + Sync,
+    R: Fn(&mut S, &mut [(u64, V)]) + Sync,
+{
+    let held = pool.bytes_held();
+    let sched_before = scheduler_baseline();
     let mut stats = SemisortStats {
-        n,
         config: *cfg,
         ..Default::default()
     };
-    if n <= cfg.seq_threshold {
-        stats.light_records = n;
-        fallback_sort_into(records, out);
-        return Ok(stats);
-    }
-    // Baseline scheduler snapshot: the final stats carry the delta across
-    // the whole run (sentinel screen included — its par_iter is part of the
-    // run's scheduler footprint).
-    let sched_before = scheduler_baseline(cfg);
-    if has_reserved_key(records) {
-        stats.light_records = n;
-        fallback_sort_into(records, out);
-        return Ok(stats);
-    }
+    let result = (|| -> Result<Vec<S>, SemisortError> {
+        cancel.check()?;
+        let ScratchPool {
+            hashed,
+            placed,
+            sample,
+            counting,
+        } = &mut *pool;
+        let (records, out) = input.stage(hashed, placed);
+        stats.n = records.len();
+        cancel.check()?;
+        if records.len() <= cfg.seq_threshold || has_reserved_key(records) {
+            stats.light_records = records.len();
+            out.clear();
+            out.extend_from_slice(records);
+            return Ok(walk(out, &[0, records.len()], 0, step));
+        }
+        let (num_heavy, starts) =
+            plan_and_distribute(records, cfg, sample, counting, out, &mut stats, cancel)?;
+        cancel.check()?;
+        // Phase 4: the records already sit in their exact bucket regions;
+        // sorting the light regions is all that remains (heavy regions hold
+        // one key each), and there is no pack.
+        let span = PhaseSpan::start("local_sort");
+        let parts = walk(out, starts, num_heavy, step);
+        stats.t_local_sort = span.finish_into(&mut stats.spans);
+        Ok(parts)
+    })();
 
-    let ScratchPool {
-        sample, counting, ..
-    } = pool;
-    let held = counting.bytes();
-    // From the distribution on, the run has committed to the output
-    // buffer: no cancellation polls past it (see
-    // `try_semisort_with_stats_cancellable`).
-    let (plan, starts) =
-        plan_and_distribute(records, cfg, sample, counting, out, &mut stats, cancel)?;
-
-    // Phase 4: the records already sit in their exact bucket regions;
-    // sorting the light regions is all that remains (heavy regions hold one
-    // key each) and there is no pack.
-    let span = PhaseSpan::start("local_sort");
-    sort_light_regions(out, &plan, starts);
-    stats.t_local_sort = span.finish_into(&mut stats.spans);
-    if counting.bytes() > held {
-        counters.grows += 1;
+    let grew = pool.bytes_held() > held;
+    pool.enforce_budget(cfg.max_scratch_bytes);
+    let parts = result?;
+    stats.scratch_bytes_held = pool.bytes_held();
+    if grew {
+        stats.scratch_grows = 1;
+        log_event(
+            "scratch",
+            &[
+                ("grows", 1),
+                ("reuse_hits", 0),
+                ("bytes_held", stats.scratch_bytes_held as u64),
+            ],
+        );
     } else {
-        counters.reuse_hits += 1;
+        stats.scratch_reuse_hits = 1;
     }
-
-    // The parallel phases have joined, so the pool is quiescent with
-    // respect to this run's jobs: take the closing scheduler snapshot.
+    // The walk has joined, so the pool is quiescent with respect to this
+    // run's jobs: take the closing scheduler snapshot.
     if let Some(before) = &sched_before {
         stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
     }
-    Ok(stats)
+    Ok((parts, stats))
 }
 
 /// Whether `records` hold the engine's one reserved key, `u64::MAX` (the
 /// heavy-key table's vacancy sentinel). A hashed key equal to it is a
-/// ~n/2^64 event; runs handle it by falling back rather than by silently
-/// merging keys.
-pub(crate) fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
+/// ~n/2^64 event; runs handle it by skipping the plan rather than by
+/// silently merging keys.
+fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
     records.par_iter().any(|r| r.0 == parlay::hash_table::EMPTY)
 }
 
-/// Phases 1–3 of an engine run, shared by the driver and the by-key core
-/// ([`crate::aggregate`]): sample, plan the buckets, and distribute
-/// `records` into exact bucket regions of `out` (cleared, then written
-/// once, record by record, by the distribution's parallel replay; see
-/// [`BucketPlan::distribute_into`]). Returns the plan and the region bounds (bucket `b`
-/// holds `out[starts[b]..starts[b + 1]]`, heavy buckets first).
+/// Phases 1–3 of a run: sample, plan the buckets, and distribute `records`
+/// into exact bucket regions of `out` (cleared, then written once, record
+/// by record, by the distribution's parallel replay; see
+/// [`BucketPlan::distribute_into`]). Returns the number of heavy buckets
+/// and the region bounds (bucket `b` holds `out[starts[b]..starts[b + 1]]`,
+/// heavy buckets first).
 ///
 /// Records the three phase spans, the plan's counts, the heavy/light
-/// split and the distribution's telemetry into `stats`. Polls `cancel`
+/// split and the telemetry into `stats`: at `Counters` the records placed,
+/// at `Deep` also one occupancy sample per light region. Polls `cancel`
 /// after sampling and after planning; the fault plan's `panic` fires as
 /// the distribution starts.
-pub(crate) fn plan_and_distribute<'s, V: Copy + Send + Sync>(
+fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     records: &[(u64, V)],
     cfg: &SemisortConfig,
     sample: &mut Vec<u64>,
@@ -220,14 +268,13 @@ pub(crate) fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     out: &mut Vec<(u64, V)>,
     stats: &mut SemisortStats,
     cancel: &CancelToken,
-) -> Result<(BucketPlan, &'s [usize]), SemisortError> {
+) -> Result<(usize, &'s [usize]), SemisortError> {
     let n = records.len();
     let run_cfg = SemisortConfig {
         seed: mix_seed(cfg.seed, 0),
         ..*cfg
     };
     let rng = Rng::new(run_cfg.seed);
-    let sink = ObsSink::new(run_cfg.telemetry);
 
     sample_phase(records, &run_cfg, &rng, false, sample, stats);
     cancel.check()?;
@@ -248,25 +295,25 @@ pub(crate) fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     stats.t_scatter = span.finish_into(&mut stats.spans);
     stats.heavy_records = starts[plan.num_heavy];
     stats.light_records = n - stats.heavy_records;
-    if sink.level().counters() {
-        sink.merge_cell(&WorkerCell {
-            records_placed: n as u64,
-            ..WorkerCell::default()
-        });
+    let telemetry = &mut stats.telemetry;
+    telemetry.level = cfg.telemetry;
+    if cfg.telemetry.counters() {
+        telemetry.records_placed = n as u64;
+    }
+    if cfg.telemetry.deep() {
         for w in starts[plan.num_heavy..].windows(2) {
-            sink.record_occupancy((w[1] - w[0]) as u64);
+            telemetry.light_occupancy_hist.record((w[1] - w[0]) as u64);
         }
     }
-    stats.telemetry = sink.snapshot();
-    Ok((plan, starts))
+    Ok((plan.num_heavy, starts))
 }
 
-/// The scheduler snapshot a run's closing snapshot is diffed against, when
-/// `cfg.capture_scheduler` is on. Skipped when the run executes inline
-/// (effective pool of 1, or Miri): there is no scheduler to observe, and
-/// asking would force the global registry into existence for nothing.
-pub(crate) fn scheduler_baseline(cfg: &SemisortConfig) -> Option<SchedulerStats> {
-    if cfg.capture_scheduler && rayon::current_num_threads() > 1 {
+/// The scheduler snapshot a run's closing snapshot is diffed against.
+/// Skipped when the run executes inline (effective pool of 1, or Miri):
+/// there is no scheduler to observe, and asking would force the global
+/// registry into existence for nothing.
+pub(crate) fn scheduler_baseline() -> Option<SchedulerStats> {
+    if rayon::current_num_threads() > 1 {
         rayon::scheduler_stats()
     } else {
         None
@@ -275,7 +322,7 @@ pub(crate) fn scheduler_baseline(cfg: &SemisortConfig) -> Option<SchedulerStats>
 
 /// Phase 1: draw the strided sample of `records`' keys into `sample`
 /// (decimated when `corrupt` injects that fault) and sort it. Shared by
-/// the driver, the fused by-key aggregation and [`crate::paper`].
+/// [`run`] and [`crate::paper`].
 pub(crate) fn sample_phase<V: Sync>(
     records: &[(u64, V)],
     run_cfg: &SemisortConfig,
@@ -331,19 +378,6 @@ pub(crate) fn mix_seed(seed: u64, attempt: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Sort-based fallback: a full sort by key is trivially a semisort. Writes
-/// into `out` (cleared first) so pooled callers keep its capacity.
-pub(crate) fn fallback_sort_into<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    out: &mut Vec<(u64, V)>,
-) {
-    out.clear();
-    out.extend_from_slice(records);
-    if out.len() > 1 {
-        parlay::radix_sort::radix_sort_by_key(out, 64, |r| r.0);
-    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,15 @@
 //! [`SemisortConfig::max_scratch_bytes`] and can be released eagerly with
 //! [`Semisorter::trim`].
 //!
+//! Every method, and every engine one-shot, is one pooled run (see
+//! [`crate::driver`]): the same screens, sample → plan → distribute, one
+//! parallel walk over the bucket regions, then one scratch-accounting
+//! rule, one retention check and the scheduler delta. The methods differ
+//! only in what the walk does: `sort_pairs` sorts its light regions with
+//! `sort_unstable` into a fresh output; the by-key methods hash their keys
+//! into the pool, sort each light region stably by hash, and gather or
+//! fold every region (see [`crate::aggregate`]).
+//!
 //! Every method returns `Result<_, SemisortError>`. The engine's exact
 //! distribution cannot overflow, so a method fails only when its
 //! [`CancelToken`] trips or on an invalid configuration — and
@@ -38,13 +47,12 @@
 //! ```
 
 use std::hash::Hash;
-use std::mem;
 
-use crate::aggregate::{by_key_pooled, concat, gather, Folder};
-use crate::api::{apply_permutation_with_scratch, Groups};
+use crate::aggregate::{by_key_walk, concat, gather, Folder, Keyed};
+use crate::api::{apply_permutation_in_place, Groups};
 use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
-use crate::driver::try_semisort_into_pooled;
+use crate::driver;
 use crate::error::SemisortError;
 use crate::pool::ScratchPool;
 use crate::stats::SemisortStats;
@@ -116,15 +124,6 @@ impl Semisorter {
         self.last_stats.scratch_bytes_held = self.pool.bytes_held();
     }
 
-    /// Re-apply the retention budget and refresh the held-bytes stat after
-    /// pooled buffers have been put back (methods that temporarily take
-    /// buffers out of the pool restore them *after* the core has enforced
-    /// the budget, so the engine enforces it once more on its own exit).
-    fn finish(&mut self) {
-        self.pool.enforce_budget(self.cfg.max_scratch_bytes);
-        self.last_stats.scratch_bytes_held = self.pool.bytes_held();
-    }
-
     /// Semisort pre-hashed `(key, payload)` records — the pooled
     /// counterpart of [`crate::try_semisort_with_stats`] (whose output and
     /// semantics this matches exactly; stats land in
@@ -134,17 +133,14 @@ impl Semisorter {
         &mut self,
         records: &[(u64, V)],
     ) -> Result<Vec<(u64, V)>, SemisortError> {
-        let mut out = Vec::new();
-        let result =
-            try_semisort_into_pooled(records, &self.cfg, &mut self.pool, &mut out, &self.cancel);
-        self.finish();
-        self.last_stats = result?;
-        self.last_stats.scratch_bytes_held = self.pool.bytes_held();
+        let (out, stats) = driver::sort_pairs(records, &self.cfg, &mut self.pool, &self.cancel)?;
+        self.last_stats = stats;
         Ok(out)
     }
 
-    /// Run the by-key core ([`by_key_pooled`]) with this engine's config,
-    /// pool and token, and keep its stats.
+    /// Run the engine ([`driver::run`]) on `items`' hashed keys with this
+    /// engine's config, pool and token, walking every region with `task`
+    /// and `region` (see [`crate::aggregate`]), and keep its stats.
     fn by_key<T, K, F, S, I, R>(
         &mut self,
         items: &[T],
@@ -160,19 +156,14 @@ impl Semisorter {
         I: Fn(usize) -> S + Sync,
         R: Fn(&mut S, &mut [(u64, u64)]) + Sync,
     {
-        let result = by_key_pooled(
-            items,
-            key,
+        let (parts, stats) = driver::run(
+            &mut Keyed { items, key },
             &self.cfg,
             &mut self.pool,
             &self.cancel,
-            task,
-            region,
-        );
-        self.finish();
-        let (parts, stats) = result?;
+            &by_key_walk(task, region),
+        )?;
         self.last_stats = stats;
-        self.last_stats.scratch_bytes_held = self.pool.bytes_held();
         Ok(parts)
     }
 
@@ -245,7 +236,7 @@ impl Semisorter {
     }
 
     /// Semisort `items` in place without cloning: [`Self::permutation`],
-    /// then cycle rotation with a pooled visited bitset — the pooled
+    /// then cycle rotation ([`apply_permutation_in_place`]) — the pooled
     /// counterpart of [`crate::api::try_semisort_in_place`].
     ///
     /// On `Err` the items are untouched.
@@ -257,10 +248,7 @@ impl Semisorter {
         F: Fn(&T) -> K + Send + Sync,
     {
         let perm = self.permutation(items, key)?;
-        let mut visited = mem::take(&mut self.pool.visited);
-        apply_permutation_with_scratch(items, &perm, &mut visited);
-        self.pool.visited = visited;
-        self.finish();
+        apply_permutation_in_place(items, &perm);
         Ok(())
     }
 
@@ -287,8 +275,8 @@ impl Semisorter {
     /// for the same input, config and seed. Items are only read, never
     /// cloned or moved.
     ///
-    /// This never builds the semisorted array: it runs the by-key core
-    /// every by-key method shares — sample, plan the buckets, distribute
+    /// This never builds the semisorted array: it runs the engine's one
+    /// run (see [`crate::driver`]) — sample, plan the buckets, distribute
     /// `(hash, index)` pairs into exact bucket regions with a stable
     /// counting sort — and folds the regions in parallel (see
     /// [`crate::aggregate`]). Every setting applies as it does to

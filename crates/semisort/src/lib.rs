@@ -54,12 +54,12 @@
 //!
 //! # Failure handling
 //!
-//! The engine's Phase 3 distributes records into exact bucket regions
-//! with one stable counting sort: it cannot overflow and runs once with no
-//! retry ladder, as does the by-key core behind all seven by-key methods
-//! ([`aggregate`]), which shares it. An
-//! engine call fails only on an invalid configuration or a tripped
-//! [`CancelToken`].
+//! Every engine method and engine one-shot runs one pooled run
+//! ([`driver`]): sample, plan, distribute, then a parallel walk over the
+//! bucket regions ([`aggregate`]). Its Phase 3 distributes records into
+//! exact bucket regions with one stable counting sort: it cannot overflow
+//! and runs once with no retry ladder. An engine call fails only on an
+//! invalid configuration or a tripped [`CancelToken`].
 //!
 //! The paper's CAS scatter, kept to reproduce the paper, runs only through
 //! [`paper::try_semisort_with_stats`] with a [`PaperConfig`]. It is Las

@@ -1,7 +1,8 @@
-//! Phase 4: locally sort each light bucket — the exact regions of the
-//! engine's distribution ([`sort_light_regions`]), or the slot ranges of
-//! the paper's CAS scatter ([`local_sort_light_buckets`], with the
-//! paper run's [`LocalSortAlgo`]).
+//! Phase 4 of the paper's run: compact and locally sort each light
+//! bucket's slot range ([`local_sort_light_buckets`], with the paper run's
+//! [`LocalSortAlgo`]). The engine's Phase 4 has no slots to compact: its
+//! region walk (`aggregate::walk`) sorts each exact light region with the
+//! method's sort.
 //!
 //! "After all the records are inserted into the buckets, a pack followed by
 //! a local sort is executed on each bucket. … the local sort in each array
@@ -11,8 +12,7 @@
 //! cache, which is why this phase shows the highest speedups in Tables 2–3.
 //!
 //! Heavy buckets are untouched here: all their records share one key, so
-//! the distribution (or the paper's compaction, Phase 5) alone semisorts
-//! them.
+//! the paper's compaction (Phase 5) alone semisorts them.
 
 use rayon::prelude::*;
 
@@ -65,29 +65,6 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
             records.len()
         })
         .collect()
-}
-
-/// Sort every light-bucket region of `out` by key with `sort_unstable`,
-/// in parallel (heavy regions hold a single key and need no sort).
-/// `starts` are the region bounds from [`BucketPlan::distribute_into`].
-/// This is the engine's Phase 4, which has no slots to compact and no
-/// pack.
-pub fn sort_light_regions<V: Copy + Send + Sync>(
-    out: &mut [(u64, V)],
-    plan: &BucketPlan,
-    starts: &[usize],
-) {
-    debug_assert_eq!(starts.len(), plan.num_buckets() + 1);
-    let mut rest = &mut out[starts[plan.num_heavy]..];
-    let mut regions = Vec::with_capacity(plan.num_light);
-    for w in starts[plan.num_heavy..].windows(2) {
-        let (region, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
-        regions.push(region);
-        rest = tail;
-    }
-    regions
-        .into_par_iter()
-        .for_each(|region| region.sort_unstable_by_key(|r| r.0));
 }
 
 /// Sort a small record run by key with the configured algorithm.
@@ -160,7 +137,7 @@ fn counting_group<V: Copy>(records: &mut [(u64, V)]) {
 mod tests {
     use super::*;
     use crate::buckets::build_plan;
-    use crate::config::{PaperConfig, SemisortConfig};
+    use crate::config::PaperConfig;
     use crate::paper::arena_layout;
     use crate::sample::strided_sample;
     use crate::scatter::{allocate_arena, scatter, ScatterArena};
@@ -193,28 +170,6 @@ mod tests {
         assert!(!out.overflowed);
         let counts = local_sort_light_buckets(&plan, &layout, &arena.slots, algo, &sink);
         (plan, layout, arena, counts)
-    }
-
-    #[test]
-    fn sorted_regions_semisort() {
-        let records: Vec<(u64, u64)> = (0..50_000u64)
-            .map(|i| {
-                let k = if i % 2 == 0 { i % 10 } else { 1_000_000 + i };
-                (hash64(k), i)
-            })
-            .collect();
-        let cfg = SemisortConfig::default();
-        let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
-        sample.sort_unstable();
-        let plan = build_plan(&sample, records.len(), &cfg);
-        assert!(plan.num_heavy > 0);
-        let mut out = records.clone();
-        let mut scratch = parlay::counting_sort::CountingScratch::default();
-        let starts = plan.distribute_into(&records, &mut out, &mut scratch);
-        sort_light_regions(&mut out, &plan, starts);
-        assert!(crate::verify::is_semisorted_by(&out, |r| r.0));
-        assert!(crate::verify::is_permutation_of(&out, &records));
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! - At the end of each chunk — i.e. at the phase's fork-join barrier
 //!   granularity — the cell is merged into the shared [`ObsSink`] with a
 //!   handful of relaxed `fetch_add`s.
-//! - The driver snapshots the sink into [`Telemetry`] (carried by
-//!   [`crate::stats::SemisortStats`]) once the phase joins.
+//! - The paper's run ([`crate::paper`]) snapshots the sink into
+//!   [`Telemetry`] (carried by [`crate::stats::SemisortStats`]) once the
+//!   phase joins. The engine's exact distribution has no per-worker
+//!   placement loop to observe: it fills [`Telemetry`] straight from its
+//!   region bounds.
 //!
 //! Collection is gated by [`TelemetryLevel`]: at `Off` the per-record code
 //! is a single never-taken branch on a bool hoisted out of the loop, at
@@ -48,11 +51,11 @@ use std::time::Duration;
 pub enum TelemetryLevel {
     /// No telemetry: the hot loops keep only the always-on aggregate
     /// counters that existed before this module (phase times, heavy/light
-    /// record counts, block-flush totals). The default.
+    /// record counts). The default.
     #[default]
     Off,
-    /// Scalar counters: CAS attempts/failures and records placed, merged
-    /// per worker chunk.
+    /// Scalar counters: records placed, and the paper run's CAS
+    /// attempts/failures (merged per worker chunk).
     Counters,
     /// Counters plus distributions: the linear-probe-length histogram and
     /// the light-bucket occupancy histogram.
@@ -253,8 +256,8 @@ impl ObsSink {
         }
     }
 
-    /// Snapshot the merged counters (retry causes are appended by the
-    /// driver, which owns the Las Vegas loop).
+    /// Snapshot the merged counters (retry causes are appended by
+    /// [`crate::paper`], which owns the Las Vegas loop).
     pub fn snapshot(&self) -> Telemetry {
         let load = |h: &[AtomicU64; HIST_BUCKETS]| {
             let mut out = Hist::default();
@@ -287,8 +290,8 @@ impl ObsSink {
 /// [`SemisortStats::scratch_reuse_hits`](crate::stats::SemisortStats::scratch_reuse_hits)
 /// / [`SemisortStats::scratch_grows`](crate::stats::SemisortStats::scratch_grows);
 /// a steady-state engine shows `grows == 0` from the second same-size call
-/// on. Under `SEMISORT_LOG` the driver also emits one
-/// `{"event":"scratch",…}` line per run that grew.
+/// on. Under `SEMISORT_LOG` every engine run that grew the pool, whichever
+/// method ran it, also emits one `{"event":"scratch",…}` line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
     /// Runs whose scratch fit entirely in already-pooled capacity.

@@ -24,9 +24,7 @@ use rayon::prelude::*;
 
 use crate::buckets::{build_plan, BucketPlan};
 use crate::config::SemisortConfig;
-use crate::driver::{
-    fallback_sort_into, injected_panic, mix_seed, record_plan, sample_phase, scheduler_baseline,
-};
+use crate::driver::{injected_panic, mix_seed, record_plan, sample_phase, scheduler_baseline};
 use crate::error::SemisortError;
 use crate::estimate::bucket_capacity;
 use crate::local_sort::local_sort_light_buckets;
@@ -87,17 +85,14 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
         paper: Some(*cfg),
         ..Default::default()
     };
-    let mut out = Vec::new();
     if n <= base.seq_threshold {
         stats.light_records = n;
-        fallback_sort_into(records, &mut out);
-        return Ok((out, stats));
+        return Ok((fallback_sort(records), stats));
     }
-    let sched_before = scheduler_baseline(base);
+    let sched_before = scheduler_baseline();
     if has_reserved_key(records) {
         stats.light_records = n;
-        fallback_sort_into(records, &mut out);
-        return Ok((out, stats));
+        return Ok((fallback_sort(records), stats));
     }
 
     let mut attempt = 0u32;
@@ -280,9 +275,7 @@ fn escalate<V: Copy + Send + Sync>(
             stats.degrade_reason = Some(reason);
             stats.heavy_records = 0;
             stats.light_records = records.len();
-            let mut out = Vec::new();
-            fallback_sort_into(records, &mut out);
-            Ok(out)
+            Ok(fallback_sort(records))
         }
         _ => {
             log_event_kv(
@@ -303,6 +296,15 @@ fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
     records
         .par_iter()
         .any(|r| r.0 == EMPTY || r.0 == parlay::hash_table::EMPTY)
+}
+
+/// Sort-based fallback: a full sort by key is trivially a semisort.
+fn fallback_sort<V: Copy + Send + Sync>(records: &[(u64, V)]) -> Vec<(u64, V)> {
+    let mut out = records.to_vec();
+    if out.len() > 1 {
+        parlay::radix_sort::radix_sort_by_key(&mut out, 64, |r| r.0);
+    }
+    out
 }
 
 #[cfg(test)]

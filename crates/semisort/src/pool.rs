@@ -47,10 +47,8 @@ pub struct ScratchPool {
     pub(crate) hashed: Vec<(u64, u64)>,
     /// Engine-level distributed `(hash, index)` pairs.
     pub(crate) placed: Vec<(u64, u64)>,
-    /// Cycle-visited bitmap for the in-place permutation application.
-    pub(crate) visited: Vec<u64>,
     /// Count matrices, stored bucket ids and region bounds of the exact
-    /// distribution (the driver and the by-key aggregation).
+    /// distribution.
     pub(crate) counting: CountingScratch,
 }
 
@@ -66,7 +64,6 @@ impl ScratchPool {
         vec_bytes(&self.sample)
             + vec_bytes(&self.hashed)
             + vec_bytes(&self.placed)
-            + vec_bytes(&self.visited)
             + self.counting.bytes()
     }
 
@@ -76,7 +73,6 @@ impl ScratchPool {
         self.sample = Vec::new();
         self.hashed = Vec::new();
         self.placed = Vec::new();
-        self.visited = Vec::new();
         self.counting = CountingScratch::default();
     }
 
@@ -105,7 +101,7 @@ mod tests {
         let mut pool = ScratchPool::new();
         assert_eq!(pool.bytes_held(), 0);
         pool.sample.resize(1000, 0);
-        pool.visited.resize(100, 0);
+        pool.hashed.resize(100, (0, 0));
         assert!(pool.bytes_held() >= 1100 * 8);
         pool.enforce_budget(usize::MAX);
         assert!(pool.bytes_held() > 0, "unlimited budget keeps memory");

@@ -30,7 +30,6 @@
 //!     "merge_light_buckets": true, "scatter_strategy": "random-cas",
 //!     "seed": 42, "seq_threshold": 8192, "telemetry": "deep",
 //!     "max_scratch_bytes": null, "fault": "none",
-//!     "capture_scheduler": true,
 //!     // paper runs only (`scatter_strategy` "random-cas"):
 //!     "alpha": 1.1, "c": 1.25, "probe_strategy": "linear",
 //!     "local_sort_algo": "std-unstable",
@@ -162,11 +161,13 @@ pub struct SemisortStats {
     /// *was* held; engine calls report what stays warm for the next call.
     pub scratch_bytes_held: usize,
     /// 1 when this call's scratch fit in already-held pool memory (see
-    /// [`ScratchCounters`](crate::obs::ScratchCounters)). Steady-state
-    /// engine reuse shows `scratch_grows == 0` with this nonzero.
+    /// [`ScratchCounters`](crate::obs::ScratchCounters)). On every engine
+    /// call exactly one of this and [`Self::scratch_grows`] is 1; a paper
+    /// run keeps no pool and leaves both 0.
     pub scratch_reuse_hits: u32,
-    /// 1 when this call had to (re)allocate pool memory. First call on an
-    /// engine: ≥ 1; steady state at the high-water mark: 0.
+    /// 1 when this call raised the pool's held bytes (measured before the
+    /// `max_scratch_bytes` budget is applied). First call on an engine: 1;
+    /// steady state at the high-water mark: 0.
     pub scratch_grows: u32,
     /// Whether a paper run degraded to the comparison-sort fallback because
     /// the Las Vegas machinery gave up (retries exhausted, arena budget
@@ -197,8 +198,7 @@ pub struct SemisortStats {
     pub spans: Vec<SpanRecord>,
     /// What the work-stealing pool did during this run: the delta between
     /// scheduler snapshots taken around the run. `None`
-    /// when no real pool ran (single-thread path, Miri, or
-    /// [`SemisortConfig::capture_scheduler`] off).
+    /// when no real pool ran (single-thread path or Miri).
     pub scheduler: Option<SchedulerStats>,
     /// Service-layer counters (`semisortd`): admission/shed/poison/drain
     /// tallies snapshot at report time. `None` (`null` in the JSON) for
@@ -295,10 +295,6 @@ impl SemisortStats {
                 bytes_or_null(cfg.max_scratch_bytes),
             ),
             ("fault".into(), Json::Str(cfg.fault.spec())),
-            (
-                "capture_scheduler".into(),
-                Json::Bool(cfg.capture_scheduler),
-            ),
         ];
         if let Some(p) = &self.paper {
             config.extend([

@@ -155,6 +155,57 @@ fn count_by_key_reuses_scratch() {
     }
 }
 
+/// One accounting rule for all eight methods: on every call exactly one of
+/// `scratch_grows` and `scratch_reuse_hits` is 1, `scratch_grows` is 1
+/// exactly when the pool's held bytes rose, and a second identical call
+/// does not grow — at the sequential fallback's size and above it.
+#[test]
+fn every_method_counts_scratch_by_one_rule() {
+    type Call = fn(&mut Semisorter, &mut [(u64, u64)]);
+    let methods: [(&str, Call); 8] = [
+        ("sort_pairs", |e, r| drop(e.sort_pairs(r).unwrap())),
+        ("sort_by_key", |e, r| {
+            drop(e.sort_by_key(r, |x| x.0).unwrap())
+        }),
+        ("stable_by_key", |e, r| {
+            drop(e.stable_by_key(r, |x| x.0).unwrap())
+        }),
+        ("group_by", |e, r| drop(e.group_by(r, |x| x.0).unwrap())),
+        ("permutation", |e, r| {
+            drop(e.permutation(r, |x| x.0).unwrap())
+        }),
+        ("in_place", |e, r| e.in_place(r, |x| x.0).unwrap()),
+        ("reduce_by_key", |e, r| {
+            drop(e.reduce_by_key(r, |x| x.0, 0, |a, x| a ^ x.1).unwrap())
+        }),
+        ("count_by_key", |e, r| {
+            drop(e.count_by_key(r, |x| x.0).unwrap())
+        }),
+    ];
+    for n in [1_000, 50_000] {
+        let recs = workload(n, 4);
+        for (name, call) in methods {
+            let mut engine = Semisorter::new(SemisortConfig::default()).unwrap();
+            for round in 0..2 {
+                let held = engine.scratch_bytes_held();
+                call(&mut engine, &mut recs.clone());
+                let st = engine.last_stats();
+                let ctx = format!("{name} n={n} call {round}");
+                assert_eq!(st.scratch_grows + st.scratch_reuse_hits, 1, "{ctx}");
+                assert_eq!(
+                    st.scratch_grows == 1,
+                    engine.scratch_bytes_held() > held,
+                    "{ctx}"
+                );
+                assert_eq!(st.scratch_bytes_held, engine.scratch_bytes_held(), "{ctx}");
+                if round == 1 {
+                    assert_eq!(st.scratch_grows, 0, "{ctx}: an identical call grew");
+                }
+            }
+        }
+    }
+}
+
 /// The stats JSON carries the pool counters (schema `semisort-stats-v2`).
 #[test]
 fn scratch_counters_reach_stats_json() {
