@@ -234,7 +234,7 @@ fn main() {
     // single-bucket (all keys equal). The paper's CAS scatter also runs
     // with prefetching disabled, and every run appends a trajectory record
     // so the strategy (± prefetch) ablation lands in `BENCH_semisort.json`.
-    println!("Scatter strategy (random-cas vs counting), t_scatter isolated:");
+    println!("Scatter strategy (random-cas vs counting), scatter span isolated:");
     let scatter_dists = [
         Distribution::Uniform { n: args.n as u64 },
         Distribution::Zipfian { m: 1_000_000 },
@@ -282,7 +282,7 @@ fn main() {
                 dist.label(),
                 name.to_string(),
                 s3(t),
-                format!("{:.3}", stats.t_scatter.as_secs_f64()),
+                format!("{:.3}", stats.span_time("scatter").as_secs_f64()),
                 format!("{:.2}", stats.space_blowup()),
                 stats.scratch_bytes_held.to_string(),
             ]);

@@ -31,8 +31,11 @@ use crate::api::{hash_keys_into, Groups};
 use crate::driver::{Input, Lent};
 
 /// Tasks per worker: enough slack for stealing to even out a plan whose
-/// regions are skewed (all heavy regions come first).
-const TASKS_PER_WORKER: usize = 8;
+/// regions are skewed (all heavy regions come first). The scheduler runs a
+/// parallel loop as at most `4 · workers` blocks (`run_blocks` in
+/// `crates/rayon`), so more tasks than that would only run several to a
+/// block.
+const TASKS_PER_WORKER: usize = 4;
 
 /// What [`walk`] does with the regions of a run.
 pub(crate) struct Walk<V, I, R> {

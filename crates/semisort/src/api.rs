@@ -27,12 +27,13 @@ use crate::config::SemisortConfig;
 use crate::engine::Semisorter;
 use crate::error::SemisortError;
 
-/// Semisort pre-hashed `(key, payload)` pairs — the exact record shape of
-/// the paper's evaluation.
-pub fn try_semisort_pairs(
-    records: &[(u64, u64)],
+/// Semisort pre-hashed `(key, payload)` pairs — the record shape of the
+/// paper's evaluation, with any `Copy` payload. For the per-phase stats
+/// too, call [`crate::driver::try_semisort_with_stats`].
+pub fn try_semisort_pairs<V: Copy + Send + Sync>(
+    records: &[(u64, V)],
     cfg: &SemisortConfig,
-) -> Result<Vec<(u64, u64)>, SemisortError> {
+) -> Result<Vec<(u64, V)>, SemisortError> {
     Semisorter::new(*cfg)?.sort_pairs(records)
 }
 

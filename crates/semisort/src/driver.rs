@@ -26,19 +26,10 @@ use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
 use crate::error::SemisortError;
 use crate::fault::FaultPlan;
-use crate::obs::{log_event, log_event_kv, PhaseSpan};
+use crate::obs::{log_run, PhaseSpan};
 use crate::pool::ScratchPool;
 use crate::sample::strided_sample_by_into;
 use crate::stats::SemisortStats;
-
-/// Semisort pre-hashed records, returning the output alone (see
-/// [`try_semisort_with_stats`]).
-pub fn try_semisort_core<V: Copy + Send + Sync>(
-    records: &[(u64, V)],
-    cfg: &SemisortConfig,
-) -> Result<Vec<(u64, V)>, SemisortError> {
-    try_semisort_with_stats(records, cfg).map(|(out, _)| out)
-}
 
 /// Semisort pre-hashed `(u64, value)` records, returning the output and the
 /// per-phase telemetry of [`SemisortStats`].
@@ -211,7 +202,7 @@ where
         // one key each), and there is no pack.
         let span = PhaseSpan::start("local_sort");
         let parts = walk(out, starts, num_heavy, step);
-        stats.t_local_sort = span.finish_into(&mut stats.spans);
+        span.finish_into(&mut stats.spans);
         Ok(parts)
     })();
 
@@ -221,14 +212,6 @@ where
     stats.scratch_bytes_held = pool.bytes_held();
     if grew {
         stats.scratch_grows = 1;
-        log_event(
-            "scratch",
-            &[
-                ("grows", 1),
-                ("reuse_hits", 0),
-                ("bytes_held", stats.scratch_bytes_held as u64),
-            ],
-        );
     } else {
         stats.scratch_reuse_hits = 1;
     }
@@ -237,6 +220,7 @@ where
     if let Some(before) = &sched_before {
         stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
     }
+    log_run(&stats);
     Ok((parts, stats))
 }
 
@@ -281,7 +265,7 @@ fn plan_and_distribute<'s, V: Copy + Send + Sync>(
 
     let span = PhaseSpan::start("construct_buckets");
     let plan = build_plan(sample, n, &run_cfg);
-    stats.t_construct_buckets = span.finish_into(&mut stats.spans);
+    span.finish_into(&mut stats.spans);
     record_plan(stats, &plan);
     // One slot per record: the regions are exact.
     stats.total_slots = n;
@@ -289,10 +273,10 @@ fn plan_and_distribute<'s, V: Copy + Send + Sync>(
 
     let span = PhaseSpan::start("scatter");
     if cfg.fault.panics(0) {
-        injected_panic(cfg, 0);
+        injected_panic(cfg);
     }
     let starts = plan.distribute_into(records, out, counting);
-    stats.t_scatter = span.finish_into(&mut stats.spans);
+    span.finish_into(&mut stats.spans);
     stats.heavy_records = starts[plan.num_heavy];
     stats.light_records = n - stats.heavy_records;
     let telemetry = &mut stats.telemetry;
@@ -343,20 +327,15 @@ pub(crate) fn sample_phase<V: Sync>(
         FaultPlan::corrupt_sample(sample);
     }
     parlay::radix_sort::radix_sort_u64(sample);
-    stats.t_sample_sort = span.finish_into(&mut stats.spans);
+    span.finish_into(&mut stats.spans);
     stats.sample_size = sample.len();
 }
 
 /// Chaos injection: a real unwind from the middle of the hot phase, for
 /// the service layer's `catch_unwind` containment to absorb. All scratch
 /// is borrowed from the pool, so the unwind cannot leave a buffer
-/// dangling (tests/poison_recovery.rs).
-pub(crate) fn injected_panic(cfg: &SemisortConfig, attempt: u32) -> ! {
-    log_event_kv(
-        "fault",
-        &[("kind", "panic")],
-        &[("attempt", attempt as u64)],
-    );
+/// dangling (tests/poison_recovery.rs). The payload names the fault plan.
+pub(crate) fn injected_panic(cfg: &SemisortConfig) -> ! {
     panic!(
         "semisort: injected panic (fault plan `{}`)",
         cfg.fault.spec()
@@ -383,6 +362,7 @@ pub(crate) fn mix_seed(seed: u64, attempt: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::try_semisort_pairs;
     use crate::config::PaperConfig;
     use crate::verify::{is_permutation_of, is_semisorted_by};
     use parlay::hash64;
@@ -461,7 +441,7 @@ mod tests {
         let recs: Vec<(u64, u64)> = (0..60_000u64).map(|i| (hash64(i % 1000), i)).collect();
         for threads in [1usize, 2, 4] {
             let engine = parlay::with_threads(threads, || {
-                try_semisort_core(&recs, &SemisortConfig::default()).unwrap()
+                try_semisort_pairs(&recs, &SemisortConfig::default()).unwrap()
             });
             let paper = parlay::with_threads(threads, || {
                 crate::paper::try_semisort_with_stats(&recs, &PaperConfig::default())
@@ -481,8 +461,8 @@ mod tests {
         // With one thread there are no CAS races, so seed ⇒ output exactly.
         let cfg = SemisortConfig::default();
         let recs: Vec<(u64, u64)> = (0..60_000u64).map(|i| (hash64(i % 1000), i)).collect();
-        let a = parlay::with_threads(1, || try_semisort_core(&recs, &cfg).unwrap());
-        let b = parlay::with_threads(1, || try_semisort_core(&recs, &cfg).unwrap());
+        let a = parlay::with_threads(1, || try_semisort_pairs(&recs, &cfg).unwrap());
+        let b = parlay::with_threads(1, || try_semisort_pairs(&recs, &cfg).unwrap());
         assert_eq!(a, b, "same seed + one thread must reproduce exactly");
     }
 
@@ -549,7 +529,7 @@ mod tests {
         let recs: Vec<(u64, Payload)> = (0..50_000u32)
             .map(|i| (hash64((i % 321) as u64), Payload { a: i as f32, b: i }))
             .collect();
-        let out = try_semisort_core(&recs, &SemisortConfig::default()).unwrap();
+        let out = try_semisort_pairs(&recs, &SemisortConfig::default()).unwrap();
         assert_eq!(out.len(), recs.len());
         assert!(is_semisorted_by(&out, |r| r.0));
         let mut got: Vec<u32> = out.iter().map(|r| r.1.b).collect();
@@ -575,7 +555,11 @@ mod tests {
             "exact regions: one slot per record"
         );
         assert_eq!(stats.retries, 0, "exact counting cannot overflow");
-        assert_eq!(stats.t_pack, Duration::ZERO, "no pack on the exact path");
+        assert_eq!(
+            stats.span_time("pack"),
+            Duration::ZERO,
+            "no pack on the exact path"
+        );
     }
 
     #[test]

@@ -75,6 +75,14 @@
 //! Error enums ([`SemisortError`]), [`OverflowPolicy`] and
 //! [`TelemetryLevel`] are `#[non_exhaustive]`; downstream matches need a
 //! wildcard arm.
+//!
+//! # Observability
+//!
+//! Every run fills one [`SemisortStats`] record: its phase spans, its
+//! counters and its [`Telemetry`]. The stats-v2 JSON
+//! ([`SemisortStats::to_json`]), the Chrome trace ([`chrome_trace`]) and
+//! the `SEMISORT_LOG` lines ([`obs`]) all render that record; none of them
+//! records anything of its own.
 
 #![warn(missing_docs)]
 // The unsafe-code discipline (DESIGN.md §11): interior unsafe operations
@@ -112,20 +120,20 @@ pub use api::{
     try_count_by_key, try_group_by, try_reduce_by_key, try_semisort_by_key, try_semisort_in_place,
     try_semisort_pairs, try_semisort_permutation, try_semisort_stable_by_key,
 };
-pub use bounded::{semisort_bounded, try_semisort_auto};
+pub use bounded::semisort_bounded;
 pub use cancel::CancelToken;
 pub use config::{
     LocalSortAlgo, OverflowPolicy, PaperConfig, ProbeStrategy, SemisortConfig,
     SemisortConfigBuilder,
 };
-pub use driver::{try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable};
+pub use driver::{try_semisort_with_stats, try_semisort_with_stats_cancellable};
 pub use engine::Semisorter;
 pub use error::{DegradeReason, SemisortError};
 pub use fault::{FaultClass, FaultPlan};
 pub use json::Json;
 pub use obs::{
-    Hist, PhaseSpan, RetryCause, ScratchCounters, ServiceCounters, ServiceSnapshot, SpanRecord,
-    Telemetry, TelemetryLevel,
+    Hist, PhaseSpan, RetryCause, ServiceCounters, ServiceSnapshot, SpanRecord, Telemetry,
+    TelemetryLevel,
 };
 pub use pool::ScratchPool;
 pub use stats::SemisortStats;
@@ -144,12 +152,10 @@ pub mod prelude {
     };
     pub use crate::cancel::CancelToken;
     pub use crate::config::{LocalSortAlgo, SemisortConfig, SemisortConfigBuilder};
-    pub use crate::driver::{
-        try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable,
-    };
+    pub use crate::driver::{try_semisort_with_stats, try_semisort_with_stats_cancellable};
     pub use crate::engine::Semisorter;
     pub use crate::error::{DegradeReason, SemisortError};
-    pub use crate::obs::{ScratchCounters, TelemetryLevel};
+    pub use crate::obs::TelemetryLevel;
     pub use crate::pool::ScratchPool;
     pub use crate::stats::SemisortStats;
 }

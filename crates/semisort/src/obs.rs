@@ -12,21 +12,27 @@
 //!   granularity — the cell is merged into the shared [`ObsSink`] with a
 //!   handful of relaxed `fetch_add`s.
 //! - The paper's run ([`crate::paper`]) snapshots the sink into
-//!   [`Telemetry`] (carried by [`crate::stats::SemisortStats`]) once the
-//!   phase joins. The engine's exact distribution has no per-worker
-//!   placement loop to observe: it fills [`Telemetry`] straight from its
-//!   region bounds.
+//!   [`Telemetry`] (carried by [`SemisortStats`]) once the phase joins.
+//!   The engine's exact distribution has no per-worker placement loop to
+//!   observe: it fills [`Telemetry`] straight from its region bounds.
 //!
 //! Collection is gated by [`TelemetryLevel`]: at `Off` the per-record code
 //! is a single never-taken branch on a bool hoisted out of the loop, at
 //! `Counters` scalar counters are kept, and `Deep` adds the histograms.
 //!
-//! [`PhaseSpan`] replaces hand-rolled `Instant::now()` pairs for phase
-//! timing and, when the `SEMISORT_LOG` environment variable is set to
-//! anything other than `0` or the empty string, emits one structured JSON
-//! line per span to stderr
-//! (`{"event":"span","name":"scatter","t_us":87,"us":1234}`), so a run's
-//! phase trace can be scraped without touching the binary's stdout tables.
+//! [`PhaseSpan`] times one phase and pushes its [`SpanRecord`] onto the
+//! run's [`SemisortStats::spans`], the one record of where a run's time
+//! went: the stats' phase times, the stats-v2 JSON and the Chrome trace
+//! all sum or lay out those spans.
+//!
+//! This module is also the only place that formats a `SEMISORT_LOG` line.
+//! When that environment variable is set to anything other than `0` or
+//! the empty string, each span is printed to stderr as it is pushed
+//! (`{"event":"span","name":"scatter","t_us":87,"us":1234}`), so a run
+//! that panics or hangs still shows the phases it finished. The run's
+//! other events (`scratch`, `fault`, `retry`, `degraded`) are rendered
+//! once, by `log_run`, from the finished stats. [`log_event`] prints the
+//! service layer's own events, which no stats record carries.
 //!
 //! All timestamps — span starts, `SEMISORT_LOG` lines, and the scheduler
 //! events in `rayon::trace` — share **one process-wide monotonic epoch**
@@ -40,6 +46,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
+
+use crate::stats::SemisortStats;
 
 /// How much telemetry the semisort collects. Ordered: each level includes
 /// everything below it.
@@ -284,22 +292,6 @@ impl ObsSink {
     }
 }
 
-/// Per-run counters describing how the [`ScratchPool`](crate::pool::ScratchPool)
-/// behaved: whether the run's scratch was served from pooled capacity or
-/// had to grow. Carried into
-/// [`SemisortStats::scratch_reuse_hits`](crate::stats::SemisortStats::scratch_reuse_hits)
-/// / [`SemisortStats::scratch_grows`](crate::stats::SemisortStats::scratch_grows);
-/// a steady-state engine shows `grows == 0` from the second same-size call
-/// on. Under `SEMISORT_LOG` every engine run that grew the pool, whichever
-/// method ran it, also emits one `{"event":"scratch",…}` line.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScratchCounters {
-    /// Runs whose scratch fit entirely in already-pooled capacity.
-    pub reuse_hits: u32,
-    /// Runs that had to (re)allocate pooled memory.
-    pub grows: u32,
-}
-
 /// Shared counters for the service layer (`semisortd`): one instance per
 /// server, incremented from shard workers and the admission path, snapshot
 /// into the stats JSON's `service` section. All increments are `Relaxed` —
@@ -362,9 +354,8 @@ impl ServiceCounters {
 }
 
 /// A point-in-time copy of [`ServiceCounters`], carried on
-/// [`SemisortStats`](crate::stats::SemisortStats) as the `service` section
-/// of the stats JSON (absent/`null` for library runs that never went
-/// through a server).
+/// [`SemisortStats`] as the `service` section of the stats JSON
+/// (absent/`null` for library runs that never went through a server).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Requests admitted past admission control.
@@ -515,7 +506,7 @@ pub fn epoch_micros() -> u64 {
     rayon::trace::epoch_micros()
 }
 
-/// Whether `SEMISORT_LOG` asks for structured span lines on stderr.
+/// Whether `SEMISORT_LOG` asks for structured event lines on stderr.
 pub fn log_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| match std::env::var("SEMISORT_LOG") {
@@ -524,26 +515,25 @@ pub fn log_enabled() -> bool {
     })
 }
 
-/// Emit one structured event line to stderr (only when [`log_enabled`]).
-/// `fields` are appended as JSON number members.
-pub fn log_event(event: &str, fields: &[(&str, u64)]) {
-    log_event_kv(event, &[], fields);
+/// Emit one structured event line to stderr, stamped now (only when
+/// [`log_enabled`]): `{"event":…,<strs>,"t_us":…,<nums>}`, e.g.
+/// `{"event":"shed","reason":"queue-full","t_us":5120,"n":50000,"seq":7}`.
+/// String values must not need JSON escaping (they are the library's own
+/// enum and fault-plan spellings).
+pub fn log_event(event: &str, strs: &[(&str, &str)], nums: &[(&str, u64)]) {
+    if log_enabled() {
+        emit(event, strs, epoch_micros(), nums);
+    }
 }
 
-/// Like [`log_event`] but with string members too (e.g.
-/// `{"event":"degraded","reason":"retries-exhausted","attempts":4}`).
-/// String values must not need JSON escaping (they are the library's own
-/// enum spellings).
-pub fn log_event_kv(event: &str, strs: &[(&str, &str)], nums: &[(&str, u64)]) {
-    if !log_enabled() {
-        return;
-    }
-    // Every line carries its epoch offset so events and spans from one run
-    // (or several) order into a single timeline.
-    let mut line = format!("{{\"event\":\"{event}\",\"t_us\":{}", epoch_micros());
+/// Format and print one line. Every line carries an epoch offset, so
+/// events and spans from one run (or several) order into one timeline.
+fn emit(event: &str, strs: &[(&str, &str)], t_us: u64, nums: &[(&str, u64)]) {
+    let mut line = format!("{{\"event\":\"{event}\"");
     for (k, v) in strs {
         line.push_str(&format!(",\"{k}\":\"{v}\""));
     }
+    line.push_str(&format!(",\"t_us\":{t_us}"));
     for (k, v) in nums {
         line.push_str(&format!(",\"{k}\":{v}"));
     }
@@ -551,9 +541,60 @@ pub fn log_event_kv(event: &str, strs: &[(&str, &str)], nums: &[(&str, u64)]) {
     eprintln!("{line}");
 }
 
+/// Render a finished run's events from its stats (only when
+/// [`log_enabled`]), stamped as the run returns: a `scratch` line when the
+/// run grew its pool, a `fault` line when its fault plan armed any fault,
+/// one `retry` line per Las Vegas retry cause, and a `degraded` line when
+/// a paper run fell back to the comparison sort.
+pub(crate) fn log_run(stats: &SemisortStats) {
+    if !log_enabled() {
+        return;
+    }
+    if stats.scratch_grows > 0 {
+        log_event(
+            "scratch",
+            &[],
+            &[
+                ("grows", stats.scratch_grows.into()),
+                ("reuse_hits", stats.scratch_reuse_hits.into()),
+                ("bytes_held", stats.scratch_bytes_held as u64),
+            ],
+        );
+    }
+    if stats.faults_injected > 0 {
+        log_event(
+            "fault",
+            &[("plan", &stats.config.fault.spec())],
+            &[("injected", stats.faults_injected.into())],
+        );
+    }
+    for r in &stats.telemetry.retry_causes {
+        log_event(
+            "retry",
+            &[],
+            &[
+                ("attempt", r.attempt.into()),
+                ("bucket", r.bucket.into()),
+                ("allocated", r.allocated as u64),
+                ("observed", r.observed as u64),
+            ],
+        );
+    }
+    if let (Some(reason), Some(paper)) = (stats.degrade_reason, &stats.paper) {
+        log_event(
+            "degraded",
+            &[
+                ("policy", paper.overflow_policy.as_str()),
+                ("reason", reason.as_str()),
+            ],
+            &[("n", stats.n as u64)],
+        );
+    }
+}
+
 /// One finished phase span: name plus epoch-relative endpoints, as carried
-/// in [`SemisortStats::spans`](crate::stats::SemisortStats::spans) and laid
-/// out on the Chrome-trace timeline by [`crate::trace`].
+/// in [`SemisortStats::spans`] and laid out on the Chrome-trace timeline by
+/// [`crate::trace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Phase name (`"sample_sort"`, `"scatter"`, …).
@@ -574,11 +615,11 @@ impl SpanRecord {
     }
 }
 
-/// Scoped phase timer: replaces hand-rolled `Instant::now()` pairs in the
-/// driver. [`PhaseSpan::finish`] returns the elapsed time and, under
-/// `SEMISORT_LOG`, emits a `{"event":"span","name":…,"t_us":…,"us":…}`
-/// line. All spans time against the shared epoch ([`epoch_micros`]), so
-/// their endpoints compose into one timeline.
+/// Scoped phase timer against the shared epoch ([`epoch_micros`]), so the
+/// endpoints of all spans compose into one timeline.
+/// [`PhaseSpan::finish_into`] pushes the finished [`SpanRecord`] and,
+/// under `SEMISORT_LOG`, prints it as a
+/// `{"event":"span","name":…,"t_us":…,"us":…}` line.
 #[must_use = "a span that is never finished times nothing"]
 pub struct PhaseSpan {
     name: &'static str,
@@ -594,37 +635,24 @@ impl PhaseSpan {
         }
     }
 
-    /// Stop timing; returns the elapsed duration.
-    pub fn finish(self) -> Duration {
-        self.finish_record().duration()
-    }
-
-    /// Stop timing; returns the elapsed duration after appending the full
-    /// [`SpanRecord`] to `out` (the driver collects these into
+    /// Stop timing and append the [`SpanRecord`] to `out` (a run's
     /// `SemisortStats::spans`).
-    pub fn finish_into(self, out: &mut Vec<SpanRecord>) -> Duration {
-        let rec = self.finish_record();
-        out.push(rec);
-        rec.duration()
-    }
-
-    fn finish_record(self) -> SpanRecord {
-        let end_us = epoch_micros().max(self.start_us);
+    pub fn finish_into(self, out: &mut Vec<SpanRecord>) {
         let rec = SpanRecord {
             name: self.name,
             start_us: self.start_us,
-            end_us,
+            end_us: epoch_micros().max(self.start_us),
             worker: rayon::current_worker_index(),
         };
+        out.push(rec);
         if log_enabled() {
-            eprintln!(
-                "{{\"event\":\"span\",\"name\":\"{}\",\"t_us\":{},\"us\":{}}}",
-                rec.name,
+            emit(
+                "span",
+                &[("name", rec.name)],
                 rec.start_us,
-                end_us - rec.start_us
+                &[("us", rec.end_us - rec.start_us)],
             );
         }
-        rec
     }
 }
 
@@ -718,9 +746,11 @@ mod tests {
 
     #[test]
     fn phase_span_measures_time() {
+        let mut spans = Vec::new();
         let span = PhaseSpan::start("test");
         std::thread::sleep(Duration::from_millis(2));
-        assert!(span.finish() >= Duration::from_millis(2));
+        span.finish_into(&mut spans);
+        assert!(spans[0].duration() >= Duration::from_millis(2));
     }
 
     #[test]
@@ -731,16 +761,15 @@ mod tests {
         let mut spans = Vec::new();
         let a = PhaseSpan::start("a");
         std::thread::sleep(Duration::from_millis(1));
-        let da = a.finish_into(&mut spans);
+        a.finish_into(&mut spans);
         let b = PhaseSpan::start("b");
-        let db = b.finish_into(&mut spans);
+        b.finish_into(&mut spans);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "a");
         assert_eq!(spans[1].name, "b");
         assert!(spans[0].start_us <= spans[0].end_us);
         assert!(spans[0].end_us <= spans[1].start_us, "spans share an epoch");
-        assert_eq!(spans[0].duration(), da);
-        assert_eq!(spans[1].duration(), db);
+        assert!(spans[0].duration() >= Duration::from_millis(1));
         // Not running on a pool worker here.
         assert_eq!(spans[0].worker, None);
     }

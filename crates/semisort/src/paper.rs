@@ -28,7 +28,7 @@ use crate::driver::{injected_panic, mix_seed, record_plan, sample_phase, schedul
 use crate::error::SemisortError;
 use crate::estimate::bucket_capacity;
 use crate::local_sort::local_sort_light_buckets;
-use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, RetryCause};
+use crate::obs::{log_run, ObsSink, PhaseSpan, RetryCause, Telemetry};
 use crate::pack_phase::pack_output;
 use crate::scatter::{arena_bytes, scatter, try_allocate_arena, ArenaLayout, EMPTY};
 use crate::stats::SemisortStats;
@@ -77,35 +77,47 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
     cfg: &PaperConfig,
 ) -> Result<(Vec<(u64, V)>, SemisortStats), SemisortError> {
     cfg.try_validate()?;
-    let base = &cfg.base;
-    let n = records.len();
     let mut stats = SemisortStats {
-        n,
-        config: *base,
+        n: records.len(),
+        config: cfg.base,
         paper: Some(*cfg),
         ..Default::default()
     };
+    let out = attempts(records, cfg, &mut stats);
+    log_run(&stats);
+    Ok((out?, stats))
+}
+
+/// The body of [`try_semisort_with_stats`]: the sort fallbacks, then the
+/// Las Vegas attempts, recording into `stats`.
+fn attempts<V: Copy + Send + Sync>(
+    records: &[(u64, V)],
+    cfg: &PaperConfig,
+    stats: &mut SemisortStats,
+) -> Result<Vec<(u64, V)>, SemisortError> {
+    let base = &cfg.base;
+    let n = records.len();
     if n <= base.seq_threshold {
         stats.light_records = n;
-        return Ok((fallback_sort(records), stats));
+        return Ok(fallback_sort(records));
     }
     let sched_before = scheduler_baseline();
     if has_reserved_key(records) {
         stats.light_records = n;
-        return Ok((fallback_sort(records), stats));
+        return Ok(fallback_sort(records));
     }
 
     let mut attempt = 0u32;
-    let mut retry_causes: Vec<RetryCause> = Vec::new();
-    let mut faults_injected = 0u32;
     let mut sample = Vec::new();
-    // Fold the attempt's telemetry and the run-level failure bookkeeping
-    // into the stats, then the scheduler delta: the run's parallel phases
-    // have joined, so the pool is quiescent with respect to its jobs.
-    let finish = |stats: &mut SemisortStats, sink: &ObsSink, causes, faults| {
-        stats.telemetry = sink.snapshot();
-        stats.telemetry.retry_causes = causes;
-        stats.faults_injected = faults;
+    // Fold the attempt's telemetry into the stats (keeping the retry
+    // causes of every attempt), then the scheduler delta: the run's
+    // parallel phases have joined, so the pool is quiescent with respect
+    // to its jobs.
+    let finish = |stats: &mut SemisortStats, sink: &ObsSink| {
+        stats.telemetry = Telemetry {
+            retry_causes: std::mem::take(&mut stats.telemetry.retry_causes),
+            ..sink.snapshot()
+        };
         if let Some(before) = &sched_before {
             stats.scheduler = rayon::scheduler_stats().map(|after| after.delta(before));
         }
@@ -133,16 +145,8 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
         let forced_overflow = base.fault.forced_overflow(attempt);
         let fail_alloc = base.fault.alloc_fails(attempt);
         let corrupt_sample = base.fault.sample_corrupted(attempt);
-        for (armed, kind) in [
-            (forced_overflow.is_some(), "force-overflow"),
-            (fail_alloc, "fail-alloc"),
-            (corrupt_sample, "corrupt-sample"),
-        ] {
-            if armed {
-                faults_injected += 1;
-                log_event_kv("fault", &[("kind", kind)], &[("attempt", attempt as u64)]);
-            }
-        }
+        stats.faults_injected +=
+            forced_overflow.is_some() as u32 + fail_alloc as u32 + corrupt_sample as u32;
 
         sample_phase(
             records,
@@ -150,7 +154,7 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
             &rng,
             corrupt_sample,
             &mut sample,
-            &mut stats,
+            stats,
         );
 
         // Phase 2: classification, then the arena's layout and allocation.
@@ -171,22 +175,21 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
             try_allocate_arena::<V>(&layout, fail_alloc)
                 .map_err(|bytes| SemisortError::ArenaAllocFailed { bytes, attempt })
         };
+        span.finish_into(&mut stats.spans);
         let arena = match arena {
             Ok(arena) => arena,
             Err(err) => {
-                finish(&mut stats, &sink, retry_causes, faults_injected);
-                let out = escalate(err, records, cfg.overflow_policy, &mut stats)?;
-                return Ok((out, stats));
+                finish(stats, &sink);
+                return escalate(err, records, cfg.overflow_policy, stats);
             }
         };
-        stats.t_construct_buckets = span.finish_into(&mut stats.spans);
-        record_plan(&mut stats, &plan);
+        record_plan(stats, &plan);
         stats.total_slots = layout.total_slots;
 
         // Phase 3: the CAS scatter into the arena.
         let span = PhaseSpan::start("scatter");
         if base.fault.panics(attempt) {
-            injected_panic(base, attempt);
+            injected_panic(base);
         }
         let o = scatter(
             records,
@@ -199,29 +202,20 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
             &sink,
             forced_overflow,
         );
-        stats.t_scatter = span.finish_into(&mut stats.spans);
+        span.finish_into(&mut stats.spans);
         if o.overflowed {
             attempt += 1;
             stats.retries = attempt;
             // Record *why* at every telemetry level (cold path: a run that
             // retried is exactly the run worth diagnosing).
             if let Some((bucket, allocated, observed)) = o.overflow {
-                retry_causes.push(RetryCause {
+                stats.telemetry.retry_causes.push(RetryCause {
                     attempt,
                     bucket,
                     heavy: (bucket as usize) < plan.num_heavy,
                     allocated,
                     observed,
                 });
-                log_event(
-                    "retry",
-                    &[
-                        ("attempt", attempt as u64),
-                        ("bucket", bucket as u64),
-                        ("allocated", allocated as u64),
-                        ("observed", observed as u64),
-                    ],
-                );
             }
             if attempt > cfg.max_retries {
                 let err = SemisortError::RetriesExhausted {
@@ -229,9 +223,8 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
                     alpha: run_cfg.alpha,
                     n,
                 };
-                finish(&mut stats, &sink, retry_causes, faults_injected);
-                let out = escalate(err, records, cfg.overflow_policy, &mut stats)?;
-                return Ok((out, stats));
+                finish(stats, &sink);
+                return escalate(err, records, cfg.overflow_policy, stats);
             }
             continue;
         }
@@ -242,16 +235,16 @@ pub fn try_semisort_with_stats<V: Copy + Send + Sync>(
         let span = PhaseSpan::start("local_sort");
         let light_counts =
             local_sort_light_buckets(&plan, &layout, &arena.slots, cfg.local_sort_algo, &sink);
-        stats.t_local_sort = span.finish_into(&mut stats.spans);
+        span.finish_into(&mut stats.spans);
 
         // Phase 5: pack.
         let span = PhaseSpan::start("pack");
         let out = pack_output(&plan, &layout, &arena.slots, &light_counts);
-        stats.t_pack = span.finish_into(&mut stats.spans);
+        span.finish_into(&mut stats.spans);
         debug_assert_eq!(out.len(), n, "pack must emit every record");
 
-        finish(&mut stats, &sink, retry_causes, faults_injected);
-        return Ok((out, stats));
+        finish(stats, &sink);
+        return Ok(out);
     }
 }
 
@@ -263,28 +256,15 @@ fn escalate<V: Copy + Send + Sync>(
     policy: OverflowPolicy,
     stats: &mut SemisortStats,
 ) -> Result<Vec<(u64, V)>, SemisortError> {
-    let n = records.len() as u64;
     match (policy, err.degrade_reason()) {
         (OverflowPolicy::Fallback, Some(reason)) => {
-            log_event_kv(
-                "degraded",
-                &[("policy", policy.as_str()), ("reason", reason.as_str())],
-                &[("n", n)],
-            );
             stats.degraded = true;
             stats.degrade_reason = Some(reason);
             stats.heavy_records = 0;
             stats.light_records = records.len();
             Ok(fallback_sort(records))
         }
-        _ => {
-            log_event_kv(
-                "error",
-                &[("policy", policy.as_str()), ("kind", err.kind())],
-                &[("n", n)],
-            );
-            Err(err)
-        }
+        _ => Err(err),
     }
 }
 

@@ -2,11 +2,14 @@
 //!
 //! The paper's Tables 2–3 and Figure 3 break the running time into five
 //! phases: "sample and sort", "construct buckets", "scatter", "local sort"
-//! and "pack". [`SemisortStats`] carries exactly that breakdown, plus the
+//! and "pack". [`SemisortStats`] is the one record of a run: its phase
+//! spans ([`SpanRecord`]s, whose per-name sums are that breakdown), the
 //! structural counters (sample size, heavy keys, slot usage, retries) that
-//! the consistency experiments in §5.2 report on, plus the merged
+//! the consistency experiments in §5.2 report on, and the merged
 //! [`Telemetry`] of the run (CAS attempts, probe-length histogram, retry
-//! causes — see [`crate::obs`]).
+//! causes — see [`crate::obs`]). The `SEMISORT_LOG` lines
+//! ([`crate::obs`]), the JSON below and the Chrome trace
+//! ([`crate::trace`]) all render this record.
 //!
 //! # JSON schema (`semisort-stats-v2`)
 //!
@@ -119,16 +122,6 @@ use crate::obs::{ServiceSnapshot, SpanRecord, Telemetry};
 pub struct SemisortStats {
     /// Input size n.
     pub n: usize,
-    /// Phase 1: sampling and sorting the sample.
-    pub t_sample_sort: Duration,
-    /// Phase 2: heavy/light classification and bucket allocation.
-    pub t_construct_buckets: Duration,
-    /// Phase 3: the exact distribution, or a paper run's CAS scatter.
-    pub t_scatter: Duration,
-    /// Phase 4: local sort of light buckets.
-    pub t_local_sort: Duration,
-    /// Phase 5: packing into the output (paper runs only).
-    pub t_pack: Duration,
     /// Size of the sample |S|.
     pub sample_size: usize,
     /// Number of heavy keys (buckets).
@@ -160,10 +153,10 @@ pub struct SemisortStats {
     /// One-shot entry points drop the pool on return, so this reports what
     /// *was* held; engine calls report what stays warm for the next call.
     pub scratch_bytes_held: usize,
-    /// 1 when this call's scratch fit in already-held pool memory (see
-    /// [`ScratchCounters`](crate::obs::ScratchCounters)). On every engine
-    /// call exactly one of this and [`Self::scratch_grows`] is 1; a paper
-    /// run keeps no pool and leaves both 0.
+    /// 1 when this call's scratch fit in already-held pool memory, so the
+    /// pool's held bytes did not rise. On every engine call exactly one of
+    /// this and [`Self::scratch_grows`] is 1; a paper run keeps no pool and
+    /// leaves both 0.
     pub scratch_reuse_hits: u32,
     /// 1 when this call raised the pool's held bytes (measured before the
     /// `max_scratch_bytes` budget is applied). First call on an engine: 1;
@@ -193,8 +186,9 @@ pub struct SemisortStats {
     pub telemetry: Telemetry,
     /// Finished phase spans with epoch-relative endpoints, in completion
     /// order across all attempts (a Las Vegas retry appends a second
-    /// `sample_sort`…`scatter` group). Same data as the `t_*` durations,
-    /// plus *when* — what the Chrome-trace exporter lays on the timeline.
+    /// `sample_sort`…`scatter` group). The run's only timing record:
+    /// [`Self::phases`] sums them by name, and the Chrome-trace exporter
+    /// lays them on the timeline.
     pub spans: Vec<SpanRecord>,
     /// What the work-stealing pool did during this run: the delta between
     /// scheduler snapshots taken around the run. `None`
@@ -206,14 +200,20 @@ pub struct SemisortStats {
     pub service: Option<ServiceSnapshot>,
 }
 
+/// The five phases in table order: paper-table label and span name. The
+/// stats JSON names each phase's time `<span name>_s`.
+const PHASES: [(&str, &str); 5] = [
+    ("sample and sort", "sample_sort"),
+    ("construct buckets", "construct_buckets"),
+    ("scatter", "scatter"),
+    ("local sort", "local_sort"),
+    ("pack", "pack"),
+];
+
 impl SemisortStats {
     /// Total wall time across the five phases.
     pub fn total(&self) -> Duration {
-        self.t_sample_sort
-            + self.t_construct_buckets
-            + self.t_scatter
-            + self.t_local_sort
-            + self.t_pack
+        self.phases().iter().map(|p| p.1).sum()
     }
 
     /// Percentage of input records routed to heavy buckets — the
@@ -247,15 +247,20 @@ impl SemisortStats {
         }
     }
 
-    /// The five phase durations with their paper-table labels, in table order.
+    /// The five phase durations with their paper-table labels, in table
+    /// order. Each is the sum of the run's spans of that phase, so a paper
+    /// run that retried also counts the time of its failed attempts.
     pub fn phases(&self) -> [(&'static str, Duration); 5] {
-        [
-            ("sample and sort", self.t_sample_sort),
-            ("construct buckets", self.t_construct_buckets),
-            ("scatter", self.t_scatter),
-            ("local sort", self.t_local_sort),
-            ("pack", self.t_pack),
-        ]
+        PHASES.map(|(label, span)| (label, self.span_time(span)))
+    }
+
+    /// Summed duration of the spans named `name`.
+    pub fn span_time(&self, name: &str) -> Duration {
+        self.spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(SpanRecord::duration)
+            .sum()
     }
 
     /// Serialize this run as a [`Json`] object following the
@@ -328,23 +333,15 @@ impl SemisortStats {
             ]);
         }
         let config = Json::Obj(config);
-        let phases = Json::Obj(vec![
-            (
-                "sample_sort_s".into(),
-                Json::Num(self.t_sample_sort.as_secs_f64()),
-            ),
-            (
-                "construct_buckets_s".into(),
-                Json::Num(self.t_construct_buckets.as_secs_f64()),
-            ),
-            ("scatter_s".into(), Json::Num(self.t_scatter.as_secs_f64())),
-            (
-                "local_sort_s".into(),
-                Json::Num(self.t_local_sort.as_secs_f64()),
-            ),
-            ("pack_s".into(), Json::Num(self.t_pack.as_secs_f64())),
-            ("total_s".into(), Json::Num(self.total().as_secs_f64())),
-        ]);
+        let mut phases: Vec<(String, Json)> = PHASES
+            .iter()
+            .map(|&(_, span)| {
+                let secs = self.span_time(span).as_secs_f64();
+                (format!("{span}_s"), Json::Num(secs))
+            })
+            .collect();
+        phases.push(("total_s".into(), Json::Num(self.total().as_secs_f64())));
+        let phases = Json::Obj(phases);
         let counters = Json::Obj(vec![
             ("sample_size".into(), Json::num(self.sample_size as u64)),
             ("heavy_keys".into(), Json::num(self.heavy_keys as u64)),
@@ -525,17 +522,34 @@ fn scheduler_json(s: &SchedulerStats) -> Json {
 mod tests {
     use super::*;
 
+    fn span(name: &'static str, start_us: u64, end_us: u64) -> SpanRecord {
+        SpanRecord {
+            name,
+            start_us,
+            end_us,
+            worker: None,
+        }
+    }
+
     #[test]
     fn total_sums_phases() {
         let s = SemisortStats {
-            t_sample_sort: Duration::from_millis(1),
-            t_construct_buckets: Duration::from_millis(2),
-            t_scatter: Duration::from_millis(3),
-            t_local_sort: Duration::from_millis(4),
-            t_pack: Duration::from_millis(5),
+            spans: vec![
+                span("sample_sort", 0, 1000),
+                span("construct_buckets", 1000, 3000),
+                span("scatter", 3000, 6000),
+                span("sample_sort", 6000, 7000),
+                span("scatter", 7000, 10_000),
+                span("local_sort", 10_000, 14_000),
+                span("pack", 14_000, 19_000),
+            ],
             ..Default::default()
         };
-        assert_eq!(s.total(), Duration::from_millis(15));
+        let phases = s.phases();
+        assert_eq!(phases[0].1, Duration::from_millis(2), "both attempts");
+        assert_eq!(phases[2].1, Duration::from_millis(6), "both attempts");
+        assert_eq!(s.span_time("scatter"), Duration::from_millis(6));
+        assert_eq!(s.total(), Duration::from_millis(19));
     }
 
     #[test]
@@ -560,7 +574,7 @@ mod tests {
     fn to_json_has_all_schema_sections() {
         let s = SemisortStats {
             n: 10,
-            t_scatter: Duration::from_millis(3),
+            spans: vec![span("scatter", 100, 3100)],
             heavy_records: 4,
             light_records: 6,
             ..Default::default()
@@ -723,10 +737,8 @@ mod tests {
         let s = SemisortStats {
             n: 10,
             spans: vec![SpanRecord {
-                name: "scatter",
-                start_us: 100,
-                end_us: 350,
                 worker: Some(1),
+                ..span("scatter", 100, 350)
             }],
             scheduler: Some(SchedulerStats {
                 num_threads: 2,

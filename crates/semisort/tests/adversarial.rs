@@ -3,10 +3,10 @@
 //! structural assumption (via retries or fallbacks, never wrong output).
 
 use semisort::verify::{is_permutation_of, is_semisorted_by};
-use semisort::{paper, try_semisort_core, try_semisort_with_stats, PaperConfig, SemisortConfig};
+use semisort::{paper, try_semisort_pairs, try_semisort_with_stats, PaperConfig, SemisortConfig};
 
 fn check(records: &[(u64, u64)], cfg: &SemisortConfig) {
-    let out = try_semisort_core(records, cfg).unwrap();
+    let out = try_semisort_pairs(records, cfg).unwrap();
     assert!(is_semisorted_by(&out, |r| r.0), "not semisorted");
     assert!(is_permutation_of(&out, records), "not a permutation");
 }
@@ -226,7 +226,7 @@ fn payload_values_are_never_corrupted() {
             (k, k.wrapping_mul(3).wrapping_add(1))
         })
         .collect();
-    let out = try_semisort_core(&recs, &cfg()).unwrap();
+    let out = try_semisort_pairs(&recs, &cfg()).unwrap();
     assert!(out
         .iter()
         .all(|&(k, v)| v == k.wrapping_mul(3).wrapping_add(1)));

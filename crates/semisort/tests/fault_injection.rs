@@ -129,6 +129,9 @@ fn alloc_failure_degrades_to_fallback() {
     assert!(stats.degraded);
     assert_eq!(stats.degrade_reason, Some(DegradeReason::AllocFailed));
     assert_eq!(stats.light_records, recs.len());
+    // The failed attempt's phases stay in the run record.
+    let names: Vec<&str> = stats.spans.iter().map(|s| s.name).collect();
+    assert_eq!(names, ["sample_sort", "construct_buckets"]);
 }
 
 // ──────────────────────────── outcome 3: error ──────────────────────────

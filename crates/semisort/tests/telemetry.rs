@@ -4,9 +4,11 @@
 //! `TelemetryLevel::Off` is inert — identical output, all telemetry fields
 //! at their defaults.
 
+use std::time::Duration;
+
 use parlay::hash64;
 use semisort::{
-    paper, try_semisort_with_stats, Json, PaperConfig, SemisortConfig, SemisortStats,
+    paper, try_semisort_with_stats, FaultPlan, Json, PaperConfig, SemisortConfig, SemisortStats,
     TelemetryLevel,
 };
 
@@ -65,12 +67,8 @@ fn counter_invariants_across_strategies_and_levels() {
             );
             assert_eq!(
                 stats.total(),
-                stats.t_sample_sort
-                    + stats.t_construct_buckets
-                    + stats.t_scatter
-                    + stats.t_local_sort
-                    + stats.t_pack,
-                "{strategy:?}/{level:?}: total() must sum the five phases"
+                stats.spans.iter().map(|s| s.duration()).sum(),
+                "{strategy:?}/{level:?}: total() must sum the five phases' spans"
             );
             assert_eq!(stats.telemetry.level, level);
             if level.counters() {
@@ -249,6 +247,31 @@ fn retry_causes_recorded_at_every_level_under_tight_alpha() {
             );
         }
     }
+}
+
+#[test]
+fn retried_paper_run_counts_both_scatter_spans() {
+    // A forced overflow on the first attempt makes the run scatter twice;
+    // its phase time, in `phases()` and in the JSON alike, is the sum of
+    // both attempts' spans.
+    let cfg = PaperConfig::new(SemisortConfig {
+        fault: FaultPlan::parse("force-overflow:1").unwrap(),
+        ..Default::default()
+    });
+    let (out, stats) = paper::try_semisort_with_stats(&workload(100_000), &cfg).unwrap();
+    assert!(semisort::verify::is_semisorted_by(&out, |r| r.0));
+    assert_eq!(stats.retries, 1);
+    assert_eq!(stats.faults_injected, 1);
+    let scatters: Vec<_> = stats.spans.iter().filter(|s| s.name == "scatter").collect();
+    assert_eq!(scatters.len(), 2, "one scatter span per attempt");
+    let both: Duration = scatters.iter().map(|s| s.duration()).sum();
+    assert_eq!(stats.phases()[2], ("scatter", both));
+    let back = Json::parse(&stats.to_json().to_string()).unwrap();
+    let scatter_s = back
+        .get("phases")
+        .and_then(|p| p.get("scatter_s"))
+        .and_then(Json::as_f64);
+    assert_eq!(scatter_s, Some(both.as_secs_f64()));
 }
 
 #[test]

@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use semisort::obs::{epoch_micros, log_event_kv, ServiceCounters};
+use semisort::obs::{epoch_micros, log_event, ServiceCounters};
 use semisort::{SemisortConfig, SemisortError, SemisortStats, Semisorter};
 
 use crate::faults::ServiceFaultPlan;
@@ -265,7 +265,7 @@ fn drain(inner: &Inner) {
     }
     if first {
         ServiceCounters::bump(&inner.counters.drains);
-        log_event_kv("drain", &[("state", "complete")], &[]);
+        log_event("drain", &[("state", "complete")], &[]);
     }
 }
 
@@ -381,7 +381,7 @@ fn admit_and_run(
     let n = req.records.len();
     let shed = |reason: &'static str, required: u64, limit: u64| {
         ServiceCounters::bump(&inner.counters.shed_overload);
-        log_event_kv(
+        log_event(
             "shed",
             &[("reason", reason)],
             &[("n", n as u64), ("seq", seq)],
@@ -534,7 +534,7 @@ fn run_job(
             ServiceCounters::bump(&inner.counters.panics_contained);
             *engine = Semisorter::new(*base).expect("base config already validated");
             ServiceCounters::bump(&inner.counters.shards_rebuilt);
-            log_event_kv(
+            log_event(
                 "poisoned",
                 &[("action", "rebuilt")],
                 &[("shard", u64::from(shard))],

@@ -94,7 +94,7 @@ fn large_values_are_carried_intact() {
     let recs: Vec<(u64, Big)> = (0..20_000u64)
         .map(|i| (parlay::hash64(i % 100), Big([i, i + 1, i + 2, i + 3])))
         .collect();
-    let out = semisort::try_semisort_core(&recs, &cfg()).unwrap();
+    let out = semisort::try_semisort_pairs(&recs, &cfg()).unwrap();
     assert_eq!(out.len(), recs.len());
     assert!(semisort::verify::is_semisorted_by(&out, |r| r.0));
     for (k, b) in &out {

@@ -474,28 +474,77 @@ fn semisort_log_emits_span_lines() {
         .status()
         .expect("generate");
     let sorted = tmp("log_sorted.bin");
-    // The paper's CAS path logs all five phases (the default exact
-    // distribution has no pack).
-    let out = cli()
-        .env("SEMISORT_LOG", "1")
-        .args(["sort", "--scatter", "random-cas", "--input"])
-        .arg(&data)
-        .arg("--out")
-        .arg(&sorted)
-        .output()
-        .expect("sort");
-    assert!(out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    for phase in [
-        "sample_sort",
-        "construct_buckets",
-        "scatter",
-        "local_sort",
-        "pack",
-    ] {
-        let needle = format!("{{\"event\":\"span\",\"name\":\"{phase}\"");
-        assert!(err.contains(&needle), "missing span for {phase}: {err}");
-    }
+    // Sort `data` under SEMISORT_LOG with `flags`, returning the stderr
+    // lines of each event kind by name.
+    let log = |flags: &[&str]| {
+        let out = cli()
+            .env("SEMISORT_LOG", "1")
+            .arg("sort")
+            .args(flags)
+            .arg("--input")
+            .arg(&data)
+            .arg("--out")
+            .arg(&sorted)
+            .output()
+            .expect("sort");
+        assert!(out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        move |event: &str| -> Vec<String> {
+            let needle = format!("{{\"event\":\"{event}\"");
+            err.lines()
+                .filter(|l| l.starts_with(&needle))
+                .map(str::to_owned)
+                .collect()
+        }
+    };
+    let span_names = |spans: Vec<String>| -> Vec<String> {
+        spans
+            .iter()
+            .map(|l| {
+                let name = l.split("\"name\":\"").nth(1).expect("span name");
+                name[..name.find('"').unwrap()].to_owned()
+            })
+            .collect()
+    };
+
+    // The paper's CAS path logs all five phases.
+    let paper = log(&["--scatter", "random-cas"]);
+    assert_eq!(
+        span_names(paper("span")),
+        [
+            "sample_sort",
+            "construct_buckets",
+            "scatter",
+            "local_sort",
+            "pack"
+        ]
+    );
+
+    // The default exact distribution has no pack, and a first call on a
+    // fresh pool grows it exactly once.
+    let engine = log(&[]);
+    assert_eq!(
+        span_names(engine("span")),
+        ["sample_sort", "construct_buckets", "scatter", "local_sort"]
+    );
+    let scratch = engine("scratch");
+    assert_eq!(scratch.len(), 1, "{scratch:?}");
+    assert!(scratch[0].contains("\"grows\":1"), "{scratch:?}");
+
+    // A forced overflow retries once: one retry line, one fault line
+    // naming the plan, and the scatter span of both attempts.
+    let retried = log(&["--scatter", "random-cas", "--fault", "force-overflow:1"]);
+    let retries = retried("retry");
+    assert_eq!(retries.len(), 1, "{retries:?}");
+    assert!(retries[0].contains("\"attempt\":1"), "{retries:?}");
+    let faults = retried("fault");
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert!(
+        faults[0].contains("\"plan\":\"force-overflow:1\"") && faults[0].contains("\"injected\":1"),
+        "{faults:?}"
+    );
+    let names = span_names(retried("span"));
+    assert_eq!(names.iter().filter(|n| *n == "scatter").count(), 2);
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&sorted).ok();
 }
