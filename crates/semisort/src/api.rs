@@ -168,21 +168,12 @@ where
 }
 
 /// Rearrange `items` so that `items_new[j] = items_old[perm[j]]`, moving
-/// each element exactly once (cycle-following).
+/// each element exactly once (cycle-following, with a visited bitset of
+/// one bit per item).
 pub fn apply_permutation_in_place<T>(items: &mut [T], perm: &[usize]) {
-    let mut visited = Vec::new();
-    apply_permutation_with_scratch(items, perm, &mut visited);
-}
-
-/// [`apply_permutation_in_place`] with a caller-owned visited bitset
-/// (cleared and resized to `⌈n/64⌉` words first), so a caller that keeps
-/// the bitset across calls pays one bit — not one byte — per item and
-/// zero allocations at steady state.
-pub fn apply_permutation_with_scratch<T>(items: &mut [T], perm: &[usize], visited: &mut Vec<u64>) {
     assert_eq!(items.len(), perm.len());
     let n = items.len();
-    visited.clear();
-    visited.resize(n.div_ceil(64), 0);
+    let mut visited = vec![0u64; n.div_ceil(64)];
     for start in 0..n {
         if (visited[start >> 6] >> (start & 63)) & 1 == 1 || perm[start] == start {
             continue;

@@ -5,8 +5,9 @@
 //!
 //! - **Heavy keys** — hashed keys appearing at least δ times in the sample
 //!   ("If the count for a key is greater than δ = 16, we insert the key
-//!   into a hash table" — §4 Phase 2). Each heavy key gets its own bucket,
-//!   and the phase-concurrent hash table `T` maps the key to its bucket id.
+//!   into a hash table" — §4 Phase 2). Each heavy key gets its own bucket;
+//!   in place of `T`, heavy bucket `b` is the `b`-th key of the sorted
+//!   list of heavy keys, so no key is reserved as a vacancy sentinel.
 //! - **Light keys** — everything else. The 64-bit hash range is split into
 //!   `2^16` equal prefix classes; adjacent classes are merged until each
 //!   bucket holds at least δ sample records (the ≤10% optimization of §4).
@@ -16,16 +17,15 @@
 //! light bucket outright, unless the sample put a heavy key in that
 //! prefix. Such a prefix's entry points into a small side table; when the
 //! prefix holds exactly one heavy key, one compare against it decides the
-//! bucket, and only a prefix holding two or more heavy keys probes `T`
-//! (in O(1) expected). So an input with few heavy keys pays one `u32`
-//! load per record, not a hash-table probe.
+//! bucket, and only a prefix holding two or more heavy keys binary-searches
+//! its slice of that list (two or three keys on hashed input). So an input
+//! with few heavy keys pays one `u32` load per record, not a probe.
 //!
 //! The plan records each bucket's sample count; the engine's exact
 //! distribution needs nothing more, and the paper's CAS scatter sizes its
 //! slot arena from those counts ([`crate::paper::arena_layout`]).
 
 use parlay::counting_sort::{counting_sort_into_vec_with, CountingScratch};
-use parlay::hash_table::PhaseConcurrentMap;
 use rayon::prelude::*;
 
 use crate::config::SemisortConfig;
@@ -40,9 +40,10 @@ const SEVERAL: u32 = u32::MAX;
 /// A prefix class the sample put at least one heavy key in.
 #[derive(Clone, Copy)]
 struct HeavyPrefix {
-    /// The prefix's only heavy key (unused when `heavy == SEVERAL`).
+    /// The prefix's only heavy key, or for [`SEVERAL`] the range `lo..hi`
+    /// of its heavy buckets as `lo | hi << 32` (heavy ids are below 2^31).
     key: u64,
-    /// That key's heavy bucket, or [`SEVERAL`]: look the key up in `T`.
+    /// That key's heavy bucket, or [`SEVERAL`].
     heavy: u32,
     /// The prefix's light bucket (global id).
     light: u32,
@@ -51,12 +52,10 @@ struct HeavyPrefix {
 /// The bucket structure of one semisort run, produced from the sorted
 /// sample.
 pub struct BucketPlan {
-    /// Heavy-key table `T`: hashed key → heavy bucket id (dense, `0..num_heavy`).
-    pub heavy_table: PhaseConcurrentMap<u32>,
+    /// The heavy keys, sorted: heavy bucket `b` holds key `heavy_keys[b]`.
+    pub heavy_keys: Vec<u64>,
     /// Number of heavy keys (== number of heavy buckets).
     pub num_heavy: usize,
-    /// Number of sample records classified heavy (for the heavy-% stat).
-    pub heavy_sample_records: usize,
     /// Per bucket (heavy buckets then light buckets): how many sample
     /// records it received — what the paper's estimator sizes it from.
     pub sample_counts: Vec<usize>,
@@ -80,8 +79,6 @@ impl BucketPlan {
     /// The global bucket id for a record with hashed key `key`: its heavy
     /// bucket if the key is heavy, else its prefix's light bucket. Heavy
     /// buckets are the ids below [`Self::num_heavy`].
-    ///
-    /// Only valid after the table's insert phase finished (it has).
     #[inline(always)]
     pub fn bucket_of(&self, key: u64) -> u32 {
         let prefix = (key >> self.prefix_shift) as usize;
@@ -94,7 +91,11 @@ impl BucketPlan {
         if hp.heavy != SEVERAL {
             return if key == hp.key { hp.heavy } else { hp.light };
         }
-        self.heavy_table.lookup(key).unwrap_or(hp.light)
+        let (lo, hi) = (hp.key as u32 as usize, (hp.key >> 32) as usize);
+        match self.heavy_keys[lo..hi].binary_search(&key) {
+            Ok(i) => (lo + i) as u32,
+            Err(_) => hp.light,
+        }
     }
 
     /// The exact distribution: move every record of `src` into its bucket's
@@ -166,21 +167,10 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
     // `b` is the key of run `heavy[b]`; the sample is sorted, so the heavy
     // keys come in key (and so prefix) order.
     let heavy = parlay::pack_index(num_distinct, |j| run_len(j) >= cfg.heavy_threshold);
-    let heavy_key = |b: usize| sorted_sample[starts[heavy[b]]];
+    let heavy_keys: Vec<u64> = heavy.iter().map(|&j| sorted_sample[starts[j]]).collect();
     let num_heavy = heavy.len();
     let mut sample_counts: Vec<usize> = Vec::with_capacity(num_heavy + 64);
     sample_counts.extend(heavy.iter().map(|&j| run_len(j)));
-    let heavy_sample_records: usize = sample_counts.iter().sum();
-
-    // Heavy table.
-    let heavy_table = PhaseConcurrentMap::with_seed(num_heavy.max(1), cfg.seed ^ TABLE_SEED);
-    (0..num_heavy)
-        .into_par_iter()
-        .with_min_len(512)
-        .for_each(|b| {
-            let inserted = heavy_table.insert(heavy_key(b), b as u32);
-            debug_assert!(inserted, "heavy keys are distinct by construction");
-        });
 
     // Light sample count per prefix class. The sample is sorted, so each
     // prefix class is a contiguous run: count it by binary search, then
@@ -194,8 +184,8 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
             hi - lo
         })
         .collect();
-    for (b, &count) in sample_counts.iter().enumerate() {
-        let pfx = (heavy_key(b) >> prefix_shift) as usize;
+    for (&key, &count) in heavy_keys.iter().zip(&sample_counts) {
+        let pfx = (key >> prefix_shift) as usize;
         light_count[pfx] -= count;
     }
 
@@ -233,11 +223,12 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
 
     // Point each prefix holding heavy keys at its side-table entry.
     let mut heavy_prefixes: Vec<HeavyPrefix> = Vec::with_capacity(num_heavy);
-    for b in 0..num_heavy {
-        let key = heavy_key(b);
+    let mut first = 0; // the heavy bucket that opened the last entry
+    for (b, &key) in heavy_keys.iter().enumerate() {
         let pfx = (key >> prefix_shift) as usize;
         let entry = route[pfx];
         if entry & HEAVY_PREFIX == 0 {
+            first = b;
             route[pfx] = HEAVY_PREFIX | heavy_prefixes.len() as u32;
             heavy_prefixes.push(HeavyPrefix {
                 key,
@@ -245,15 +236,16 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
                 light: entry,
             });
         } else if let Some(hp) = heavy_prefixes.last_mut() {
-            // Heavy keys come in prefix order: this prefix's entry is the last.
+            // Heavy keys come in prefix order: this prefix's entry is the
+            // last, and its heavy buckets are `first..=b`.
+            hp.key = first as u64 | (b as u64 + 1) << 32;
             hp.heavy = SEVERAL;
         }
     }
 
     BucketPlan {
-        heavy_table,
+        heavy_keys,
         num_heavy,
-        heavy_sample_records,
         sample_counts,
         num_light,
         prefix_shift,
@@ -289,10 +281,6 @@ fn lower_bound_prefix(sorted: &[u64], pfx: u64, shift: u32) -> usize {
     lo
 }
 
-/// Domain-separation constant so the heavy table's probe hash differs from
-/// every other seeded hash in a run.
-const TABLE_SEED: u64 = 0x7ab1_e5ee_d000_0001;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +313,7 @@ mod tests {
         let sample = sorted_sample_of(&(0..1000u64).map(hash64).collect::<Vec<_>>());
         let plan = build_plan(&sample, 16_000, &cfg());
         assert_eq!(plan.num_heavy, 0);
-        assert_eq!(plan.heavy_sample_records, 0);
+        assert!(plan.heavy_keys.is_empty());
         assert!(plan.num_light > 0);
         assert_eq!(layout(&plan, 16_000).heavy_slots, 0);
     }
@@ -337,9 +325,10 @@ mod tests {
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 9600, &cfg());
         assert_eq!(plan.num_heavy, 1);
-        assert_eq!(plan.heavy_sample_records, 100);
-        assert_eq!(plan.heavy_table.lookup(hash64(0xDEAD)), Some(0));
-        assert_eq!(plan.heavy_table.lookup(hash64(1)), None);
+        assert_eq!(plan.heavy_keys, [hash64(0xDEAD)]);
+        assert_eq!(plan.sample_counts[0], 100);
+        assert_eq!(plan.bucket_of(hash64(0xDEAD)), 0);
+        assert!(plan.bucket_of(hash64(1)) >= 1);
     }
 
     #[test]
@@ -432,12 +421,13 @@ mod tests {
         }
     }
 
-    /// The reference routing rule: a key in `T` goes to its heavy bucket,
-    /// any other key to its prefix's light bucket.
+    /// The reference routing rule: heavy key `heavy_keys[b]` goes to heavy
+    /// bucket `b`, any other key to its prefix's light bucket.
     fn reference_bucket(plan: &BucketPlan, key: u64) -> u32 {
-        plan.heavy_table
-            .lookup(key)
-            .unwrap_or_else(|| light_bucket(plan, (key >> plan.prefix_shift) as usize))
+        match plan.heavy_keys.binary_search(&key) {
+            Ok(b) => b as u32,
+            Err(_) => light_bucket(plan, (key >> plan.prefix_shift) as usize),
+        }
     }
 
     /// Assert `bucket_of` agrees with [`reference_bucket`] on `keys`.
@@ -524,6 +514,53 @@ mod tests {
             several.len(),
             "one bucket per heavy key"
         );
+
+        // Hostile pre-hashed keys: one prefix holding 1200 heavy keys.
+        let crowd: Vec<u64> = (0..1200u64).map(|s| in_prefix(11, s + 2000)).collect();
+        let mut keys = light.clone();
+        for &k in &crowd {
+            keys.extend(std::iter::repeat_n(k, delta));
+        }
+        let plan = build_plan(&sorted_sample_of(&keys), n, &c);
+        assert!(plan.num_heavy >= 1000, "{} heavy keys", plan.num_heavy);
+        assert_eq!(plan.heavy_prefixes.len(), 1);
+        assert_eq!(plan.heavy_prefixes[0].heavy, SEVERAL);
+        let crowd_light: Vec<u64> = (0..2000u64).map(|s| in_prefix(11, s + 9000)).collect();
+        for shape in [&crowd, &crowd_light, &light, &unsampled] {
+            assert_routes_as_reference(&plan, shape, "one crowded prefix");
+        }
+
+        // The extreme keys 0 and u64::MAX, in the first and last prefix
+        // classes: each alone in its prefix, then each beside other heavy
+        // keys of its prefix.
+        let last = u64::MAX >> shift;
+        let near_extremes: Vec<u64> = (0..300u64)
+            .flat_map(|s| [in_prefix(0, s + 5000), in_prefix(last, s + 5000)])
+            .chain([1, u64::MAX - 1])
+            .collect();
+        let mates = [in_prefix(0, 77), in_prefix(0, 78), in_prefix(last, 79)];
+        for (heavy_set, several) in [
+            (vec![0, u64::MAX], false),
+            ([0, u64::MAX].into_iter().chain(mates).collect(), true),
+        ] {
+            let mut keys = light.clone();
+            for &k in &heavy_set {
+                keys.extend(std::iter::repeat_n(k, delta));
+            }
+            let plan = build_plan(&sorted_sample_of(&keys), n, &c);
+            assert_eq!(plan.num_heavy, heavy_set.len());
+            assert_eq!(plan.heavy_prefixes.len(), 2);
+            assert!(plan
+                .heavy_prefixes
+                .iter()
+                .all(|hp| (hp.heavy == SEVERAL) == several));
+            assert_eq!(plan.bucket_of(0), 0, "key 0 is the first heavy key");
+            assert_eq!(plan.bucket_of(u64::MAX) as usize, plan.num_heavy - 1);
+            let shape = format!("extreme keys, several per prefix: {several}");
+            for keys in [&heavy_set, &near_extremes, &light, &unsampled] {
+                assert_routes_as_reference(&plan, keys, &shape);
+            }
+        }
     }
 
     #[test]

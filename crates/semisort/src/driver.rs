@@ -5,9 +5,9 @@
 //!
 //! A run reads the pool's held bytes, stages its records (the by-key
 //! methods hash their keys into the pool; `sort_pairs` lends the caller's
-//! pairs), screens them (sequential cutoff, reserved key), samples, plans
-//! the buckets, distributes the records into exact bucket regions with one
-//! stable counting sort, and walks the regions in parallel tasks
+//! pairs), screens them (sequential cutoff), samples, plans the buckets,
+//! distributes the records into exact bucket regions with one stable
+//! counting sort, and walks the regions in parallel tasks
 //! (`aggregate::walk`): each light region is sorted by the method's sort,
 //! and the method's step sees each region it visits. Then it settles the
 //! pool: one scratch-accounting rule, one retention budget, the scheduler
@@ -17,7 +17,6 @@
 
 use parlay::counting_sort::CountingScratch;
 use parlay::random::Rng;
-use rayon::prelude::*;
 use rayon::trace::SchedulerStats;
 
 use crate::aggregate::{walk, Walk};
@@ -47,12 +46,11 @@ use crate::stats::SemisortStats;
 /// for you. The output is a function of the input and `cfg.seed` alone, at
 /// any thread count.
 ///
-/// Inputs at or below `cfg.seq_threshold`, and inputs containing the
-/// reserved key `u64::MAX` (the heavy table's vacancy sentinel,
-/// probability `≈ n/2^64` for hashed keys), skip the plan and sort all
+/// Inputs at or below `cfg.seq_threshold` skip the plan and sort all
 /// records as one region — still a correct semisort, just without the
-/// linear-work machinery. Key 0, the paper's slot-vacancy sentinel, is an
-/// ordinary key here: the exact distribution has no slots.
+/// linear-work machinery. No key is reserved: the exact distribution has
+/// no slots, and the plan finds heavy keys by search, not by a table with
+/// a vacancy sentinel.
 ///
 /// # Errors
 ///
@@ -154,9 +152,8 @@ impl<V> Input<V> for Pairs<'_, V> {
 /// [`SemisortStats::scratch_grows`] is 1 when the run raised the pool's
 /// held bytes, else [`SemisortStats::scratch_reuse_hits`] is 1.
 ///
-/// Inputs at or below `cfg.seq_threshold`, and inputs holding the reserved
-/// key (see [`has_reserved_key`]), skip the plan: the records are copied
-/// into the output and walked as one light region.
+/// Inputs at or below `cfg.seq_threshold` skip the plan: the records are
+/// copied into the output and walked as one light region.
 pub(crate) fn run<V, X, S, I, R>(
     input: &mut X,
     cfg: &SemisortConfig,
@@ -188,7 +185,7 @@ where
         let (records, out) = input.stage(hashed, placed);
         stats.n = records.len();
         cancel.check()?;
-        if records.len() <= cfg.seq_threshold || has_reserved_key(records) {
+        if records.len() <= cfg.seq_threshold {
             stats.light_records = records.len();
             out.clear();
             out.extend_from_slice(records);
@@ -224,14 +221,6 @@ where
     Ok((parts, stats))
 }
 
-/// Whether `records` hold the engine's one reserved key, `u64::MAX` (the
-/// heavy-key table's vacancy sentinel). A hashed key equal to it is a
-/// ~n/2^64 event; runs handle it by skipping the plan rather than by
-/// silently merging keys.
-fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
-    records.par_iter().any(|r| r.0 == parlay::hash_table::EMPTY)
-}
-
 /// Phases 1–3 of a run: sample, plan the buckets, and distribute `records`
 /// into exact bucket regions of `out` (cleared, then written once, record
 /// by record, by the distribution's parallel replay; see
@@ -264,7 +253,7 @@ fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     cancel.check()?;
 
     let span = PhaseSpan::start("construct_buckets");
-    let plan = build_plan(sample, n, &run_cfg);
+    let plan = build_plan(sample, n, cfg);
     span.finish_into(&mut stats.spans);
     record_plan(stats, &plan);
     // One slot per record: the regions are exact.
@@ -484,23 +473,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_sentinel_key_takes_fallback() {
-        // The heavy table's vacancy sentinel is the engine's one reserved
-        // key; key 0 (the paper's slot sentinel) runs the plan like any other.
-        let mut recs: Vec<(u64, u64)> = (0..50_000u64).map(|i| (hash64(i % 100), i)).collect();
-        recs[12_345].0 = parlay::hash_table::EMPTY;
-        recs[23_456].0 = parlay::hash_table::EMPTY;
-        let (out, stats) = try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
-        assert!(is_semisorted_by(&out, |r| r.0));
-        assert!(is_permutation_of(&out, &recs));
-        assert_eq!(stats.light_records, recs.len());
-        assert_eq!(stats.heavy_keys, 0, "the fallback draws no plan");
-        recs[12_345].0 = 0;
-        recs[23_456].0 = 0;
-        let (out, stats) = try_semisort_with_stats(&recs, &SemisortConfig::default()).unwrap();
-        assert!(is_semisorted_by(&out, |r| r.0));
-        assert!(is_permutation_of(&out, &recs));
-        assert_eq!(stats.heavy_keys, 100, "key 0 is an ordinary key");
+    fn extreme_keys_run_the_plan() {
+        // The engine reserves no key: u64::MAX and 0 run the plan like any
+        // other key, and the output is the same at every thread count.
+        for extreme in [u64::MAX, 0] {
+            let mut recs: Vec<(u64, u64)> = (0..50_000u64).map(|i| (hash64(i % 100), i)).collect();
+            recs[12_345].0 = extreme;
+            recs[23_456].0 = extreme;
+            let stats = check(&recs, &SemisortConfig::default());
+            assert_eq!(stats.heavy_keys, 100, "key {extreme:#x}: the plan ran");
+            assert_eq!(stats.heavy_records, recs.len() - 2, "key {extreme:#x}");
+            let outs = [1usize, 2, 8].map(|threads| {
+                parlay::with_threads(threads, || {
+                    try_semisort_pairs(&recs, &SemisortConfig::default()).unwrap()
+                })
+            });
+            assert!(outs.windows(2).all(|w| w[0] == w[1]), "key {extreme:#x}");
+        }
     }
 
     #[test]

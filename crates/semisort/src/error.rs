@@ -227,9 +227,9 @@ impl fmt::Display for SemisortError {
 impl std::error::Error for SemisortError {}
 
 /// Why a run degraded to the comparison-sort fallback (only set when it
-/// did; `None` on the linear-work path and on the pre-existing
-/// `seq_threshold` / reserved-key fallbacks, which are by-construction
-/// routing decisions rather than failures).
+/// did; `None` on the linear-work path and on the `seq_threshold` and
+/// paper-run key-0 fallbacks, which are by-construction routing decisions
+/// rather than failures).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeReason {
     /// The Las Vegas retry budget ran out.

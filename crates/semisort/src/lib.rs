@@ -59,12 +59,15 @@
 //! bucket regions ([`aggregate`]). Its Phase 3 distributes records into
 //! exact bucket regions with one stable counting sort: it cannot overflow
 //! and runs once with no retry ladder. An engine call fails only on an
-//! invalid configuration or a tripped [`CancelToken`].
+//! invalid configuration or a tripped [`CancelToken`]. It reserves no key:
+//! the plan finds heavy keys in its sorted heavy-key list rather than in a
+//! hash table with a vacancy sentinel, so every `u64` is a legal hashed key.
 //!
 //! The paper's CAS scatter, kept to reproduce the paper, runs only through
-//! [`paper::try_semisort_with_stats`] with a [`PaperConfig`]. It is Las
-//! Vegas: a bucket can overflow its allocated slots, in which case the run
-//! retries with doubled slack α. What happens when the retry budget (or
+//! [`paper::try_semisort_with_stats`] with a [`PaperConfig`]. Its slot
+//! arena reserves key 0 as the vacancy mark (an input holding it takes the
+//! sort fallback). It is Las Vegas: a bucket can overflow its allocated
+//! slots, in which case the run retries with doubled slack α. What happens when the retry budget (or
 //! the optional [`PaperConfig::max_arena_bytes`] memory budget) is
 //! exhausted is governed by [`OverflowPolicy`]: degrade to the
 //! deterministic comparison-sort fallback (default) or return a

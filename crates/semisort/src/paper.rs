@@ -8,7 +8,10 @@
 //! A bucket can overflow its slots (Corollary 3.4), so the run is Las
 //! Vegas: an overflow retries with fresh randomness and doubled α, and a
 //! terminal failure — the retry budget, the arena memory budget or the
-//! arena allocation — is settled by [`OverflowPolicy`].
+//! arena allocation — is settled by [`OverflowPolicy`]. The arena marks a
+//! vacant slot with key 0 ([`EMPTY`]), so that is the one key a paper run
+//! reserves: an input holding it takes the sort fallback. The engine
+//! reserves no key.
 //!
 //! It exists to reproduce the paper's tables (the `bench` binaries) and as
 //! the reference that the engine's exact distribution is checked against.
@@ -58,9 +61,10 @@ pub fn arena_layout(plan: &BucketPlan, n: usize, cfg: &PaperConfig) -> ArenaLayo
 ///
 /// The output contract is the engine's: records with equal keys are
 /// contiguous, the input must be hashed keys, and inputs at or below
-/// `cfg.base.seq_threshold` or holding a reserved key take the sort
-/// fallback. Unlike the engine's output, the order within a bucket depends
-/// on CAS races, so it is reproducible from the seed only on one thread.
+/// `cfg.base.seq_threshold` or holding the slot sentinel key 0
+/// ([`EMPTY`]) take the sort fallback. Unlike the engine's output, the
+/// order within a bucket depends on CAS races, so it is reproducible from
+/// the seed only on one thread.
 ///
 /// # Errors
 ///
@@ -268,14 +272,11 @@ fn escalate<V: Copy + Send + Sync>(
     }
 }
 
-/// Whether `records` hold a key the paper run reserves: [`EMPTY`] (the
-/// slot-vacancy sentinel) or `u64::MAX` (the heavy-key table's). A hashed
-/// key equal to either is a ~n/2^63 event; the run falls back rather than
-/// silently merging keys.
+/// Whether `records` hold the one key the paper run reserves: [`EMPTY`],
+/// the slot-vacancy sentinel. A hashed key equal to it is a ~n/2^64 event;
+/// the run falls back rather than silently losing records.
 fn has_reserved_key<V: Sync>(records: &[(u64, V)]) -> bool {
-    records
-        .par_iter()
-        .any(|r| r.0 == EMPTY || r.0 == parlay::hash_table::EMPTY)
+    records.par_iter().any(|r| r.0 == EMPTY)
 }
 
 /// Sort-based fallback: a full sort by key is trivially a semisort.
@@ -367,6 +368,12 @@ mod tests {
         recs[12_345].0 = crate::scatter::EMPTY;
         let stats = check(&recs, &cfg);
         assert!(!stats.degraded, "routing, not failure");
+        assert_eq!(stats.heavy_keys, 0, "key 0 takes the fallback");
+        // u64::MAX is an ordinary key: the plan runs.
+        recs[12_345].0 = u64::MAX;
+        let stats = check(&recs, &cfg);
+        assert_eq!(stats.heavy_keys, 100);
+        assert_eq!(stats.spans.len(), 5);
     }
 
     #[test]

@@ -618,7 +618,7 @@ mod tests {
         assert!(plan.num_heavy >= 1);
         let expected_heavy = records
             .iter()
-            .filter(|r| plan.heavy_table.contains(r.0))
+            .filter(|r| plan.heavy_keys.binary_search(&r.0).is_ok())
             .count();
         assert_eq!(out.heavy_records, expected_heavy);
         assert!(out.heavy_records >= records.len() * 7 / 10);

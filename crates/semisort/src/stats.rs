@@ -167,8 +167,9 @@ pub struct SemisortStats {
     /// exceeded, or allocation failed) under
     /// [`OverflowPolicy::Fallback`](crate::config::OverflowPolicy::Fallback).
     /// The by-construction fallbacks
-    /// (`seq_threshold`-sized inputs, reserved-key screening) do **not**
-    /// set this: they are routing, not failure.
+    /// (`seq_threshold`-sized inputs; in a paper run, inputs holding its
+    /// slot sentinel key 0) do **not** set this: they are routing, not
+    /// failure.
     pub degraded: bool,
     /// Why the run degraded (`None` unless `degraded`).
     pub degrade_reason: Option<DegradeReason>,

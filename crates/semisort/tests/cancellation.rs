@@ -14,8 +14,8 @@ use semisort::driver::try_semisort_with_stats_cancellable;
 use semisort::{CancelToken, SemisortConfig, SemisortError, Semisorter};
 
 fn records(n: usize) -> Vec<(u64, u64)> {
-    // Pre-hashed keys: avoid the reserved sentinels 0 and u64::MAX so the
-    // run takes the full parallel path rather than the sentinel fallback.
+    // Pre-hashed keys, many records each; the engine reserves no key, so
+    // every input above `seq_threshold` takes the full parallel path.
     (0..n as u64).map(|i| (i % 97 + 1, i)).collect()
 }
 

@@ -299,10 +299,10 @@ fn seq_threshold_fallback_is_quiet_and_correct() {
 
 #[test]
 fn reserved_key_fallback_is_quiet_and_correct() {
-    // The paper run screens keys equal to the slot-vacancy sentinel (0) or
-    // the hash-table sentinel (u64::MAX) into its fallback. The engine has
-    // no slots, so it reserves u64::MAX alone: key 0 runs the plan.
-    for sentinel in [semisort::scatter::EMPTY, parlay::hash_table::EMPTY] {
+    // The paper run screens keys equal to its slot-vacancy sentinel (0)
+    // into its fallback. The engine reserves no key, and u64::MAX is an
+    // ordinary key on both paths: every other case runs the plan.
+    for sentinel in [semisort::scatter::EMPTY, u64::MAX] {
         let cfg = SemisortConfig {
             telemetry: TelemetryLevel::Off,
             ..Default::default()
@@ -318,7 +318,7 @@ fn reserved_key_fallback_is_quiet_and_correct() {
             assert_eq!(stats.retries, 0, "{ctx}");
             assert!(!stats.degraded, "{ctx}");
             assert!(stats.telemetry.retry_causes.is_empty(), "{ctx}");
-            if path == "engine" && sentinel == semisort::scatter::EMPTY {
+            if path == "engine" || sentinel == u64::MAX {
                 assert_eq!(stats.heavy_keys, 100, "{ctx}: the plan ran");
                 assert_eq!(stats.heavy_records, recs.len() - 2, "{ctx}");
             } else {

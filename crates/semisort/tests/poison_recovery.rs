@@ -34,9 +34,8 @@ fn poisoning_cfg() -> SemisortConfig {
 }
 
 fn records(n: usize) -> Vec<(u64, u64)> {
-    // `sort_pairs` takes pre-hashed keys, so avoid the reserved sentinels
-    // (0 = EMPTY, u64::MAX) — a sentinel key would take the fallback path
-    // before the scatter phase the fault targets.
+    // `sort_pairs` takes pre-hashed keys. The engine reserves no key, so
+    // this input runs the plan up to the scatter phase the fault targets.
     (0..n as u64).map(|i| (i % 13 + 1, i)).collect()
 }
 

@@ -132,12 +132,13 @@ proptest! {
 
     #[test]
     fn sentinel_keys_are_handled(mut recs in arb_records(800, 20), pos in any::<prop::sample::Index>()) {
-        // Force the reserved sentinels into the input.
+        // Force the extreme keys into the input: 0 is the paper run's slot
+        // sentinel (it takes the fallback there), u64::MAX an ordinary key.
         if !recs.is_empty() {
             let len = recs.len();
             let i = pos.index(len);
             recs[i].0 = 0; // scatter EMPTY
-            recs[(i + 1) % len].0 = u64::MAX; // table EMPTY
+            recs[(i + 1) % len].0 = u64::MAX;
         }
         for cas in [false, true] {
             let (out, _) = run(&recs, cas, &PaperConfig::new(small_cfg()));
