@@ -27,8 +27,9 @@ use std::hash::Hash;
 
 use rayon::prelude::*;
 
-use crate::api::{hash_keys_into, Groups};
+use crate::api::Groups;
 use crate::driver::{Input, Lent};
+use crate::hash::{hash_keys_into, KeyHash};
 
 /// Tasks per worker: enough slack for stealing to even out a plan whose
 /// regions are skewed (all heavy regions come first). The scheduler runs a
@@ -61,11 +62,13 @@ pub(crate) fn by_key_walk<I, R>(task: I, region: R) -> Walk<u64, I, R> {
     }
 }
 
-/// The by-key methods' input: the items' keys, hashed into the pool's
-/// `(hash, index)` pairs and distributed into its `placed` buffer.
+/// The by-key methods' input: the items' keys, hashed with the run's seeded
+/// key hash into the pool's `(hash, index)` pairs and distributed into its
+/// `placed` buffer.
 pub(crate) struct Keyed<'a, T, F> {
     pub(crate) items: &'a [T],
     pub(crate) key: &'a F,
+    pub(crate) hash: KeyHash,
 }
 
 impl<T, K, F> Input<u64> for Keyed<'_, T, F>
@@ -79,7 +82,7 @@ where
         hashed: &'a mut Vec<(u64, u64)>,
         placed: &'a mut Vec<(u64, u64)>,
     ) -> Lent<'a, u64> {
-        hash_keys_into(self.items, self.key, hashed);
+        hash_keys_into(self.hash, self.items, self.key, hashed);
         (hashed, placed)
     }
 }
@@ -330,11 +333,11 @@ mod tests {
         let mut sample = strided_sample(&keys, cfg.sample_shift, Rng::new(1));
         sample.sort_unstable();
         let plan = build_plan(&sample, records.len(), &cfg);
-        assert!(plan.num_heavy > 0);
+        assert!(plan.num_heavy() > 0);
         let mut out = Vec::new();
         let mut scratch = parlay::counting_sort::CountingScratch::default();
         let starts = plan.distribute_into(&records, &mut out, &mut scratch);
-        let light = records.len() - starts[plan.num_heavy];
+        let light = records.len() - starts[plan.num_heavy()];
 
         // `sort_pairs`' walk: its tasks cover the light records alone.
         let light_sort = Walk {
@@ -343,7 +346,7 @@ mod tests {
             task: |records| records,
             region: |_: &mut usize, _: &mut [(u64, u64)]| {},
         };
-        let seen: usize = walk(&mut out, starts, plan.num_heavy, &light_sort)
+        let seen: usize = walk(&mut out, starts, plan.num_heavy(), &light_sort)
             .iter()
             .sum();
         assert_eq!(seen, light);
@@ -355,7 +358,12 @@ mod tests {
             assert!(r.windows(2).all(|w| w[0].0 <= w[1].0));
             *seen += r.len();
         };
-        let seen: Vec<usize> = walk(&mut out, starts, plan.num_heavy, &by_key_walk(|_| 0, count));
+        let seen: Vec<usize> = walk(
+            &mut out,
+            starts,
+            plan.num_heavy(),
+            &by_key_walk(|_| 0, count),
+        );
         assert_eq!(seen.iter().sum::<usize>(), records.len());
     }
 

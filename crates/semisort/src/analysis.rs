@@ -136,7 +136,7 @@ pub fn analyze(records: &[(u64, u64)], cfg: &PaperConfig) -> CostModel {
     cost.pack_work = layout.total_slots;
     for (b, &c) in bucket_records.iter().enumerate().take(plan.num_buckets()) {
         cost.max_bucket = cost.max_bucket.max(c);
-        if b >= plan.num_heavy {
+        if b >= plan.num_heavy() {
             cost.max_light_bucket = cost.max_light_bucket.max(c);
             if c > 1 {
                 cost.local_sort_work += c * (c as f64).log2().ceil() as usize;

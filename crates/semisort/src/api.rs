@@ -19,13 +19,12 @@
 //! transient engine for the call and drops it (and its scratch) on
 //! return, so one-shot and engine calls are behaviorally identical.
 
-use std::hash::{DefaultHasher, Hash, Hasher};
-
-use rayon::prelude::*;
+use std::hash::{BuildHasher, Hash};
 
 use crate::config::SemisortConfig;
 use crate::engine::Semisorter;
 use crate::error::SemisortError;
+use crate::hash::DEFAULT_KEY_HASH;
 
 /// Semisort pre-hashed `(key, payload)` pairs — the record shape of the
 /// paper's evaluation, with any `Copy` payload. For the per-phase stats
@@ -37,33 +36,17 @@ pub fn try_semisort_pairs<V: Copy + Send + Sync>(
     Semisorter::new(*cfg)?.sort_pairs(records)
 }
 
-/// Hash an arbitrary key to the scatter's 64-bit key space.
+/// Hash an arbitrary key into the engine's 64-bit key space, as the by-key
+/// methods of an engine built from [`SemisortConfig::default`] do.
 ///
-/// SipHash (std's default hasher with fixed keys, so deterministic) mixed
-/// once more by [`parlay::hash64`] for full avalanche.
+/// This is the engine's seeded key hash under the default config's seed:
+/// one multiply per 8-byte word of the key, then one [`parlay::hash64`].
+/// Distinct one-word keys (`u64`, `u32`, `usize`, …) never share a hash.
+/// An engine with another seed hashes its keys differently, so this value
+/// matches only engines and one-shots built with the default seed.
 #[inline]
 pub fn hash_key<K: Hash>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    parlay::hash64(h.finish())
-}
-
-/// Fill `hashed` with one `(hash_key(key(item)), index)` pair per item, in
-/// parallel, reusing its capacity (a buffer already `items.len()` long is
-/// overwritten without being cleared first).
-pub(crate) fn hash_keys_into<T, K, F>(items: &[T], key: &F, hashed: &mut Vec<(u64, u64)>)
-where
-    T: Sync,
-    K: Hash,
-    F: Fn(&T) -> K + Sync,
-{
-    hashed.truncate(items.len());
-    hashed.resize(items.len(), (0, 0));
-    hashed
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(4096)
-        .for_each(|(i, slot)| *slot = (hash_key(&key(&items[i])), i as u64));
+    DEFAULT_KEY_HASH.hash_one(key)
 }
 
 /// Semisort `items` by an arbitrary `Hash + Eq` key.

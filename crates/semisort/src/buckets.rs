@@ -54,8 +54,6 @@ struct HeavyPrefix {
 pub struct BucketPlan {
     /// The heavy keys, sorted: heavy bucket `b` holds key `heavy_keys[b]`.
     pub heavy_keys: Vec<u64>,
-    /// Number of heavy keys (== number of heavy buckets).
-    pub num_heavy: usize,
     /// Per bucket (heavy buckets then light buckets): how many sample
     /// records it received — what the paper's estimator sizes it from.
     pub sample_counts: Vec<usize>,
@@ -71,9 +69,14 @@ pub struct BucketPlan {
 }
 
 impl BucketPlan {
+    /// Number of heavy keys, which is the number of heavy buckets.
+    pub fn num_heavy(&self) -> usize {
+        self.heavy_keys.len()
+    }
+
     /// Total number of buckets (heavy + light).
     pub fn num_buckets(&self) -> usize {
-        self.num_heavy + self.num_light
+        self.num_heavy() + self.num_light
     }
 
     /// The global bucket id for a record with hashed key `key`: its heavy
@@ -245,7 +248,6 @@ pub fn build_plan(sorted_sample: &[u64], n: usize, cfg: &SemisortConfig) -> Buck
 
     BucketPlan {
         heavy_keys,
-        num_heavy,
         sample_counts,
         num_light,
         prefix_shift,
@@ -312,7 +314,7 @@ mod tests {
     fn all_light_when_no_repeats() {
         let sample = sorted_sample_of(&(0..1000u64).map(hash64).collect::<Vec<_>>());
         let plan = build_plan(&sample, 16_000, &cfg());
-        assert_eq!(plan.num_heavy, 0);
+        assert_eq!(plan.num_heavy(), 0);
         assert!(plan.heavy_keys.is_empty());
         assert!(plan.num_light > 0);
         assert_eq!(layout(&plan, 16_000).heavy_slots, 0);
@@ -324,7 +326,7 @@ mod tests {
         keys.extend(std::iter::repeat_n(hash64(0xDEAD), 100));
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 9600, &cfg());
-        assert_eq!(plan.num_heavy, 1);
+        assert_eq!(plan.num_heavy(), 1);
         assert_eq!(plan.heavy_keys, [hash64(0xDEAD)]);
         assert_eq!(plan.sample_counts[0], 100);
         assert_eq!(plan.bucket_of(hash64(0xDEAD)), 0);
@@ -340,7 +342,7 @@ mod tests {
             keys.extend(std::iter::repeat_n(hash64(9_999), reps));
             let sample = sorted_sample_of(&keys);
             let plan = build_plan(&sample, 6400, &cfg());
-            assert_eq!(plan.num_heavy, expect_heavy, "reps={reps}");
+            assert_eq!(plan.num_heavy(), expect_heavy, "reps={reps}");
         }
     }
 
@@ -373,11 +375,11 @@ mod tests {
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 8800, &cfg());
         let b_heavy = plan.bucket_of(hash64(7));
-        assert!((b_heavy as usize) < plan.num_heavy);
+        assert!((b_heavy as usize) < plan.num_heavy());
         // An unsampled key routes to its prefix's light bucket.
         let novel = hash64(0xABCDEF);
         let b_light = plan.bucket_of(novel);
-        assert!((b_light as usize) >= plan.num_heavy);
+        assert!((b_light as usize) >= plan.num_heavy());
         assert!((b_light as usize) < plan.num_buckets());
         assert_eq!(
             b_light,
@@ -391,7 +393,7 @@ mod tests {
         let sample = sorted_sample_of(&keys);
         let plan = build_plan(&sample, 48_000, &cfg());
         // prefix→bucket must be non-decreasing and cover exactly the light range.
-        let mut prev = plan.num_heavy as u32;
+        let mut prev = plan.num_heavy() as u32;
         for pfx in 0..plan.route.len() {
             let b = light_bucket(&plan, pfx);
             assert!(b >= prev, "non-monotone prefix map");
@@ -417,7 +419,7 @@ mod tests {
         assert_eq!(plan.num_light, prefixes);
         assert_eq!(plan.route.len(), prefixes);
         for pfx in 0..prefixes {
-            assert_eq!(light_bucket(&plan, pfx) as usize, plan.num_heavy + pfx);
+            assert_eq!(light_bucket(&plan, pfx) as usize, plan.num_heavy() + pfx);
         }
     }
 
@@ -463,7 +465,7 @@ mod tests {
         // All light.
         let sample = sorted_sample_of(&light);
         let plan = build_plan(&sample, n, &c);
-        assert_eq!(plan.num_heavy, 0);
+        assert_eq!(plan.num_heavy(), 0);
         assert_routes_as_reference(&plan, &light, "all-light");
         assert_routes_as_reference(&plan, &unsampled, "all-light, unsampled");
 
@@ -477,16 +479,16 @@ mod tests {
             keys.extend(std::iter::repeat_n(k, delta));
         }
         let plan = build_plan(&sorted_sample_of(&keys), n, &c);
-        assert_eq!(plan.num_heavy, singles.len());
+        assert_eq!(plan.num_heavy(), singles.len());
         assert_eq!(plan.heavy_prefixes.len(), singles.len());
         assert!(plan.heavy_prefixes.iter().all(|hp| hp.heavy != SEVERAL));
         for shape in [&singles, &neighbours, &light, &unsampled] {
             assert_routes_as_reference(&plan, shape, "one heavy key per prefix");
         }
         for (&h, &l) in singles.iter().zip(&neighbours) {
-            assert!((plan.bucket_of(h) as usize) < plan.num_heavy);
+            assert!((plan.bucket_of(h) as usize) < plan.num_heavy());
             assert!(
-                (plan.bucket_of(l) as usize) >= plan.num_heavy,
+                (plan.bucket_of(l) as usize) >= plan.num_heavy(),
                 "light neighbour"
             );
         }
@@ -499,7 +501,7 @@ mod tests {
             keys.extend(std::iter::repeat_n(k, delta + 3));
         }
         let plan = build_plan(&sorted_sample_of(&keys), n, &c);
-        assert_eq!(plan.num_heavy, several.len() + 1);
+        assert_eq!(plan.num_heavy(), several.len() + 1);
         assert_eq!(plan.heavy_prefixes.len(), 2);
         assert_eq!(plan.heavy_prefixes[0].heavy, SEVERAL);
         let shared: Vec<u64> = (0..200u64).map(|s| in_prefix(7, s + 1000)).collect();
@@ -522,7 +524,7 @@ mod tests {
             keys.extend(std::iter::repeat_n(k, delta));
         }
         let plan = build_plan(&sorted_sample_of(&keys), n, &c);
-        assert!(plan.num_heavy >= 1000, "{} heavy keys", plan.num_heavy);
+        assert!(plan.num_heavy() >= 1000, "{} heavy keys", plan.num_heavy());
         assert_eq!(plan.heavy_prefixes.len(), 1);
         assert_eq!(plan.heavy_prefixes[0].heavy, SEVERAL);
         let crowd_light: Vec<u64> = (0..2000u64).map(|s| in_prefix(11, s + 9000)).collect();
@@ -548,14 +550,14 @@ mod tests {
                 keys.extend(std::iter::repeat_n(k, delta));
             }
             let plan = build_plan(&sorted_sample_of(&keys), n, &c);
-            assert_eq!(plan.num_heavy, heavy_set.len());
+            assert_eq!(plan.num_heavy(), heavy_set.len());
             assert_eq!(plan.heavy_prefixes.len(), 2);
             assert!(plan
                 .heavy_prefixes
                 .iter()
                 .all(|hp| (hp.heavy == SEVERAL) == several));
             assert_eq!(plan.bucket_of(0), 0, "key 0 is the first heavy key");
-            assert_eq!(plan.bucket_of(u64::MAX) as usize, plan.num_heavy - 1);
+            assert_eq!(plan.bucket_of(u64::MAX) as usize, plan.num_heavy() - 1);
             let shape = format!("extreme keys, several per prefix: {several}");
             for keys in [&heavy_set, &near_extremes, &light, &unsampled] {
                 assert_routes_as_reference(&plan, keys, &shape);
@@ -575,9 +577,9 @@ mod tests {
         keys.sort_unstable();
         let plan = build_plan(&keys, n, &cfg());
         assert!(
-            (1000..2500).contains(&plan.num_heavy),
+            (1000..2500).contains(&plan.num_heavy()),
             "pairs-heavy shape: {} heavy keys",
-            plan.num_heavy
+            plan.num_heavy()
         );
         assert!(plan.heavy_prefixes.iter().any(|hp| hp.heavy == SEVERAL));
         assert!(plan.heavy_prefixes.iter().any(|hp| hp.heavy != SEVERAL));
@@ -592,7 +594,7 @@ mod tests {
     fn empty_sample_still_produces_light_buckets() {
         // Tiny inputs can sample nothing; every record must still route.
         let plan = build_plan(&[], 10, &cfg());
-        assert_eq!(plan.num_heavy, 0);
+        assert_eq!(plan.num_heavy(), 0);
         assert!(plan.num_light >= 1);
         assert!(layout(&plan, 10).total_slots > 0);
         let b = plan.bucket_of(hash64(3));
@@ -607,7 +609,7 @@ mod tests {
         let sample = sorted_sample_of(&keys);
         let c = cfg();
         let plan = build_plan(&sample, 2624, &c);
-        assert_eq!(plan.num_heavy, 1);
+        assert_eq!(plan.num_heavy(), 1);
         assert!(layout(&plan, 2624).bucket_size[0] >= 64 * c.sample_stride());
     }
 
@@ -657,7 +659,7 @@ mod tests {
     fn all_equal_keys_need_no_movement() {
         let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(7), i)).collect();
         let plan = plan_for(&records);
-        assert_eq!(plan.num_heavy, 1);
+        assert_eq!(plan.num_heavy(), 1);
         let (out, starts) = distribute(&plan, &records);
         assert_eq!(out, records, "one region, stable order: the identity");
         assert_eq!(starts[1], records.len(), "the heavy region holds all");

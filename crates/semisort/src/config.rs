@@ -114,8 +114,9 @@ pub struct SemisortConfig {
     /// ("reduces the overall running time by at most 10%" — §4 Phase 2).
     /// Default true.
     pub merge_light_buckets: bool,
-    /// Seed for sampling jitter and scatter randomness. Runs with equal
-    /// seeds produce identical outputs at any thread count.
+    /// Seed for sampling, the by-key methods' key hash and the paper run's
+    /// scatter randomness.
+    /// Runs with equal seeds produce identical outputs at any thread count.
     pub seed: u64,
     /// Inputs at or below this size skip the machinery and sort directly
     /// (a semisorted order trivially); default 2^13.
@@ -135,6 +136,9 @@ pub struct SemisortConfig {
     pub telemetry: TelemetryLevel,
 }
 
+/// The seed of [`SemisortConfig::default`].
+pub(crate) const DEFAULT_SEED: u64 = 0x5eed_0f5e;
+
 impl Default for SemisortConfig {
     fn default() -> Self {
         SemisortConfig {
@@ -142,7 +146,7 @@ impl Default for SemisortConfig {
             heavy_threshold: 16,
             light_bucket_log2: 16,
             merge_light_buckets: true,
-            seed: 0x5eed_0f5e_u64,
+            seed: DEFAULT_SEED,
             seq_threshold: 1 << 13,
             max_scratch_bytes: usize::MAX,
             fault: FaultPlan::NONE,

@@ -266,7 +266,7 @@ fn plan_and_distribute<'s, V: Copy + Send + Sync>(
     }
     let starts = plan.distribute_into(records, out, counting);
     span.finish_into(&mut stats.spans);
-    stats.heavy_records = starts[plan.num_heavy];
+    stats.heavy_records = starts[plan.num_heavy()];
     stats.light_records = n - stats.heavy_records;
     let telemetry = &mut stats.telemetry;
     telemetry.level = cfg.telemetry;
@@ -274,11 +274,11 @@ fn plan_and_distribute<'s, V: Copy + Send + Sync>(
         telemetry.records_placed = n as u64;
     }
     if cfg.telemetry.deep() {
-        for w in starts[plan.num_heavy..].windows(2) {
+        for w in starts[plan.num_heavy()..].windows(2) {
             telemetry.light_occupancy_hist.record((w[1] - w[0]) as u64);
         }
     }
-    Ok((plan.num_heavy, starts))
+    Ok((plan.num_heavy(), starts))
 }
 
 /// The scheduler snapshot a run's closing snapshot is diffed against.
@@ -333,15 +333,16 @@ pub(crate) fn injected_panic(cfg: &SemisortConfig) -> ! {
 
 /// Copy the plan's bucket counts into the stats.
 pub(crate) fn record_plan(stats: &mut SemisortStats, plan: &BucketPlan) {
-    stats.heavy_keys = plan.num_heavy;
+    stats.heavy_keys = plan.num_heavy();
     stats.light_buckets = plan.num_light;
 }
 
 /// Mix `(seed, attempt)` into a per-attempt seed with the splitmix64
 /// finalizer, so retry streams are statistically independent of the failed
 /// attempt's. Attempt 0 is mixed too — the entry seed is a label, not a
-/// stream prefix.
-pub(crate) fn mix_seed(seed: u64, attempt: u32) -> u64 {
+/// stream prefix. The key hash takes its seed from the same mixer under a
+/// label of its own ([`crate::hash::KeyHash::new`]).
+pub(crate) const fn mix_seed(seed: u64, attempt: u32) -> u64 {
     let mut z = seed.wrapping_add((attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

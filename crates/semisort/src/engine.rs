@@ -54,6 +54,7 @@ use crate::cancel::CancelToken;
 use crate::config::SemisortConfig;
 use crate::driver;
 use crate::error::SemisortError;
+use crate::hash::KeyHash;
 use crate::pool::ScratchPool;
 use crate::stats::SemisortStats;
 
@@ -138,9 +139,10 @@ impl Semisorter {
         Ok(out)
     }
 
-    /// Run the engine ([`driver::run`]) on `items`' hashed keys with this
-    /// engine's config, pool and token, walking every region with `task`
-    /// and `region` (see [`crate::aggregate`]), and keep its stats.
+    /// Run the engine ([`driver::run`]) on `items`' keys, hashed with this
+    /// engine's seeded [`KeyHash`], with its config, pool and token,
+    /// walking every region with `task` and `region` (see
+    /// [`crate::aggregate`]), and keep its stats.
     fn by_key<T, K, F, S, I, R>(
         &mut self,
         items: &[T],
@@ -157,7 +159,11 @@ impl Semisorter {
         R: Fn(&mut S, &mut [(u64, u64)]) + Sync,
     {
         let (parts, stats) = driver::run(
-            &mut Keyed { items, key },
+            &mut Keyed {
+                items,
+                key,
+                hash: KeyHash::new(self.cfg.seed),
+            },
             &self.cfg,
             &mut self.pool,
             &self.cancel,

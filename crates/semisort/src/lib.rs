@@ -107,6 +107,7 @@ pub mod engine;
 pub mod error;
 pub mod estimate;
 pub mod fault;
+mod hash;
 pub mod json;
 pub mod local_sort;
 pub mod obs;

@@ -37,7 +37,7 @@ pub fn local_sort_light_buckets<V: Copy + Send + Sync>(
     algo: LocalSortAlgo,
     sink: &ObsSink,
 ) -> Vec<usize> {
-    (plan.num_heavy..plan.num_buckets())
+    (plan.num_heavy()..plan.num_buckets())
         .into_par_iter()
         .map(|b| {
             let base = layout.bucket_offset[b];
@@ -187,7 +187,7 @@ mod tests {
         let (plan, layout, arena, counts) =
             run_through_phase4(&records, LocalSortAlgo::StdUnstable);
         for (li, &c) in counts.iter().enumerate() {
-            let b = plan.num_heavy + li;
+            let b = plan.num_heavy() + li;
             let base = layout.bucket_offset[b];
             let keys: Vec<u64> = (0..c).map(|i| arena.slots[base + i].key()).collect();
             assert!(
@@ -203,7 +203,7 @@ mod tests {
         let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 2000), i)).collect();
         let (plan, layout, arena, counts) = run_through_phase4(&records, LocalSortAlgo::Counting);
         for (li, &c) in counts.iter().enumerate() {
-            let b = plan.num_heavy + li;
+            let b = plan.num_heavy() + li;
             let base = layout.bucket_offset[b];
             let keys: Vec<u64> = (0..c).map(|i| arena.slots[base + i].key()).collect();
             // Grouped: each key appears as one contiguous run.

@@ -94,7 +94,7 @@ pub fn pack_output<V: Copy + Send + Sync>(
 
     // Light buckets.
     (0..plan.num_light).into_par_iter().for_each(|li| {
-        let b = plan.num_heavy + li;
+        let b = plan.num_heavy() + li;
         let base = layout.bucket_offset[b];
         let dst = heavy_total + light_offsets[li];
         let ptr = out_ptr;
@@ -206,7 +206,7 @@ mod tests {
         const POISON: u64 = u64::MAX;
         let mut poisoned = 0usize;
         for (li, &cnt) in counts.iter().enumerate() {
-            let b = plan.num_heavy + li;
+            let b = plan.num_heavy() + li;
             let base = layout.bucket_offset[b];
             let size = layout.bucket_size[b];
             if cnt < size {

@@ -50,7 +50,7 @@ pub fn arena_layout(plan: &BucketPlan, n: usize, cfg: &PaperConfig) -> ArenaLayo
         .iter()
         .map(|&s| bucket_capacity(s, p, cfg.c, ln_n, cfg.alpha))
         .collect();
-    ArenaLayout::from_sizes(sizes, plan.num_heavy)
+    ArenaLayout::from_sizes(sizes, plan.num_heavy())
 }
 
 /// Semisort pre-hashed `(u64, value)` records with the paper's CAS
@@ -216,7 +216,7 @@ fn attempts<V: Copy + Send + Sync>(
                 stats.telemetry.retry_causes.push(RetryCause {
                     attempt,
                     bucket,
-                    heavy: (bucket as usize) < plan.num_heavy,
+                    heavy: (bucket as usize) < plan.num_heavy(),
                     allocated,
                     observed,
                 });
@@ -353,7 +353,7 @@ mod tests {
         assert!(loose.total_slots > tight.total_slots, "α scales the arena");
         assert_eq!(
             tight.heavy_slots,
-            tight.bucket_size[..plan.num_heavy].iter().sum::<usize>()
+            tight.bucket_size[..plan.num_heavy()].iter().sum::<usize>()
         );
     }
 

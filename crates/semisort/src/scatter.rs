@@ -326,7 +326,7 @@ pub fn scatter<V: Copy + Send + Sync>(
             let route = |j: usize| {
                 let bucket = plan.bucket_of(chunk_recs[j].0);
                 let b = bucket as usize;
-                let is_heavy = b < plan.num_heavy;
+                let is_heavy = b < plan.num_heavy();
                 let mask = layout.bucket_size[b] - 1; // sizes are powers of two
                 let start = (rng.at((ci * chunk + j) as u64) as usize) & mask;
                 (bucket, is_heavy, start)
@@ -615,7 +615,7 @@ mod tests {
             })
             .collect();
         let (plan, _, _, out) = scatter_all(&records, &PaperConfig::default());
-        assert!(plan.num_heavy >= 1);
+        assert!(plan.num_heavy() >= 1);
         let expected_heavy = records
             .iter()
             .filter(|r| plan.heavy_keys.binary_search(&r.0).is_ok())
@@ -673,7 +673,7 @@ mod tests {
             })
             .collect();
         let (plan, layout) = plan_and_layout(&records, &PaperConfig::default());
-        assert!(plan.num_heavy > 0 && plan.num_light > 0);
+        assert!(plan.num_heavy() > 0 && plan.num_light > 0);
         for (class, want_heavy) in [(FaultClass::Heavy, true), (FaultClass::Light, false)] {
             let arena = allocate_arena::<u64>(&layout);
             let out = scatter(
@@ -690,7 +690,7 @@ mod tests {
             assert!(out.overflowed, "{class:?} fault must report overflow");
             let (bucket, allocated, observed) = out.overflow.expect("capture");
             assert_eq!(
-                (bucket as usize) < plan.num_heavy,
+                (bucket as usize) < plan.num_heavy(),
                 want_heavy,
                 "{class:?} overflowed bucket {bucket}"
             );

@@ -2,8 +2,12 @@
 //! keys, but correctness must survive inputs crafted to break every
 //! structural assumption (via retries or fallbacks, never wrong output).
 
+use semisort::api::hash_key;
 use semisort::verify::{is_permutation_of, is_semisorted_by};
-use semisort::{paper, try_semisort_pairs, try_semisort_with_stats, PaperConfig, SemisortConfig};
+use semisort::{
+    buckets, paper, try_semisort_pairs, try_semisort_with_stats, Hist, PaperConfig, SemisortConfig,
+    Semisorter, TelemetryLevel,
+};
 
 fn check(records: &[(u64, u64)], cfg: &SemisortConfig) {
     let out = try_semisort_pairs(records, cfg).unwrap();
@@ -231,4 +235,66 @@ fn payload_values_are_never_corrupted() {
         .iter()
         .all(|&(k, v)| v == k.wrapping_mul(3).wrapping_add(1)));
     assert!(is_semisorted_by(&out, |r| r.0));
+}
+
+/// The index of `hist`'s highest non-empty bucket: its largest sample lies
+/// in `[Hist::bucket_lo(i), Hist::bucket_lo(i + 1))`.
+fn top_bucket(hist: &Hist) -> usize {
+    hist.buckets.iter().rposition(|&c| c > 0).unwrap_or(0)
+}
+
+#[test]
+fn key_hash_seed_defeats_precomputed_one_prefix_keys() {
+    // 20k distinct u64 keys, each 1–3 times, brute-forced so that all of
+    // their hashes under the default seed (the one `hash_key` exposes) share
+    // one light prefix class. Under that seed they all land in one light
+    // region and the counts must still be exact; under another seed the
+    // same keys must spread like any uniform input of the same n.
+    const DISTINCT: u64 = 20_000;
+    let copies = |j: u64| j % 3 + 1;
+    let n: u64 = (0..DISTINCT).map(copies).sum();
+    let bits = buckets::effective_prefix_bits(n as usize, cfg().light_bucket_log2);
+    let keys: Vec<u64> = (0u64..)
+        .filter(|k| hash_key(k) >> (64 - bits) == 0)
+        .take(DISTINCT as usize)
+        .collect();
+    let items_of = |keys: &[u64]| -> Vec<u64> {
+        (0..DISTINCT)
+            .flat_map(|j| (0..copies(j)).map(move |_| j))
+            .map(|j| keys[j as usize])
+            .collect()
+    };
+    let adversarial = items_of(&keys);
+    let uniform = items_of(&(0..DISTINCT).collect::<Vec<_>>());
+    let count = |items: &[u64], cfg: SemisortConfig| {
+        let mut engine = Semisorter::new(cfg.with_telemetry(TelemetryLevel::Deep)).unwrap();
+        let mut counts = engine.count_by_key(items, |&k| k).unwrap();
+        counts.sort_unstable();
+        let hist = engine.last_stats().telemetry.light_occupancy_hist.clone();
+        (counts, hist)
+    };
+    let mut want: Vec<(u64, usize)> = (0..DISTINCT)
+        .map(|j| (keys[j as usize], copies(j) as usize))
+        .collect();
+    want.sort_unstable();
+
+    // Seed A: the precomputed keys pile into one light region, yet every
+    // count is exact.
+    let (counts, hist) = count(&adversarial, cfg());
+    assert_eq!(counts, want, "exact counts under the attacked seed");
+    assert!(
+        Hist::bucket_lo(top_bucket(&hist) + 1) > n / 2,
+        "the attack should work under the seed it was computed for: {hist:?}"
+    );
+
+    // Seed B: the largest light region stays within 4× of a uniform input's
+    // (its top histogram bucket at most one above the uniform's).
+    let seed_b = cfg().with_seed(0xb0b);
+    let (counts, hist) = count(&adversarial, seed_b);
+    assert_eq!(counts, want, "exact counts under another seed");
+    let (_, uniform_hist) = count(&uniform, seed_b);
+    assert!(
+        top_bucket(&hist) <= top_bucket(&uniform_hist) + 1,
+        "largest light region: {hist:?} against uniform {uniform_hist:?}"
+    );
 }

@@ -4,8 +4,9 @@
 //! `sort_by_key`, `stable_by_key`, `permutation`, `in_place` and
 //! `group_by` — are checked against a sequential `HashMap` reference
 //! across key distributions, thread counts, input sizes on both sides of
-//! the sequential cutoff, and engine settings that must not change the
-//! output. A key type whose `Hash` maps many keys to one hash drives the
+//! the sequential cutoff, engine settings that must not change the
+//! output, and seeds, which key the hash and so may reorder the groups but
+//! never change them. A key type whose `Hash` maps many keys to one hash drives the
 //! exact collision regroup through heavy regions, light regions and the
 //! sequential path. Every input's payload is its input index, which pins
 //! the input-order contract: each group of every arrangement, and each
@@ -315,5 +316,82 @@ fn groups_fold_in_input_order() {
                 "colliding key {k:?} folded out of input order"
             );
         }
+    }
+}
+
+/// The groups of an arrangement as sorted lists of input indices, sorted.
+fn index_groups<K>(out: &Outputs<K>) -> Vec<Vec<u64>> {
+    let mut groups: Vec<Vec<u64>> = out
+        .starts
+        .windows(2)
+        .map(|w| {
+            let mut g: Vec<u64> = out.sorted[w[0]..w[1]].iter().map(|r| r.1).collect();
+            g.sort_unstable();
+            g
+        })
+        .collect();
+    groups.sort_unstable();
+    groups
+}
+
+/// Run [`check`] on `items` under `cfg` at 1, 2 and 8 threads, asserting
+/// byte-identical outputs, and return them.
+fn check_threads<K>(items: &[(K, u64)], cfg: SemisortConfig, label: &str) -> Outputs<K>
+where
+    K: Hash + Eq + Clone + Send + Sync + std::fmt::Debug,
+{
+    let mut first = None;
+    for threads in [1, 2, 8] {
+        let label = format!("{label} threads={threads}");
+        let out = parlay::with_threads(threads, || check(items, cfg, &label));
+        match &first {
+            None => first = Some(out),
+            Some(f) => assert_eq!(&out, f, "{label}: output differs across threads"),
+        }
+    }
+    first.expect("three thread counts ran")
+}
+
+/// Under two seeds, the same groups as multisets.
+fn assert_same_groups<K>(a: Outputs<K>, b: Outputs<K>, label: &str)
+where
+    K: Hash + Eq + std::fmt::Debug,
+{
+    assert_eq!(index_groups(&a), index_groups(&b), "{label}: groups");
+    assert_eq!(to_map(a.counts), to_map(b.counts), "{label}: counts");
+    assert_eq!(to_map(a.sums), to_map(b.sums), "{label}: folds");
+}
+
+#[test]
+fn seeds_reorder_groups_but_never_change_them() {
+    // The seed keys the hash, so it may move the groups around; it may not
+    // change what any group holds. For one seed the output is the same
+    // bytes at every thread count.
+    let seeds = [cfg(), cfg().with_seed(0xb0b5)];
+    let n = 100_000;
+    for (name, dist) in distributions(n) {
+        let items = generate(dist, n, SEED);
+        let [a, b] = seeds.map(|cfg| check_threads(&items, cfg, &format!("{name} {}", cfg.seed)));
+        if name == "uniform" {
+            assert_ne!(
+                a.sorted, b.sorted,
+                "{name}: the seed should reach the key hash"
+            );
+        }
+        assert_same_groups(a, b, name);
+    }
+    let items = colliding_items(n, 50);
+    let [a, b] = seeds.map(|cfg| check_threads(&items, cfg, &format!("colliding {}", cfg.seed)));
+    assert_same_groups(a, b, "colliding");
+
+    // The one-shots hash with the caller's seed too.
+    let items = generate(Distribution::Uniform { n: 5_000 }, 20_000, SEED);
+    for cfg in seeds {
+        let one_shot = try_group_by(&items, |r| r.0, &cfg).unwrap();
+        let pooled = Semisorter::new(cfg)
+            .unwrap()
+            .group_by(&items, |r| r.0)
+            .unwrap();
+        assert_eq!(one_shot.items, pooled.items, "seed {:#x}", cfg.seed);
     }
 }

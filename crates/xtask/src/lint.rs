@@ -58,12 +58,13 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/semisort/src/scatter.rs",
 ];
 
-/// Hot-path files where the `as-cast-in-index` rule applies: the routing,
-/// scatter and pack inner loops and the region walk's gather and fold,
-/// where index arithmetic runs per record.
+/// Hot-path files where the `as-cast-in-index` rule applies: the key hash,
+/// the routing, scatter and pack inner loops and the region walk's gather
+/// and fold, where index arithmetic runs per record.
 pub const HOT_PATHS: &[&str] = &[
     "crates/semisort/src/aggregate.rs",
     "crates/semisort/src/buckets.rs",
+    "crates/semisort/src/hash.rs",
     "crates/semisort/src/local_sort.rs",
     "crates/semisort/src/pack_phase.rs",
     "crates/semisort/src/scatter.rs",
